@@ -9,6 +9,9 @@ Two families live here:
 
 * Laplace-transform bounds minimized numerically over theta > 0
   (single_matrix_bound, master_bound, g_theta_bound, log_mean_bound).
+  Each is inf_theta exp(theta*eps + h(theta)) with h independent of eps,
+  so each also has a *_grid form that scans a whole eps grid and
+  evaluates h once per distinct theta.
 * Closed-form bounds with analytic minimizers (negative_moment_bound,
   chernoff_sum_bound, chernoff_product_bound, series_sum_bound,
   series_product_bound) plus the per-source product combinator
@@ -42,9 +45,13 @@ __all__ = [
     "log_rate",
     "power_envelope",
     "single_matrix_bound",
+    "single_matrix_bound_grid",
     "master_bound",
+    "master_bound_grid",
     "g_theta_bound",
+    "g_theta_bound_grid",
     "log_mean_bound",
+    "log_mean_bound_grid",
     "product_bound",
     "admissible_cp",
     "negative_moment_bound",
@@ -113,16 +120,37 @@ def _check_eps(eps: float) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _optimized(
-    theta_part: Callable[[float], float],
-    eps: float,
+def _scan(
+    h: Callable[[float], float],
+    eps_grid: Sequence[float],
     cfg: OptimizerConfig,
     details: Mapping[str, float],
-) -> BoundResult:
-    """Minimize the log objective theta*eps + theta_part(theta)."""
-    res = minimize(lambda th: th * eps + theta_part(th), cfg)
-    raw = math.exp(min(res.f_star, _EXP_CAP))
-    return _finish(raw, res.theta_star, True, details)
+) -> list[BoundResult]:
+    """Minimize the log objective theta*eps + h(theta) at every eps of the
+    grid, evaluating h at most once per distinct theta.
+
+    Each eps still gets its own full search, so the coarse-grid and
+    golden-section points are those of a search at that eps alone; only
+    repeated evaluations of h are saved.  at_boundary in the details flags
+    a theta* found at an end of the coarse grid.
+    """
+    eps_grid = [_check_eps(e) for e in eps_grid]
+    memo: dict[float, float] = {}
+
+    def h_memo(th: float) -> float:
+        val = memo.get(th)
+        if val is None:
+            val = memo[th] = h(th)
+        return val
+
+    out = []
+    for eps in eps_grid:
+        res = minimize(lambda th: th * eps + h_memo(th), cfg)
+        raw = math.exp(min(res.f_star, _EXP_CAP))
+        out.append(
+            _finish(raw, res.theta_star, True, {**details, "at_boundary": res.at_boundary})
+        )
+    return out
 
 
 def _log_mgf(m: HermitianMatrix, theta: float) -> np.ndarray:
@@ -140,23 +168,53 @@ def _log_mgf(m: HermitianMatrix, theta: float) -> np.ndarray:
     return (u * logs) @ u.conj().T
 
 
+def single_matrix_bound_grid(
+    source,
+    mgf: MgfModel,
+    eps_grid: Sequence[float],
+    cfg: OptimizerConfig = OptimizerConfig(),
+) -> list[BoundResult]:
+    """Laplace bound for one random Hermitian matrix:
+    inf_theta (1/d) e^(theta eps) E tr exp(-theta Y), at every eps."""
+    d = source.dim
+
+    def h(th: float) -> float:
+        m = mgf.evaluate(source, th)
+        tr = float(np.trace(m.entries).real)
+        return math.log(max(tr / d, _EIG_FLOOR))
+
+    return _scan(h, eps_grid, cfg, {"d": float(d)})
+
+
 def single_matrix_bound(
     source,
     mgf: MgfModel,
     eps: float,
     cfg: OptimizerConfig = OptimizerConfig(),
 ) -> BoundResult:
-    """Laplace bound for one random Hermitian matrix:
-    inf_theta (1/d) e^(theta eps) E tr exp(-theta Y)."""
-    eps = _check_eps(eps)
-    d = source.dim
+    """single_matrix_bound_grid at one eps."""
+    return single_matrix_bound_grid(source, mgf, [eps], cfg)[0]
 
-    def theta_part(th: float) -> float:
-        m = mgf.evaluate(source, th)
-        tr = float(np.trace(m.entries).real)
-        return math.log(max(tr / d, _EIG_FLOOR))
 
-    return _optimized(theta_part, eps, cfg, {"d": float(d)})
+def master_bound_grid(
+    model: SumModel,
+    mgf: MgfModel,
+    eps_grid: Sequence[float],
+    cfg: OptimizerConfig = OptimizerConfig(),
+) -> list[BoundResult]:
+    """Dimension-free bound for the sum via subadditivity of the matrix
+    cumulant generating function:
+    inf_theta e^(theta eps) exp(lambda_max(sum_k log E exp(-theta X_k))),
+    at every eps."""
+
+    def h(th: float) -> float:
+        total = None
+        for src in model.sources:
+            lm = _log_mgf(mgf.evaluate(src, th), th)
+            total = lm if total is None else total + lm
+        return float(np.linalg.eigvalsh(total)[-1])
+
+    return _scan(h, eps_grid, cfg, {"K": float(model.size)})
 
 
 def master_bound(
@@ -165,19 +223,8 @@ def master_bound(
     eps: float,
     cfg: OptimizerConfig = OptimizerConfig(),
 ) -> BoundResult:
-    """Dimension-free bound for the sum via subadditivity of the matrix
-    cumulant generating function:
-    inf_theta e^(theta eps) exp(lambda_max(sum_k log E exp(-theta X_k)))."""
-    eps = _check_eps(eps)
-
-    def theta_part(th: float) -> float:
-        total = None
-        for src in model.sources:
-            lm = _log_mgf(mgf.evaluate(src, th), th)
-            total = lm if total is None else total + lm
-        return float(np.linalg.eigvalsh(total)[-1])
-
-    return _optimized(theta_part, eps, cfg, {"K": float(model.size)})
+    """master_bound_grid at one eps."""
+    return master_bound_grid(model, mgf, [eps], cfg)[0]
 
 
 @dataclass(frozen=True)
@@ -222,15 +269,14 @@ def power_envelope(c: float, alpha: float) -> Callable[[float], float]:
     return lambda th: math.log(c) - alpha * math.log(th)
 
 
-def g_theta_bound(
+def g_theta_bound_grid(
     gmodel: GThetaModel,
-    eps: float,
+    eps_grid: Sequence[float],
     cfg: OptimizerConfig = OptimizerConfig(),
-) -> BoundResult:
+) -> list[BoundResult]:
     """Bound inf_theta exp(theta eps + g(theta) * eta) where eta is
     lambda_max (g positive) or lambda_min (g negative) of the summed
-    dominators."""
-    eps = _check_eps(eps)
+    dominators, at every eps."""
     grid = cfg.coarse_grid()
     gvals = np.array([gmodel.g(t) for t in grid], dtype=float)
     if not np.isfinite(gvals).all():
@@ -257,7 +303,39 @@ def g_theta_bound(
         eta = float(w[0])
         details = {"eta2": eta}
 
-    return _optimized(lambda th: gmodel.g(th) * eta, eps, cfg, details)
+    return _scan(lambda th: gmodel.g(th) * eta, eps_grid, cfg, details)
+
+
+def g_theta_bound(
+    gmodel: GThetaModel,
+    eps: float,
+    cfg: OptimizerConfig = OptimizerConfig(),
+) -> BoundResult:
+    """g_theta_bound_grid at one eps."""
+    return g_theta_bound_grid(gmodel, [eps], cfg)[0]
+
+
+def log_mean_bound_grid(
+    model: SumModel,
+    mgf: MgfModel,
+    eps_grid: Sequence[float],
+    cfg: OptimizerConfig = OptimizerConfig(),
+) -> list[BoundResult]:
+    """Operator-concavity bound
+    inf_theta exp(theta eps + K log lambda_max((1/K) sum_k E exp(-theta X_k))),
+    at every eps.  Coincides with master_bound for i.i.d. sources; never
+    tighter than it."""
+    k = model.size
+
+    def h(th: float) -> float:
+        total = None
+        for src in model.sources:
+            m = mgf.evaluate(src, th).entries
+            total = m if total is None else total + m
+        lam = float(np.linalg.eigvalsh(total / k)[-1])
+        return k * math.log(max(lam, _EIG_FLOOR))
+
+    return _scan(h, eps_grid, cfg, {"K": float(k)})
 
 
 def log_mean_bound(
@@ -266,21 +344,8 @@ def log_mean_bound(
     eps: float,
     cfg: OptimizerConfig = OptimizerConfig(),
 ) -> BoundResult:
-    """Operator-concavity bound
-    inf_theta exp(theta eps + K log lambda_max((1/K) sum_k E exp(-theta X_k))).
-    Coincides with master_bound for i.i.d. sources; never tighter than it."""
-    eps = _check_eps(eps)
-    k = model.size
-
-    def theta_part(th: float) -> float:
-        total = None
-        for src in model.sources:
-            m = mgf.evaluate(src, th).entries
-            total = m if total is None else total + m
-        lam = float(np.linalg.eigvalsh(total / k)[-1])
-        return k * math.log(max(lam, _EIG_FLOOR))
-
-    return _optimized(theta_part, eps, cfg, {"K": float(k)})
+    """log_mean_bound_grid at one eps."""
+    return log_mean_bound_grid(model, mgf, [eps], cfg)[0]
 
 
 # ---------------------------------------------------------------------------

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from importlib import resources
 from pathlib import Path
@@ -86,35 +87,56 @@ def _require(mapping: dict, key: str, where: str):
     return mapping[key]
 
 
+def _section(raw: dict, key: str) -> dict:
+    section = raw.get(key)
+    if section is None:
+        return {}
+    if not isinstance(section, dict):
+        raise ConfigError(f"{key} must be a mapping")
+    return section
+
+
+def _field(section: dict, where: str, key: str, cast, default):
+    value = section.get(key, default)
+    try:
+        return cast(value)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ConfigError(
+            f"{where}.{key} must be {cast.__name__}, got {value!r}"
+        ) from exc
+
+
 def resolve_config(raw: dict, args: argparse.Namespace | None = None) -> dict:
     """Fill defaults and apply CLI overrides; the result is echoed verbatim
     into JSON reports so a run is reproducible from its own artifact."""
+    sim = _section(raw, "simulation")
+    mgf = _section(raw, "mgf")
+    opt = _section(raw, "optimizer")
+    output = _section(raw, "output")
     cfg = {
         "experiment": str(raw.get("experiment", "experiment")),
         "ensemble": _require(raw, "ensemble", "config"),
         "bounds": raw.get("bounds", []),
         "eps_grid": _resolve_eps_grid(_require(raw, "eps_grid", "config")),
         "simulation": {
-            "n": int(raw.get("simulation", {}).get("n", 100_000)),
-            "confidence": float(raw.get("simulation", {}).get("confidence", 0.99)),
-            "seed": int(raw.get("simulation", {}).get("seed", 0)),
+            "n": _field(sim, "simulation", "n", int, 100_000),
+            "confidence": _field(sim, "simulation", "confidence", float, 0.99),
+            "seed": _field(sim, "simulation", "seed", int, 0),
         },
         "mgf": {
-            "mode": str(raw.get("mgf", {}).get("mode", "analytic")),
-            "n_samples": int(raw.get("mgf", {}).get("n_samples", 10_000)),
+            "mode": str(mgf.get("mode", "analytic")),
+            "n_samples": _field(mgf, "mgf", "n_samples", int, 10_000),
         },
         "optimizer": {
-            "theta_min": float(raw.get("optimizer", {}).get("theta_min", 1e-6)),
-            "theta_max": float(raw.get("optimizer", {}).get("theta_max", 1e6)),
-            "coarse_points": int(raw.get("optimizer", {}).get("coarse_points", 200)),
-            "refine_tol": float(raw.get("optimizer", {}).get("refine_tol", 1e-8)),
-            "max_refine_iters": int(
-                raw.get("optimizer", {}).get("max_refine_iters", 200)
-            ),
+            "theta_min": _field(opt, "optimizer", "theta_min", float, 1e-6),
+            "theta_max": _field(opt, "optimizer", "theta_max", float, 1e6),
+            "coarse_points": _field(opt, "optimizer", "coarse_points", int, 200),
+            "refine_tol": _field(opt, "optimizer", "refine_tol", float, 1e-8),
+            "max_refine_iters": _field(opt, "optimizer", "max_refine_iters", int, 200),
         },
         "output": {
-            "csv": raw.get("output", {}).get("csv"),
-            "json": raw.get("output", {}).get("json"),
+            "csv": output.get("csv"),
+            "json": output.get("json"),
         },
         "scale_bounds": 1.0,
     }
@@ -142,11 +164,14 @@ def resolve_config(raw: dict, args: argparse.Namespace | None = None) -> dict:
 
 def _resolve_eps_grid(spec) -> list:
     if isinstance(spec, (list, tuple)):
-        grid = [float(x) for x in spec]
+        try:
+            grid = [float(x) for x in spec]
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"eps_grid values must be numbers: {exc}") from exc
     elif isinstance(spec, dict):
-        start = float(_require(spec, "start", "eps_grid"))
-        stop = float(_require(spec, "stop", "eps_grid"))
-        count = int(_require(spec, "count", "eps_grid"))
+        start = _field(spec, "eps_grid", "start", float, None)
+        stop = _field(spec, "eps_grid", "stop", float, None)
+        count = _field(spec, "eps_grid", "count", int, None)
         spacing = spec.get("spacing", "linear")
         if count < 1:
             raise ConfigError("eps_grid count must be at least 1")
@@ -162,8 +187,8 @@ def _resolve_eps_grid(spec) -> list:
         raise ConfigError("eps_grid must be a list or a start/stop/count mapping")
     if len(grid) == 0:
         raise ConfigError("eps_grid must be non-empty")
-    if any(e <= 0 for e in grid):
-        raise ConfigError("eps_grid values must be positive")
+    if not all(0 < e < math.inf for e in grid):
+        raise ConfigError("eps_grid values must be positive and finite")
     if any(b <= a for a, b in zip(grid, grid[1:])):
         raise ConfigError("eps_grid must be strictly ascending")
     return grid
@@ -386,21 +411,19 @@ def evaluate_bounds(
             raise ConfigError(f"bound {name!r} requested twice")
         if name == "g_theta":
             gmodel = _build_gmodel(req, model)
-            results = [bd.g_theta_bound(gmodel, e, opt_cfg) for e in eps_grid]
+            results = bd.g_theta_bound_grid(gmodel, eps_grid, opt_cfg)
         elif name == "single":
-            src = SumSource(model)
-            results = [bd.single_matrix_bound(src, mgf, e, opt_cfg) for e in eps_grid]
+            results = bd.single_matrix_bound_grid(SumSource(model), mgf, eps_grid, opt_cfg)
         elif name == "master":
-            results = [bd.master_bound(model, mgf, e, opt_cfg) for e in eps_grid]
+            results = bd.master_bound_grid(model, mgf, eps_grid, opt_cfg)
         elif name == "log_mean":
-            results = [bd.log_mean_bound(model, mgf, e, opt_cfg) for e in eps_grid]
+            results = bd.log_mean_bound_grid(model, mgf, eps_grid, opt_cfg)
         elif name == "product":
-            results = []
-            for e in eps_grid:
-                per_source = [
-                    bd.single_matrix_bound(s, mgf, e, opt_cfg) for s in model.sources
-                ]
-                results.append(bd.product_bound(per_source))
+            per_source = [
+                bd.single_matrix_bound_grid(s, mgf, eps_grid, opt_cfg)
+                for s in model.sources
+            ]
+            results = [bd.product_bound(column) for column in zip(*per_source)]
         elif name == "negative_moment":
             p = float(req.get("p", 1.0))
             cp = float(req["Cp"]) if "Cp" in req else bd.admissible_cp(model, p)
@@ -545,7 +568,10 @@ def _prepare(args):
         opt_cfg = OptimizerConfig(**cfg["optimizer"])
     except ValueError as exc:
         raise ConfigError(f"optimizer: {exc}") from exc
-    mgf = MgfModel(mode=mode, n_samples=cfg["mgf"]["n_samples"], seed=sim["seed"])
+    try:
+        mgf = MgfModel(mode=mode, n_samples=cfg["mgf"]["n_samples"], seed=sim["seed"])
+    except ValueError as exc:
+        raise ConfigError(f"mgf: {exc}") from exc
     return cfg, model, requests, mgf, opt_cfg
 
 

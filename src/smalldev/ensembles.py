@@ -454,32 +454,41 @@ def empirical_mgf(source, theta: float, n: int, stream: RngStream) -> HermitianM
         raise ValueError("theta must be positive")
     if n < 1:
         raise ValueError("n must be at least 1")
-    samples = source.sample_batch(stream, n)
-    w, v = np.linalg.eigh(samples)
-    return HermitianMatrix(_mgf_from_eigh(w, v, theta))
-
-
-def _mgf_from_eigh(w: np.ndarray, v: np.ndarray, theta: float) -> np.ndarray:
-    phases = np.exp(-theta * w)
-    return np.einsum("nij,nj,nkj->ik", v, phases, v.conj()) / w.shape[0]
+    return _Snapshot(source.sample_batch(stream, n)).evaluate(theta)
 
 
 class _Snapshot:
     """Frozen sample set for one source, stored eigendecomposed so that the
-    mgf can be re-evaluated cheaply at many theta values."""
+    mgf can be re-evaluated cheaply at many theta values.
 
-    __slots__ = ("eigenvalues", "eigenvectors", "_memo")
+    The n*d eigenpairs (w_j, v_j) are kept flat: eigenvalues as an (n*d,)
+    vector and eigenvectors as the columns of one real (2d, n*d) array
+    X = [Re V; Im V].  Then sum_j e^(-theta w_j) v_j v_j* is a single real
+    GEMM, G = (X * e^(-theta w)) X^T, folded back as
+    G11 + G22 + i (G21 - G12).
+    """
+
+    __slots__ = ("eigenvalues", "basis", "n", "_memo")
 
     def __init__(self, samples: np.ndarray) -> None:
-        self.eigenvalues, self.eigenvectors = np.linalg.eigh(samples)
+        w, v = np.linalg.eigh(samples)
+        n, d = w.shape
+        self.n = n
+        self.eigenvalues = w.reshape(n * d)
+        # Column s*d + j of X is eigenvector j of sample s.
+        self.basis = np.empty((2 * d, n * d))
+        self.basis[:d].reshape(d, n, d)[...] = v.real.transpose(1, 0, 2)
+        self.basis[d:].reshape(d, n, d)[...] = v.imag.transpose(1, 0, 2)
         self._memo: dict[float, HermitianMatrix] = {}
 
     def evaluate(self, theta: float) -> HermitianMatrix:
         out = self._memo.get(theta)
         if out is None:
-            out = HermitianMatrix(
-                _mgf_from_eigh(self.eigenvalues, self.eigenvectors, theta)
-            )
+            x = self.basis
+            g = (x * np.exp(-theta * self.eigenvalues)) @ x.T
+            d = x.shape[0] // 2
+            m = g[:d, :d] + g[d:, d:] + 1j * (g[d:, :d] - g[:d, d:])
+            out = HermitianMatrix(m / self.n)
             self._memo[theta] = out
         return out
 
@@ -508,7 +517,11 @@ class MgfModel:
         self.mode = mode
         self.n_samples = int(n_samples)
         self._stream = stream if stream is not None else RngStream(seed).child(_MGF_PURPOSE)
-        self._snapshots: dict[int, _Snapshot] = {}
+        # Keyed by id(source), with the source held alongside its snapshot:
+        # a freed source's id could otherwise be reused by a new source,
+        # which would then read the stale snapshot.  Equal sources keep
+        # separate snapshots, because i.i.d. copies are independent draws.
+        self._snapshots: dict[int, tuple[object, _Snapshot]] = {}
 
     def evaluate(self, source, theta: float) -> HermitianMatrix:
         if theta <= 0:
@@ -521,9 +534,9 @@ class MgfModel:
                     "use empirical mode"
                 )
             return out
-        snap = self._snapshots.get(id(source))
-        if snap is None:
+        entry = self._snapshots.get(id(source))
+        if entry is None:
             substream = self._stream.child(len(self._snapshots))
-            snap = _Snapshot(source.sample_batch(substream, self.n_samples))
-            self._snapshots[id(source)] = snap
-        return snap.evaluate(theta)
+            entry = (source, _Snapshot(source.sample_batch(substream, self.n_samples)))
+            self._snapshots[id(source)] = entry
+        return entry[1].evaluate(theta)

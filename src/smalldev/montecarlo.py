@@ -178,9 +178,11 @@ def compare(
     bounds: Mapping[str, Sequence[BoundResult]],
     estimates: Sequence[EmpiricalEstimate],
 ) -> DominationReport:
-    """Check every bound value against the one-sided lower confidence limit
-    of the matching empirical estimate.  A bound row is flagged only when
-    the data statistically contradicts it (bound < ci_low)."""
+    """Check every bound value against ci_low, the lower end of the
+    two-sided Clopper-Pearson interval of the matching empirical estimate;
+    as a one-sided limit its level is (1 + confidence)/2, e.g. 99.5% at
+    confidence 0.99.  A bound row is flagged only when the data
+    statistically contradicts it (bound < ci_low)."""
     for name, results in bounds.items():
         if len(results) != len(estimates):
             raise ValueError(

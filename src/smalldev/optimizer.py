@@ -36,6 +36,10 @@ class OptimizerConfig:
             raise ValueError("theta_min and theta_max must be positive")
         if self.theta_min >= self.theta_max:
             raise ValueError("theta_min must be below theta_max")
+        if not (math.isfinite(self.theta_min) and math.isfinite(self.theta_max)):
+            raise ValueError("theta_min and theta_max must be finite")
+        if not self.refine_tol > 0:
+            raise ValueError("refine_tol must be positive")
         if self.coarse_points < 3:
             raise ValueError("coarse_points must be at least 3")
 

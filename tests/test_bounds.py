@@ -12,15 +12,19 @@ from smalldev.bounds import (
     chernoff_sum_bound,
     exp_envelope,
     g_theta_bound,
+    g_theta_bound_grid,
     log_mean_bound,
+    log_mean_bound_grid,
     log_rate,
     master_bound,
+    master_bound_grid,
     negative_moment_bound,
     power_envelope,
     product_bound,
     series_product_bound,
     series_sum_bound,
     single_matrix_bound,
+    single_matrix_bound_grid,
 )
 from smalldev.ensembles import (
     Bernoulli,
@@ -132,6 +136,7 @@ class TestMasterBound:
         with np.errstate(over="ignore"):
             objective = np.exp(0.5 * thetas) * (0.5 * (1.0 + np.exp(-thetas))) ** 10
         assert res.raw_value == pytest.approx(objective.min(), rel=1e-6)
+        assert not res.details["at_boundary"]
 
     def test_empirical_mgf_agrees_with_analytic(self):
         model = exp_series_model(2)
@@ -189,6 +194,8 @@ class TestGThetaBound:
         assert res.trivial
         assert res.value == 1.0
         assert res.valid
+        # the objective only rises, so theta* sits at theta_min
+        assert res.details["at_boundary"]
 
     def test_sign_violation_detected(self):
         gmodel = GThetaModel(
@@ -209,6 +216,59 @@ class TestGThetaBound:
         res = g_theta_bound(gmodel, 0.05, cfg)
         assert res.details["eta1"] == pytest.approx(3.0)
         assert_result_invariants(res)
+
+
+class CountingMgf:
+    """Mgf evaluator that records every theta it is asked for."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.thetas = []
+
+    def evaluate(self, source, theta):
+        self.thetas.append(theta)
+        return self.inner.evaluate(source, theta)
+
+
+class TestGridScan:
+    EPS = [0.05, 0.1, 0.2, 0.4]
+
+    def test_grid_bit_identical_to_per_eps_calls(self):
+        model = exp_series_model(3)
+        gmodel = GThetaModel(
+            g=log_rate(1.0),
+            sign="negative",
+            dominators=tuple(HermitianMatrix.identity(2) for _ in range(3)),
+        )
+        src = model.sources[0]
+        cases = [
+            (single_matrix_bound_grid, single_matrix_bound, (src, ANALYTIC)),
+            (master_bound_grid, master_bound, (model, ANALYTIC)),
+            (log_mean_bound_grid, log_mean_bound, (model, ANALYTIC)),
+            (g_theta_bound_grid, g_theta_bound, (gmodel,)),
+        ]
+        for grid_fn, point_fn, args in cases:
+            grid = grid_fn(*args, self.EPS)
+            assert grid == [point_fn(*args, e) for e in self.EPS]
+
+    def test_h_evaluated_once_per_distinct_theta(self):
+        src = ScaledFixed(matrix=HermitianMatrix.identity(2), law=Exponential(rate=1.0))
+        cfg = OptimizerConfig()
+        grid = CountingMgf(ANALYTIC)
+        single_matrix_bound_grid(src, grid, self.EPS, cfg)
+        per_eps = CountingMgf(ANALYTIC)
+        for e in self.EPS:
+            single_matrix_bound(src, per_eps, e, cfg)
+        assert sorted(grid.thetas) == sorted(set(per_eps.thetas))
+        coarse = set(cfg.coarse_grid().tolist())
+        assert sum(t in coarse for t in grid.thetas) == cfg.coarse_points
+        assert sum(t in coarse for t in per_eps.thetas) == cfg.coarse_points * len(
+            self.EPS
+        )
+
+    def test_rejects_nonpositive_eps_in_grid(self):
+        with pytest.raises(ValueError):
+            master_bound_grid(exp_series_model(2), ANALYTIC, [0.1, 0.0])
 
 
 class TestLogMeanBound:

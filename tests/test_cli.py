@@ -78,6 +78,34 @@ class TestConfigValidation:
         assert main(["bound", "--config", write_config(tmp_path, cfg)]) == 2
         assert "empirical" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "override",
+        [
+            {"simulation": [1, 2]},
+            {"simulation": {"n": "abc"}},
+            {"mgf": {"n_samples": 0}},
+            {"optimizer": {"theta_max": float("inf")}},
+            {"optimizer": {"refine_tol": 0.0}},
+            {"eps_grid": [float("nan")]},
+            {"eps_grid": {"start": 0.1, "stop": 0.2, "count": "abc"}},
+        ],
+        ids=[
+            "simulation-list",
+            "n-not-int",
+            "zero-mgf-samples",
+            "inf-theta-max",
+            "zero-tol",
+            "nan-eps",
+            "count-not-int",
+        ],
+    )
+    def test_malformed_section_exits_2_with_one_line(self, tmp_path, capsys, override):
+        cfg = dict(FAST_EXP_CONFIG, **override)
+        assert main(["bound", "--config", write_config(tmp_path, cfg)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ")
+        assert err.count("\n") == 1
+
     def test_descending_grid_rejected(self, tmp_path):
         cfg = dict(FAST_EXP_CONFIG, eps_grid=[0.3, 0.1])
         assert main(["bound", "--config", write_config(tmp_path, cfg)]) == 2

@@ -259,6 +259,26 @@ class TestEmpiricalMgf:
         se = math.sqrt((1.0 / 12.0) / n)
         assert np.abs(out.entries - 0.5 * np.eye(2)).max() <= 3.0 * se
 
+    @pytest.mark.parametrize("d", [1, 4, 16])
+    @pytest.mark.parametrize(
+        "factory",
+        [
+            lambda d: BernoulliDiagonal(dim=d, p=0.5, scale=2.0),
+            lambda d: Wishart(dim=d, dof=3),
+            lambda d: BoundedRankOne(dim=d, bound=1.0),
+        ],
+        ids=["bernoulli_diagonal", "wishart", "bounded_rank_one"],
+    )
+    def test_matches_einsum_reference(self, factory, d):
+        src = factory(d)
+        n = 300
+        w, v = np.linalg.eigh(src.sample_batch(RngStream(21), n))
+        for theta in (0.05, 1.0, 20.0):
+            phases = np.exp(-theta * w)
+            ref = np.einsum("nij,nj,nkj->ik", v, phases, v.conj()) / n
+            out = empirical_mgf(src, theta, n, RngStream(21)).entries
+            assert np.linalg.norm(out - ref) <= 1e-13 * np.linalg.norm(ref)
+
     def test_output_pd_and_below_identity(self):
         for factory in (lambda: BoundedRankOne(dim=3, bound=1.0), lambda: Wishart(dim=3, dof=3)):
             out = empirical_mgf(factory(), 2.0, 500, RngStream(18))
@@ -288,6 +308,16 @@ class TestMgfModel:
         assert not np.array_equal(
             model.evaluate(a, 1.0).entries, model.evaluate(b, 1.0).entries
         )
+
+    def test_freed_source_does_not_alias_snapshot(self):
+        # A source freed after use must not hand its snapshot to a new
+        # source that happens to get the same id.
+        model = MgfModel(mode="empirical", n_samples=64, seed=0)
+        model.evaluate(BernoulliDiagonal(dim=1, p=0.5, scale=1.0), 1.0)
+        src = BernoulliDiagonal(dim=1, p=0.5, scale=100.0)
+        out = model.evaluate(src, 1.0)
+        manual = empirical_mgf(src, 1.0, 64, RngStream(0).child(1).child(1))
+        assert np.array_equal(out.entries, manual.entries)
 
     def test_mode_validation(self):
         with pytest.raises(ValueError):
