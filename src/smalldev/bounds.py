@@ -31,11 +31,12 @@ import numpy as np
 from .ensembles import MgfModel, ScaledFixed, SumModel
 from .errors import (
     DegenerateModelError,
+    EigenConvergenceError,
     InvalidDominatorsError,
     NotPositiveDefiniteError,
     UnsupportedEnsembleError,
 )
-from .linalg import HermitianMatrix, lambda_min, matrix_power, spectral_decompose
+from .linalg import HermitianMatrix, lambda_min, matrix_power
 from .optimizer import OptimizerConfig, minimize
 
 __all__ = [
@@ -129,8 +130,8 @@ def _scan(
     """Minimize the log objective theta*eps + h(theta) at every eps of the
     grid, evaluating h at most once per distinct theta.
 
-    Each eps still gets its own full search, so the coarse-grid and
-    golden-section points are those of a search at that eps alone; only
+    Each eps still gets its own full search, so the coarse-grid and Brent
+    refinement points are those of a search at that eps alone; only
     repeated evaluations of h are saved.  at_boundary in the details flags
     a theta* found at an end of the coarse grid.
     """
@@ -153,19 +154,30 @@ def _scan(
     return out
 
 
-def _log_mgf(m: HermitianMatrix, theta: float) -> np.ndarray:
-    """Matrix log of an mgf evaluation, with underflowed eigenvalues
-    clipped upward (safe direction: the resulting bound only loosens)."""
-    dec = spectral_decompose(m)
-    w = dec.eigenvalues
-    if float(w[0]) < -1e-8 * max(1.0, float(w[-1])):
-        raise NotPositiveDefiniteError(
-            f"mgf evaluation at theta={theta!r} is not psd "
-            f"(min eigenvalue {float(w[0]):.3e})"
-        )
+def _log_mgf_sum(mats: Sequence[HermitianMatrix], theta: float) -> np.ndarray:
+    """Sum of the matrix logs of K mgf evaluations, from one stacked eigh,
+    with underflowed eigenvalues clipped upward (safe direction: the
+    resulting bound only loosens)."""
+    try:
+        w, u = np.linalg.eigh(np.stack([m.entries for m in mats]))
+    except np.linalg.LinAlgError as exc:
+        raise EigenConvergenceError(
+            f"Hermitian eigensolver failed to converge at theta={theta!r}: {exc}"
+        ) from exc
+    for wk in w:
+        if float(wk[0]) < -1e-8 * max(1.0, float(wk[-1])):
+            raise NotPositiveDefiniteError(
+                f"mgf evaluation at theta={theta!r} is not psd "
+                f"(min eigenvalue {float(wk[0]):.3e})"
+            )
     logs = np.log(np.clip(w, _EIG_FLOOR, None))
-    u = dec.eigenvectors
-    return (u * logs) @ u.conj().T
+    terms = (u * logs[:, None, :]) @ u.conj().transpose(0, 2, 1)
+    # Summed in source order: ndarray.sum may pair the terms differently
+    # (it does at d=1), which moves the last bits of the bound.
+    total = terms[0]
+    for term in terms[1:]:
+        total = total + term
+    return total
 
 
 def single_matrix_bound_grid(
@@ -208,10 +220,7 @@ def master_bound_grid(
     at every eps."""
 
     def h(th: float) -> float:
-        total = None
-        for src in model.sources:
-            lm = _log_mgf(mgf.evaluate(src, th), th)
-            total = lm if total is None else total + lm
+        total = _log_mgf_sum([mgf.evaluate(src, th) for src in model.sources], th)
         return float(np.linalg.eigvalsh(total)[-1])
 
     return _scan(h, eps_grid, cfg, {"K": float(model.size)})

@@ -96,14 +96,25 @@ def _section(raw: dict, key: str) -> dict:
     return section
 
 
-def _field(section: dict, where: str, key: str, cast, default):
-    value = section.get(key, default)
+def _integer(value) -> int:
+    """int() that refuses to truncate: 4000 and 4000.0 pass, 100.9 raises."""
+    if isinstance(value, float) and not value.is_integer():
+        raise ValueError(f"{value!r} is not integral")
+    return int(value)
+
+
+def _cast(value, where: str, key: str, cast):
     try:
         return cast(value)
     except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(
-            f"{where}.{key} must be {cast.__name__}, got {value!r}"
+            f"{where}.{key} must be {'an integer' if cast is _integer else 'a number'}, "
+            f"got {value!r}"
         ) from exc
+
+
+def _field(section: dict, where: str, key: str, cast, default):
+    return _cast(section.get(key, default), where, key, cast)
 
 
 def resolve_config(raw: dict, args: argparse.Namespace | None = None) -> dict:
@@ -119,20 +130,20 @@ def resolve_config(raw: dict, args: argparse.Namespace | None = None) -> dict:
         "bounds": raw.get("bounds", []),
         "eps_grid": _resolve_eps_grid(_require(raw, "eps_grid", "config")),
         "simulation": {
-            "n": _field(sim, "simulation", "n", int, 100_000),
+            "n": _field(sim, "simulation", "n", _integer, 100_000),
             "confidence": _field(sim, "simulation", "confidence", float, 0.99),
-            "seed": _field(sim, "simulation", "seed", int, 0),
+            "seed": _field(sim, "simulation", "seed", _integer, 0),
         },
         "mgf": {
             "mode": str(mgf.get("mode", "analytic")),
-            "n_samples": _field(mgf, "mgf", "n_samples", int, 10_000),
+            "n_samples": _field(mgf, "mgf", "n_samples", _integer, 10_000),
         },
         "optimizer": {
             "theta_min": _field(opt, "optimizer", "theta_min", float, 1e-6),
             "theta_max": _field(opt, "optimizer", "theta_max", float, 1e6),
-            "coarse_points": _field(opt, "optimizer", "coarse_points", int, 200),
+            "coarse_points": _field(opt, "optimizer", "coarse_points", _integer, 200),
             "refine_tol": _field(opt, "optimizer", "refine_tol", float, 1e-8),
-            "max_refine_iters": _field(opt, "optimizer", "max_refine_iters", int, 200),
+            "max_refine_iters": _field(opt, "optimizer", "max_refine_iters", _integer, 200),
         },
         "output": {
             "csv": output.get("csv"),
@@ -171,7 +182,7 @@ def _resolve_eps_grid(spec) -> list:
     elif isinstance(spec, dict):
         start = _field(spec, "eps_grid", "start", float, None)
         stop = _field(spec, "eps_grid", "stop", float, None)
-        count = _field(spec, "eps_grid", "count", int, None)
+        count = _field(spec, "eps_grid", "count", _integer, None)
         spacing = spec.get("spacing", "linear")
         if count < 1:
             raise ConfigError("eps_grid count must be at least 1")
@@ -203,7 +214,7 @@ def _build_matrix(spec, where: str) -> HermitianMatrix:
     if not isinstance(spec, dict):
         raise ConfigError(f"{where}: matrix must be a mapping")
     if "identity" in spec:
-        return HermitianMatrix.identity(int(spec["identity"]))
+        return HermitianMatrix.identity(_cast(spec["identity"], where, "identity", _integer))
     if "diagonal" in spec:
         return HermitianMatrix.diagonal([float(x) for x in spec["diagonal"]])
     if "dense" in spec:
@@ -239,6 +250,10 @@ def _build_source(spec, where: str):
     if not isinstance(spec, dict):
         raise ConfigError(f"{where}: source must be a mapping")
     kind = _require(spec, "kind", where)
+
+    def integer(key: str) -> int:
+        return _cast(_require(spec, key, where), where, key, _integer)
+
     try:
         if kind == "scaled_fixed":
             return ScaledFixed(
@@ -247,19 +262,19 @@ def _build_source(spec, where: str):
             )
         if kind == "bernoulli_diagonal":
             return BernoulliDiagonal(
-                dim=int(_require(spec, "dim", where)),
+                dim=integer("dim"),
                 p=float(_require(spec, "p", where)),
                 scale=float(_require(spec, "scale", where)),
             )
         if kind == "bounded_rank_one":
             return BoundedRankOne(
-                dim=int(_require(spec, "dim", where)),
+                dim=integer("dim"),
                 bound=float(_require(spec, "bound", where)),
             )
         if kind == "wishart":
             return Wishart(
-                dim=int(_require(spec, "dim", where)),
-                dof=int(_require(spec, "dof", where)),
+                dim=integer("dim"),
+                dof=integer("dof"),
             )
     except ValueError as exc:
         raise ConfigError(f"{where}: {exc}") from exc
@@ -279,7 +294,7 @@ def build_model(ensemble_spec) -> SumModel:
             _build_source(s, f"ensemble.sources[{i}]") for i, s in enumerate(specs)
         )
     elif "source" in ensemble_spec:
-        repeat = int(ensemble_spec.get("repeat", 1))
+        repeat = _field(ensemble_spec, "ensemble", "repeat", _integer, 1)
         if repeat < 1:
             raise ConfigError("ensemble.repeat must be at least 1")
         sources = tuple(

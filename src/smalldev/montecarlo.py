@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 import numpy as np
-from scipy.special import betainc
+from scipy.special import betaincinv
 
 from .bounds import BoundResult
 from .ensembles import SumModel, sample_sum_batch
@@ -83,21 +83,6 @@ def worker_count(threads: int | None = None) -> int:
     return min(4, os.cpu_count() or 1)
 
 
-def _beta_ppf(q: float, a: float, b: float) -> float:
-    """Quantile of Beta(a, b) by bisection on the regularized incomplete
-    beta function; absolute error below 1e-12."""
-    lo, hi = 0.0, 1.0
-    for _ in range(60):
-        mid = 0.5 * (lo + hi)
-        if betainc(a, b, mid) < q:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo <= 1e-13:
-            break
-    return 0.5 * (lo + hi)
-
-
 def clopper_pearson(hits: int, n: int, confidence: float) -> tuple[float, float]:
     """Exact two-sided binomial confidence interval for hits out of n."""
     if n < 1:
@@ -107,8 +92,8 @@ def clopper_pearson(hits: int, n: int, confidence: float) -> tuple[float, float]
     if not 0.0 < confidence < 1.0:
         raise ValueError("confidence must lie in (0, 1)")
     alpha = 1.0 - confidence
-    low = 0.0 if hits == 0 else _beta_ppf(alpha / 2.0, hits, n - hits + 1)
-    high = 1.0 if hits == n else _beta_ppf(1.0 - alpha / 2.0, hits + 1, n - hits)
+    low = 0.0 if hits == 0 else float(betaincinv(hits, n - hits + 1, alpha / 2.0))
+    high = 1.0 if hits == n else float(betaincinv(hits + 1, n - hits, 1.0 - alpha / 2.0))
     return low, high
 
 

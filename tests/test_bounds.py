@@ -4,6 +4,7 @@ import mpmath
 import numpy as np
 import pytest
 
+from smalldev import bounds as bounds_mod
 from smalldev.bounds import (
     BoundResult,
     GThetaModel,
@@ -153,6 +154,36 @@ class TestMasterBound:
         model = SumModel(sources=(BernoulliDiagonal(dim=2, p=0.5, scale=1.0),))
         with pytest.raises(NotPositiveDefiniteError, match="theta"):
             master_bound(model, BrokenMgf(), 0.5)
+
+    def test_broken_mgf_of_one_source_among_several(self):
+        # Only the last source's mgf is indefinite; the stacked eigh must
+        # still check each matrix on its own.
+        sources = tuple(BernoulliDiagonal(dim=2, p=0.5, scale=1.0) for _ in range(3))
+
+        class BrokenMgf:
+            def evaluate(self, source, theta):
+                if source is sources[-1]:
+                    return HermitianMatrix.diagonal([1.0, -0.5])
+                return HermitianMatrix.identity(2)
+
+        with pytest.raises(NotPositiveDefiniteError, match="theta"):
+            master_bound(SumModel(sources=sources), BrokenMgf(), 0.5)
+
+    @pytest.mark.parametrize(
+        "source", [BoundedRankOne(dim=4, bound=1.0), BernoulliDiagonal(dim=1, p=0.5, scale=1.0)]
+    )
+    def test_stacked_log_sum_matches_per_matrix_loop(self, source):
+        # Reference: one eigendecomposition per matrix, logs summed in order.
+        model = SumModel(sources=(source,) * 12)
+        mgf = MgfModel(mode="empirical", n_samples=500, seed=3)
+        for theta in (1e-3, 0.7, 40.0):
+            mats = [mgf.evaluate(src, theta) for src in model.sources]
+            ref = None
+            for m in mats:
+                w, u = np.linalg.eigh(m.entries)
+                lm = (u * np.log(np.clip(w, bounds_mod._EIG_FLOOR, None))) @ u.conj().T
+                ref = lm if ref is None else ref + lm
+            np.testing.assert_array_equal(bounds_mod._log_mgf_sum(mats, theta), ref)
 
 
 class TestGThetaBound:

@@ -106,6 +106,55 @@ class TestConfigValidation:
         assert err.startswith("config error: ")
         assert err.count("\n") == 1
 
+    @pytest.mark.parametrize(
+        "override, key",
+        [
+            ({"simulation": {"n": 100.9}}, "simulation.n"),
+            ({"simulation": {"seed": 7.5}}, "simulation.seed"),
+            ({"mgf": {"n_samples": 2.5}}, "mgf.n_samples"),
+            ({"optimizer": {"coarse_points": 50.5}}, "optimizer.coarse_points"),
+            ({"optimizer": {"max_refine_iters": 3.5}}, "optimizer.max_refine_iters"),
+            ({"eps_grid": {"start": 0.1, "stop": 0.3, "count": 3.5}}, "eps_grid.count"),
+            ({"ensemble": {"source": {"kind": "wishart", "dim": 2.5, "dof": 2}}}, ".dim"),
+            ({"ensemble": {"source": {"kind": "wishart", "dim": 2, "dof": 2.7}}}, ".dof"),
+            ({"ensemble": dict(FAST_EXP_CONFIG["ensemble"], repeat=2.5)}, "ensemble.repeat"),
+        ],
+        ids=["n", "seed", "n_samples", "coarse_points", "max_refine_iters", "count",
+             "dim", "dof", "repeat"],
+    )
+    def test_non_integral_integer_field_exits_2(self, tmp_path, capsys, override, key):
+        cfg = dict(FAST_EXP_CONFIG, **override)
+        assert main(["bound", "--config", write_config(tmp_path, cfg)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ")
+        assert f"{key} must be an integer" in err
+        assert err.count("\n") == 1
+
+    def test_integral_floats_accepted_as_integers(self, tmp_path, capsys):
+        as_floats = dict(
+            FAST_EXP_CONFIG,
+            ensemble=dict(FAST_EXP_CONFIG["ensemble"], repeat=2.0),
+            eps_grid={"start": 0.1, "stop": 0.3, "count": 3.0},
+            simulation={"n": 2000.0, "seed": 7.0},
+            mgf={"mode": "analytic", "n_samples": 100.0},
+            optimizer={"coarse_points": 50.0, "max_refine_iters": 20.0},
+        )
+        as_ints = dict(
+            FAST_EXP_CONFIG,
+            eps_grid={"start": 0.1, "stop": 0.3, "count": 3},
+            simulation={"n": 2000, "seed": 7},
+            mgf={"mode": "analytic", "n_samples": 100},
+            optimizer={"coarse_points": 50, "max_refine_iters": 20},
+        )
+        resolved = resolve_config(as_floats)
+        assert resolved == resolve_config(as_ints)
+        assert type(resolved["simulation"]["n"]) is int
+        outputs = []
+        for cfg in (as_floats, as_ints):
+            assert main(["bound", "--config", write_config(tmp_path, cfg)]) == 0
+            outputs.append(capsys.readouterr().out)
+        assert outputs[0] == outputs[1]
+
     def test_descending_grid_rejected(self, tmp_path):
         cfg = dict(FAST_EXP_CONFIG, eps_grid=[0.3, 0.1])
         assert main(["bound", "--config", write_config(tmp_path, cfg)]) == 2

@@ -81,6 +81,56 @@ class TestMinimize:
         assert grid[max(i - 1, 0)] <= res.theta_star <= grid[min(i + 1, len(grid) - 1)]
         assert res.f_star <= vals[i]
 
+    def test_chernoff_refinement_call_budget(self):
+        # 200 coarse points plus the Brent refinement; golden section
+        # needed 37 refinement calls here (237 in all).
+        calls = []
+        res = minimize(lambda t: calls.append(t) or chernoff_objective(t))
+        assert len(calls) <= 220
+        assert res.theta_star == pytest.approx(math.log(10.0), rel=1e-6)
+
+    @pytest.mark.parametrize(
+        "f",
+        [
+            chernoff_objective,
+            rational_objective,
+            lambda t: abs(math.log(t) - 1.0),
+            lambda t: math.cos(5.0 * math.log(t)) + 1e-3 * math.log(t) ** 2,
+        ],
+        ids=["chernoff", "rational", "kink", "multimodal"],
+    )
+    def test_fstar_never_above_coarse_minimum(self, f):
+        cfg = OptimizerConfig()
+        res = minimize(f, cfg)
+        assert res.f_star <= min(f(t) for t in cfg.coarse_grid())
+
+    @pytest.mark.parametrize("side", ["below", "above"])
+    def test_converges_with_infinite_side_inside_bracket_cell(self, side):
+        # The objective is +inf within 0.33% of its minimum at 3, well
+        # inside the bracketing cell, so refinement steps land there.
+        cfg = OptimizerConfig()
+        grid = cfg.coarse_grid()
+        i = int(np.searchsorted(grid, 3.0))
+        assert grid[i - 1] < 2.99 < 3.0 < 3.01 < grid[i]
+        inf_side = (lambda t: t < 2.99) if side == "below" else (lambda t: t > 3.01)
+        calls = []
+
+        def f(t):
+            calls.append(t)
+            return math.inf if inf_side(t) else (t - 3.0) ** 2
+
+        res = minimize(f, cfg)
+        assert any(inf_side(t) for t in calls[len(grid):])
+        assert res.theta_star == pytest.approx(3.0, rel=1e-6)
+        assert res.f_star == pytest.approx(0.0, abs=1e-12)
+
+    def test_max_refine_iters_caps_evaluations(self):
+        calls = []
+        cfg = OptimizerConfig(max_refine_iters=3)
+        res = minimize(lambda t: calls.append(t) or chernoff_objective(t), cfg)
+        assert len(calls) == 203
+        assert res.f_star <= min(chernoff_objective(t) for t in cfg.coarse_grid())
+
     def test_nonfinite_treated_as_infinite(self):
         def partial(t):
             return math.nan if t < 1.0 else (t - 3.0) ** 2
