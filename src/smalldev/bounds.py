@@ -257,24 +257,24 @@ class GThetaModel:
 def exp_envelope(bound: float) -> Callable[[float], float]:
     """g(theta) = (exp(-theta*bound) - 1)/bound, the linear-envelope
     exponent for sources with lambda_max(X) <= bound a.s.; negative."""
-    if bound <= 0:
-        raise ValueError("bound must be positive")
+    if not 0 < bound < math.inf:
+        raise ValueError("bound must be positive and finite")
     return lambda th: math.expm1(-th * bound) / bound
 
 
 def log_rate(rate: float) -> Callable[[float], float]:
     """g(theta) = log(rate/(rate+theta)), the exponential-law mgf
     exponent; negative."""
-    if rate <= 0:
-        raise ValueError("rate must be positive")
+    if not 0 < rate < math.inf:
+        raise ValueError("rate must be positive and finite")
     return lambda th: math.log(rate / (rate + th))
 
 
 def power_envelope(c: float, alpha: float) -> Callable[[float], float]:
     """g(theta) = log(C * theta^(-alpha)); sign depends on theta, so the
     optimizer domain must be restricted to one side of C^(1/alpha)."""
-    if c <= 0 or alpha <= 0:
-        raise ValueError("C and alpha must be positive")
+    if not (0 < c < math.inf and 0 < alpha < math.inf):
+        raise ValueError("C and alpha must be positive and finite")
     return lambda th: math.log(c) - alpha * math.log(th)
 
 
@@ -397,8 +397,8 @@ def admissible_cp(model: SumModel, p: float) -> float:
     """Smallest admissible constant for the negative-moment bound,
     [lambda_max(sum_k E X_k)]^(-p), inflated by 1e-6 relative headroom so
     the strict inequality it must satisfy holds."""
-    if p <= 0:
-        raise ValueError("p must be positive")
+    if not 0 < p < math.inf:
+        raise ValueError("p must be positive and finite")
     lam = float(np.linalg.eigvalsh(_mean_sum(model).entries)[-1])
     if lam <= 0:
         raise DegenerateModelError(
@@ -411,8 +411,8 @@ def negative_moment_bound(cp: float, p: float, eps: float) -> BoundResult:
     """Bound Cp * eps^p, valid for every eps > 0 (trivial once it
     reaches 1)."""
     eps = _check_eps(eps)
-    if cp <= 0 or p <= 0:
-        raise ValueError("Cp and p must be positive")
+    if not (0 < cp < math.inf and 0 < p < math.inf):
+        raise ValueError("Cp and p must be positive and finite")
     raw = cp * eps**p
     return _finish(raw, None, True, {"Cp": cp, "p": p})
 

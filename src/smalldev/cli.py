@@ -17,6 +17,7 @@ examples.  All randomness flows from the single config seed.  Exit codes:
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import sys
@@ -44,24 +45,6 @@ from .ensembles import (
 from .errors import ConfigError, SmallDevError
 from .linalg import HermitianMatrix, matrix_power
 from .optimizer import OptimizerConfig
-
-BOUND_NAMES = (
-    "single",
-    "master",
-    "g_theta",
-    "log_mean",
-    "product",
-    "negative_moment",
-    "chernoff_sum",
-    "chernoff_product",
-    "series_sum",
-    "series_product",
-)
-
-_BOUND_CSV_HEADER = "epsilon,bound,value,raw_value,theta_star,valid"
-_SIM_CSV_HEADER = "epsilon,n,hits,p_hat,ci_low,ci_high"
-_COMPARE_CSV_HEADER = "epsilon,bound,bound_value,p_hat,ci_low,ci_high,dominated"
-
 
 # ---------------------------------------------------------------------------
 # Config loading and resolution
@@ -103,13 +86,22 @@ def _integer(value) -> int:
     return int(value)
 
 
+def _path(value) -> str | None:
+    """An output path; None means stdout."""
+    if value is not None and not isinstance(value, str):
+        raise TypeError(f"{value!r} is not a path")
+    return value
+
+
+_CAST_NAMES = {_integer: "an integer", _path: "a path", dict: "a mapping"}
+
+
 def _cast(value, where: str, key: str, cast):
     try:
         return cast(value)
     except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(
-            f"{where}.{key} must be {'an integer' if cast is _integer else 'a number'}, "
-            f"got {value!r}"
+            f"{where}.{key} must be {_CAST_NAMES.get(cast, 'a number')}, got {value!r}"
         ) from exc
 
 
@@ -117,59 +109,51 @@ def _field(section: dict, where: str, key: str, cast, default):
     return _cast(section.get(key, default), where, key, cast)
 
 
+# {section: {key: (cast, default, cli_flag)}}.  The flag, where there is
+# one, overrides the config value.
+_SCHEMA = {
+    "simulation": {
+        "n": (_integer, 100_000, "--samples"),
+        "confidence": (float, 0.99, "--confidence"),
+        "seed": (_integer, 0, "--seed"),
+    },
+    "mgf": {
+        "mode": (str, "analytic", None),
+        "n_samples": (_integer, 10_000, None),
+    },
+    "optimizer": {
+        "theta_min": (float, 1e-6, "--theta-min"),
+        "theta_max": (float, 1e6, "--theta-max"),
+        "coarse_points": (_integer, 200, "--coarse-points"),
+        "refine_tol": (float, 1e-8, None),
+        "max_refine_iters": (_integer, 200, None),
+    },
+    "output": {
+        "csv": (_path, None, "--csv"),
+        "json": (_path, None, "--json"),
+    },
+}
+
+
 def resolve_config(raw: dict, args: argparse.Namespace | None = None) -> dict:
     """Fill defaults and apply CLI overrides; the result is echoed verbatim
     into JSON reports so a run is reproducible from its own artifact."""
-    sim = _section(raw, "simulation")
-    mgf = _section(raw, "mgf")
-    opt = _section(raw, "optimizer")
-    output = _section(raw, "output")
     cfg = {
         "experiment": str(raw.get("experiment", "experiment")),
         "ensemble": _require(raw, "ensemble", "config"),
         "bounds": raw.get("bounds", []),
         "eps_grid": _resolve_eps_grid(_require(raw, "eps_grid", "config")),
-        "simulation": {
-            "n": _field(sim, "simulation", "n", _integer, 100_000),
-            "confidence": _field(sim, "simulation", "confidence", float, 0.99),
-            "seed": _field(sim, "simulation", "seed", _integer, 0),
-        },
-        "mgf": {
-            "mode": str(mgf.get("mode", "analytic")),
-            "n_samples": _field(mgf, "mgf", "n_samples", _integer, 10_000),
-        },
-        "optimizer": {
-            "theta_min": _field(opt, "optimizer", "theta_min", float, 1e-6),
-            "theta_max": _field(opt, "optimizer", "theta_max", float, 1e6),
-            "coarse_points": _field(opt, "optimizer", "coarse_points", _integer, 200),
-            "refine_tol": _field(opt, "optimizer", "refine_tol", float, 1e-8),
-            "max_refine_iters": _field(opt, "optimizer", "max_refine_iters", _integer, 200),
-        },
-        "output": {
-            "csv": output.get("csv"),
-            "json": output.get("json"),
-        },
-        "scale_bounds": 1.0,
     }
-    if args is not None:
-        if getattr(args, "seed", None) is not None:
-            cfg["simulation"]["seed"] = int(args.seed)
-        if getattr(args, "samples", None) is not None:
-            cfg["simulation"]["n"] = int(args.samples)
-        if getattr(args, "confidence", None) is not None:
-            cfg["simulation"]["confidence"] = float(args.confidence)
-        if getattr(args, "theta_min", None) is not None:
-            cfg["optimizer"]["theta_min"] = float(args.theta_min)
-        if getattr(args, "theta_max", None) is not None:
-            cfg["optimizer"]["theta_max"] = float(args.theta_max)
-        if getattr(args, "coarse_points", None) is not None:
-            cfg["optimizer"]["coarse_points"] = int(args.coarse_points)
-        if getattr(args, "csv", None) is not None:
-            cfg["output"]["csv"] = args.csv
-        if getattr(args, "json", None) is not None:
-            cfg["output"]["json"] = args.json
-        if getattr(args, "scale_bounds", None) is not None:
-            cfg["scale_bounds"] = float(args.scale_bounds)
+    for name, fields in _SCHEMA.items():
+        section = _section(raw, name)
+        cfg[name] = {}
+        for key, (cast, default, flag) in fields.items():
+            value = getattr(args, flag[2:].replace("-", "_"), None) if flag else None
+            if value is None:
+                value = section.get(key, default)
+            cfg[name][key] = _cast(value, name, key, cast)
+    scale = getattr(args, "scale_bounds", None)
+    cfg["scale_bounds"] = 1.0 if scale is None else float(scale)
     return cfg
 
 
@@ -186,6 +170,8 @@ def _resolve_eps_grid(spec) -> list:
         spacing = spec.get("spacing", "linear")
         if count < 1:
             raise ConfigError("eps_grid count must be at least 1")
+        if not (math.isfinite(start) and math.isfinite(stop)):
+            raise ConfigError("eps_grid values must be positive and finite")
         if spacing == "linear":
             grid = np.linspace(start, stop, count).tolist()
         elif spacing == "log":
@@ -210,11 +196,10 @@ def _resolve_eps_grid(spec) -> list:
 # ---------------------------------------------------------------------------
 
 
-def _build_matrix(spec, where: str) -> HermitianMatrix:
-    if not isinstance(spec, dict):
-        raise ConfigError(f"{where}: matrix must be a mapping")
+def _matrix(spec: dict) -> HermitianMatrix:
+    """{identity: d}, {diagonal: [..]} or {dense: [[..]], imag: [[..]]}."""
     if "identity" in spec:
-        return HermitianMatrix.identity(_cast(spec["identity"], where, "identity", _integer))
+        return HermitianMatrix.identity(_integer(spec["identity"]))
     if "diagonal" in spec:
         return HermitianMatrix.diagonal([float(x) for x in spec["diagonal"]])
     if "dense" in spec:
@@ -222,63 +207,63 @@ def _build_matrix(spec, where: str) -> HermitianMatrix:
         if "imag" in spec:
             entries = entries + 1j * np.asarray(spec["imag"], dtype=float)
         return HermitianMatrix(entries)
-    raise ConfigError(f"{where}: matrix needs identity, diagonal, or dense")
+    raise ValueError("matrix needs identity, diagonal, or dense")
 
 
-def _build_law(spec, where: str):
+# {kind: (constructor, {field: cast})}; the constructor takes the fields in
+# table order.  A table in place of a cast is a nested spec built from it.
+_LAWS = {
+    "exponential": (Exponential, {"rate": float}),
+    "gamma": (Gamma, {"shape": float, "rate": float}),
+    "bernoulli": (Bernoulli, {"p": float}),
+    "uniform": (Uniform, {"high": float}),
+}
+
+_SOURCES = {
+    # The matrix is built in the constructor, so that _build turns its
+    # errors (non-numeric entries, ragged rows, identity: 0) into config errors.
+    "scaled_fixed": (
+        lambda matrix, law: ScaledFixed(_matrix(matrix), law),
+        {"matrix": dict, "law": _LAWS},
+    ),
+    "bernoulli_diagonal": (BernoulliDiagonal, {"dim": _integer, "p": float, "scale": float}),
+    "bounded_rank_one": (BoundedRankOne, {"dim": _integer, "bound": float}),
+    "wishart": (Wishart, {"dim": _integer, "dof": _integer}),
+}
+
+# Each g builtin gives (g, sign).  Only power_envelope changes sign with
+# theta, so only it takes the sign from the config.
+_G_BUILTINS = {
+    "exp_envelope": (lambda bound: (bd.exp_envelope(bound), "negative"), {"bound": float}),
+    "log_rate": (lambda rate: (bd.log_rate(rate), "negative"), {"rate": float}),
+    "power_envelope": (
+        lambda c, alpha, sign: (bd.power_envelope(c, alpha), sign),
+        {"C": float, "alpha": float, "sign": str},
+    ),
+}
+
+
+def _build(table: dict, spec, where: str, tag: str = "kind"):
+    """Build the entry of `table` that `spec[tag]` names from spec's fields."""
     if not isinstance(spec, dict):
-        raise ConfigError(f"{where}: law must be a mapping")
-    kind = _require(spec, "kind", where)
+        raise ConfigError(f"{where} must be a mapping")
+    kind = _require(spec, tag, where)
+    if not isinstance(kind, str) or kind not in table:
+        raise ConfigError(
+            f"{where}: unknown {tag} {kind!r}; expected one of " + ", ".join(table)
+        )
+    make, fields = table[kind]
+    args = []
+    for key, cast in fields.items():
+        value = _require(spec, key, where)
+        if isinstance(cast, dict):
+            args.append(_build(cast, value, f"{where}.{key}"))
+        else:
+            args.append(_cast(value, where, key, cast))
     try:
-        if kind == "exponential":
-            return Exponential(rate=float(_require(spec, "rate", where)))
-        if kind == "gamma":
-            return Gamma(
-                shape=float(_require(spec, "shape", where)),
-                rate=float(_require(spec, "rate", where)),
-            )
-        if kind == "bernoulli":
-            return Bernoulli(p=float(_require(spec, "p", where)))
-        if kind == "uniform":
-            return Uniform(high=float(_require(spec, "high", where)))
-    except ValueError as exc:
+        return make(*args)
+    except (TypeError, ValueError) as exc:
         raise ConfigError(f"{where}: {exc}") from exc
-    raise ConfigError(f"{where}: unknown law kind {kind!r}")
-
-
-def _build_source(spec, where: str):
-    if not isinstance(spec, dict):
-        raise ConfigError(f"{where}: source must be a mapping")
-    kind = _require(spec, "kind", where)
-
-    def integer(key: str) -> int:
-        return _cast(_require(spec, key, where), where, key, _integer)
-
-    try:
-        if kind == "scaled_fixed":
-            return ScaledFixed(
-                matrix=_build_matrix(_require(spec, "matrix", where), where),
-                law=_build_law(_require(spec, "law", where), where),
-            )
-        if kind == "bernoulli_diagonal":
-            return BernoulliDiagonal(
-                dim=integer("dim"),
-                p=float(_require(spec, "p", where)),
-                scale=float(_require(spec, "scale", where)),
-            )
-        if kind == "bounded_rank_one":
-            return BoundedRankOne(
-                dim=integer("dim"),
-                bound=float(_require(spec, "bound", where)),
-            )
-        if kind == "wishart":
-            return Wishart(
-                dim=integer("dim"),
-                dof=integer("dof"),
-            )
-    except ValueError as exc:
-        raise ConfigError(f"{where}: {exc}") from exc
-    raise ConfigError(f"{where}: unknown source kind {kind!r}")
 
 
 def build_model(ensemble_spec) -> SumModel:
@@ -291,14 +276,14 @@ def build_model(ensemble_spec) -> SumModel:
         if not isinstance(specs, list) or not specs:
             raise ConfigError("ensemble.sources must be a non-empty list")
         sources = tuple(
-            _build_source(s, f"ensemble.sources[{i}]") for i, s in enumerate(specs)
+            _build(_SOURCES, s, f"ensemble.sources[{i}]") for i, s in enumerate(specs)
         )
     elif "source" in ensemble_spec:
         repeat = _field(ensemble_spec, "ensemble", "repeat", _integer, 1)
         if repeat < 1:
             raise ConfigError("ensemble.repeat must be at least 1")
         sources = tuple(
-            _build_source(ensemble_spec["source"], "ensemble.source")
+            _build(_SOURCES, ensemble_spec["source"], "ensemble.source")
             for _ in range(repeat)
         )
     else:
@@ -324,34 +309,21 @@ def _normalize_bound_requests(spec) -> list:
         if not isinstance(entry, dict):
             raise ConfigError(f"bounds[{i}] must be a name or mapping")
         name = _require(entry, "name", f"bounds[{i}]")
-        if name not in BOUND_NAMES:
+        if not isinstance(name, str) or name not in BOUNDS:
             raise ConfigError(
                 f"bounds[{i}]: unknown bound {name!r}; expected one of "
-                + ", ".join(BOUND_NAMES)
+                + ", ".join(BOUNDS)
             )
+        if any(r["name"] == name for r in requests):
+            raise ConfigError(f"bounds[{i}]: bound {name!r} requested twice")
         requests.append(dict(entry))
     return requests
 
 
 def _build_gmodel(params: dict, model: SumModel) -> bd.GThetaModel:
-    gspec = params.get("g")
-    if not isinstance(gspec, dict) or "builtin" not in gspec:
-        raise ConfigError("g_theta needs g: {builtin: ..., <params>}")
-    builtin = gspec["builtin"]
-    if builtin == "exp_envelope":
-        g = bd.exp_envelope(float(_require(gspec, "bound", "g_theta.g")))
-        sign = "negative"
-    elif builtin == "log_rate":
-        g = bd.log_rate(float(_require(gspec, "rate", "g_theta.g")))
-        sign = "negative"
-    elif builtin == "power_envelope":
-        g = bd.power_envelope(
-            float(_require(gspec, "C", "g_theta.g")),
-            float(_require(gspec, "alpha", "g_theta.g")),
-        )
-        sign = str(_require(gspec, "sign", "g_theta.g"))
-    else:
-        raise ConfigError(f"unknown g builtin {builtin!r}")
+    g, sign = _build(
+        _G_BUILTINS, _require(params, "g", "g_theta"), "g_theta.g", tag="builtin"
+    )
     dom = params.get("dominators", "mean")
     if dom == "mean":
         mats = []
@@ -370,44 +342,118 @@ def _build_gmodel(params: dict, model: SumModel) -> bd.GThetaModel:
     return bd.GThetaModel(g=g, sign=sign, dominators=tuple(mats))
 
 
+# Each BOUNDS entry is prepare(request, model, mgf_mode): it parses the
+# request's parameters, raises when the bound does not apply to the model,
+# and returns run(mgf, eps_grid, opt_cfg) -> list[BoundResult].  prepare
+# draws no mgf snapshot: the order of the draws fixes the empirical values.
+
+
+def _need_closed_form(name: str, model: SumModel, mgf_mode: str) -> None:
+    if mgf_mode == "analytic":
+        for k, src in enumerate(model.sources):
+            if src.analytic_mgf(1.0) is None:
+                raise ConfigError(
+                    f"bound {name!r} with analytic mgf: source {k} (kind "
+                    f"{src.kind!r}) has no closed form; use empirical mgf mode"
+                )
+
+
+def _single(req, model, mgf_mode):
+    source = SumSource(model)
+    if mgf_mode == "analytic" and source.analytic_mgf(1.0) is None:
+        raise ConfigError(
+            "bound 'single' with analytic mgf needs a one-source model; "
+            "use empirical mgf mode"
+        )
+    return lambda mgf, eps_grid, opt_cfg: bd.single_matrix_bound_grid(
+        source, mgf, eps_grid, opt_cfg
+    )
+
+
+def _per_source_mgf(grid):
+    """prepare for a theta-scan that takes each source's mgf; grid has the
+    signature of bd.master_bound_grid."""
+
+    def prepare(req, model, mgf_mode):
+        _need_closed_form(req["name"], model, mgf_mode)
+        return lambda mgf, eps_grid, opt_cfg: grid(model, mgf, eps_grid, opt_cfg)
+
+    return prepare
+
+
+def _product_grid(model, mgf, eps_grid, opt_cfg):
+    per_source = [
+        bd.single_matrix_bound_grid(s, mgf, eps_grid, opt_cfg) for s in model.sources
+    ]
+    return [bd.product_bound(column) for column in zip(*per_source)]
+
+
+def _g_theta(req, model, mgf_mode):
+    gmodel = _build_gmodel(req, model)
+    return lambda mgf, eps_grid, opt_cfg: bd.g_theta_bound_grid(gmodel, eps_grid, opt_cfg)
+
+
+def _negative_moment(req, model, mgf_mode):
+    p = _field(req, "negative_moment", "p", float, 1.0)
+    if "Cp" in req:
+        cp = _cast(req["Cp"], "negative_moment", "Cp", float)
+    else:
+        cp = bd.admissible_cp(model, p)
+    bd.negative_moment_bound(cp, p, 1.0)  # rejects a bad Cp or p before any bound runs
+    return lambda mgf, eps_grid, opt_cfg: [
+        bd.negative_moment_bound(cp, p, e) for e in eps_grid
+    ]
+
+
+def _series_applies(model: SumModel) -> None:
+    bd._series_params(model)
+    for src in model.sources:
+        matrix_power(src.matrix, -1.0)  # pd check on the fixed matrices
+
+
+def _closed_form(applies, bound):
+    """prepare for a closed-form bound; applies(model) raises when the
+    bound does not apply."""
+
+    def prepare(req, model, mgf_mode):
+        applies(model)
+        return lambda mgf, eps_grid, opt_cfg: [bound(model, e) for e in eps_grid]
+
+    return prepare
+
+
+BOUNDS = {
+    "single": _single,
+    "master": _per_source_mgf(bd.master_bound_grid),
+    "g_theta": _g_theta,
+    "log_mean": _per_source_mgf(bd.log_mean_bound_grid),
+    "product": _per_source_mgf(_product_grid),
+    "negative_moment": _negative_moment,
+    "chernoff_sum": _closed_form(bd._uniform_bound_and_means, bd.chernoff_sum_bound),
+    "chernoff_product": _closed_form(bd._uniform_bound_and_means, bd.chernoff_product_bound),
+    "series_sum": _closed_form(_series_applies, bd.series_sum_bound),
+    "series_product": _closed_form(_series_applies, bd.series_product_bound),
+}
+
+
+def _prepare_bound(req: dict, model: SumModel, mgf_mode: str):
+    """BOUNDS[name](...), with a library error turned into a config error."""
+    name = req["name"]
+    try:
+        return BOUNDS[name](req, model, mgf_mode)
+    except ConfigError:
+        raise
+    except SmallDevError as exc:
+        raise ConfigError(f"bound {name!r} inapplicable: {exc}") from exc
+    except ValueError as exc:
+        raise ConfigError(f"bound {name!r}: {exc}") from exc
+
+
 def validate_requests(requests: list, model: SumModel, mgf_mode: str) -> None:
     """Reject inapplicable (bound, ensemble) pairs before any computation,
     naming the first offending pair."""
     for req in requests:
-        name = req["name"]
-        try:
-            if name in ("series_sum", "series_product"):
-                bd._series_params(model)
-                for src in model.sources:
-                    matrix_power(src.matrix, -1.0)  # pd check on the fixed matrices
-            elif name in ("chernoff_sum", "chernoff_product"):
-                bd._uniform_bound_and_means(model)
-            elif name == "negative_moment":
-                p = float(req.get("p", 1.0))
-                if "Cp" not in req:
-                    bd.admissible_cp(model, p)
-            elif name == "g_theta":
-                _build_gmodel(req, model)
-            elif name in ("single", "master", "log_mean", "product"):
-                if mgf_mode == "analytic":
-                    if name == "single":
-                        if SumSource(model).analytic_mgf(1.0) is None:
-                            raise ConfigError(
-                                "bound 'single' with analytic mgf needs a "
-                                "one-source model; use empirical mgf mode"
-                            )
-                    else:
-                        for k, src in enumerate(model.sources):
-                            if src.analytic_mgf(1.0) is None:
-                                raise ConfigError(
-                                    f"bound {name!r} with analytic mgf: source "
-                                    f"{k} (kind {src.kind!r}) has no closed "
-                                    "form; use empirical mgf mode"
-                                )
-        except ConfigError:
-            raise
-        except SmallDevError as exc:
-            raise ConfigError(f"bound {name!r} inapplicable: {exc}") from exc
+        _prepare_bound(req, model, mgf_mode)
 
 
 def evaluate_bounds(
@@ -419,42 +465,10 @@ def evaluate_bounds(
 ) -> dict:
     """Evaluate every requested bound at every grid point; returns a mapping
     name -> list of BoundResult aligned with eps_grid."""
-    out: dict[str, list] = {}
-    for req in requests:
-        name = req["name"]
-        if name in out:
-            raise ConfigError(f"bound {name!r} requested twice")
-        if name == "g_theta":
-            gmodel = _build_gmodel(req, model)
-            results = bd.g_theta_bound_grid(gmodel, eps_grid, opt_cfg)
-        elif name == "single":
-            results = bd.single_matrix_bound_grid(SumSource(model), mgf, eps_grid, opt_cfg)
-        elif name == "master":
-            results = bd.master_bound_grid(model, mgf, eps_grid, opt_cfg)
-        elif name == "log_mean":
-            results = bd.log_mean_bound_grid(model, mgf, eps_grid, opt_cfg)
-        elif name == "product":
-            per_source = [
-                bd.single_matrix_bound_grid(s, mgf, eps_grid, opt_cfg)
-                for s in model.sources
-            ]
-            results = [bd.product_bound(column) for column in zip(*per_source)]
-        elif name == "negative_moment":
-            p = float(req.get("p", 1.0))
-            cp = float(req["Cp"]) if "Cp" in req else bd.admissible_cp(model, p)
-            results = [bd.negative_moment_bound(cp, p, e) for e in eps_grid]
-        elif name == "chernoff_sum":
-            results = [bd.chernoff_sum_bound(model, e) for e in eps_grid]
-        elif name == "chernoff_product":
-            results = [bd.chernoff_product_bound(model, e) for e in eps_grid]
-        elif name == "series_sum":
-            results = [bd.series_sum_bound(model, e) for e in eps_grid]
-        elif name == "series_product":
-            results = [bd.series_product_bound(model, e) for e in eps_grid]
-        else:  # pragma: no cover - guarded by _normalize_bound_requests
-            raise ConfigError(f"unknown bound {name!r}")
-        out[name] = results
-    return out
+    return {
+        req["name"]: _prepare_bound(req, model, mgf.mode)(mgf, eps_grid, opt_cfg)
+        for req in _normalize_bound_requests(requests)
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -467,7 +481,7 @@ def _fmt(x) -> str:
         return ""
     if isinstance(x, bool):
         return "true" if x else "false"
-    if isinstance(x, int):
+    if isinstance(x, (int, str)):
         return str(x)
     return f"{x:.17g}"
 
@@ -479,81 +493,8 @@ def _emit(text: str, path: str | None) -> None:
         Path(path).write_text(text, encoding="utf-8")
 
 
-def _bound_csv(bound_map: dict, eps_grid: list) -> str:
-    lines = [_BOUND_CSV_HEADER]
-    for i, eps in enumerate(eps_grid):
-        for name, results in bound_map.items():
-            r = results[i]
-            lines.append(
-                ",".join(
-                    [
-                        _fmt(eps),
-                        name,
-                        _fmt(r.value),
-                        _fmt(r.raw_value),
-                        _fmt(r.theta_star),
-                        _fmt(r.valid),
-                    ]
-                )
-            )
-    return "\n".join(lines) + "\n"
-
-
-def _bound_rows_json(bound_map: dict, eps_grid: list) -> list:
-    rows = []
-    for i, eps in enumerate(eps_grid):
-        for name, results in bound_map.items():
-            r = results[i]
-            rows.append(
-                {
-                    "epsilon": eps,
-                    "bound": name,
-                    "value": r.value,
-                    "raw_value": r.raw_value,
-                    "theta_star": r.theta_star,
-                    "valid": r.valid,
-                    "trivial": r.trivial,
-                    "details": r.details,
-                }
-            )
-    return rows
-
-
-def _sim_csv(estimates) -> str:
-    lines = [_SIM_CSV_HEADER]
-    for est in estimates:
-        lines.append(
-            ",".join(
-                [
-                    _fmt(est.epsilon),
-                    str(est.n),
-                    str(est.hits),
-                    _fmt(est.p_hat),
-                    _fmt(est.ci_low),
-                    _fmt(est.ci_high),
-                ]
-            )
-        )
-    return "\n".join(lines) + "\n"
-
-
-def _compare_csv(report) -> str:
-    lines = [_COMPARE_CSV_HEADER]
-    for row in report.rows:
-        lines.append(
-            ",".join(
-                [
-                    _fmt(row.epsilon),
-                    row.bound_name,
-                    _fmt(row.bound_value),
-                    _fmt(row.p_hat),
-                    _fmt(row.ci_low),
-                    _fmt(row.ci_high),
-                    _fmt(row.dominated),
-                ]
-            )
-        )
-    return "\n".join(lines) + "\n"
+def _csv(header: str, rows) -> str:
+    return "\n".join([header, *(",".join(map(_fmt, row)) for row in rows)]) + "\n"
 
 
 def _json_text(payload: dict) -> str:
@@ -579,6 +520,8 @@ def _prepare(args):
         raise ConfigError("simulation.n must be at least 1")
     if not 0.0 < sim["confidence"] < 1.0:
         raise ConfigError("simulation.confidence must lie in (0, 1)")
+    if sim["seed"] < 0:
+        raise ConfigError("simulation.seed must be non-negative")
     try:
         opt_cfg = OptimizerConfig(**cfg["optimizer"])
     except ValueError as exc:
@@ -590,13 +533,30 @@ def _prepare(args):
     return cfg, model, requests, mgf, opt_cfg
 
 
+def _estimate(cfg: dict, model: SumModel) -> list:
+    sim = cfg["simulation"]
+    return mc.estimate(
+        model, cfg["eps_grid"], n=sim["n"], confidence=sim["confidence"], seed=sim["seed"]
+    )
+
+
 def cmd_bound(args) -> int:
     cfg, model, requests, mgf, opt_cfg = _prepare(args)
     bound_map = evaluate_bounds(requests, model, mgf, cfg["eps_grid"], opt_cfg)
-    csv_text = _bound_csv(bound_map, cfg["eps_grid"])
+    rows = [
+        (eps, name, results[i])
+        for i, eps in enumerate(cfg["eps_grid"])
+        for name, results in bound_map.items()
+    ]
+    csv_text = _csv(
+        "epsilon,bound,value,raw_value,theta_star,valid",
+        [(eps, name, r.value, r.raw_value, r.theta_star, r.valid) for eps, name, r in rows],
+    )
     payload = {
         "experiment": cfg["experiment"],
-        "rows": _bound_rows_json(bound_map, cfg["eps_grid"]),
+        "rows": [
+            {"epsilon": eps, "bound": name, **dataclasses.asdict(r)} for eps, name, r in rows
+        ],
         "config_echo": cfg,
     }
     out = cfg["output"]
@@ -612,15 +572,9 @@ def cmd_bound(args) -> int:
 
 def cmd_simulate(args) -> int:
     cfg, model, _requests, _mgf, _opt = _prepare(args)
-    sim = cfg["simulation"]
-    estimates = mc.estimate(
-        model,
-        cfg["eps_grid"],
-        n=sim["n"],
-        confidence=sim["confidence"],
-        seed=sim["seed"],
-    )
-    _emit(_sim_csv(estimates), cfg["output"]["csv"])
+    estimates = _estimate(cfg, model)
+    rows = [(e.epsilon, e.n, e.hits, e.p_hat, e.ci_low, e.ci_high) for e in estimates]
+    _emit(_csv("epsilon,n,hits,p_hat,ci_low,ci_high", rows), cfg["output"]["csv"])
     return 0
 
 
@@ -631,47 +585,22 @@ def cmd_compare(args) -> int:
     if scale != 1.0:
         bound_map = {
             name: [
-                bd.BoundResult(
-                    raw_value=r.raw_value,
-                    value=min(max(r.value * scale, 0.0), 1.0),
-                    theta_star=r.theta_star,
-                    valid=r.valid,
-                    trivial=r.trivial,
-                    details=r.details,
-                )
+                dataclasses.replace(r, value=min(max(r.value * scale, 0.0), 1.0))
                 for r in results
             ]
             for name, results in bound_map.items()
         }
-    sim = cfg["simulation"]
-    estimates = mc.estimate(
-        model,
-        cfg["eps_grid"],
-        n=sim["n"],
-        confidence=sim["confidence"],
-        seed=sim["seed"],
-    )
-    report = mc.compare(bound_map, estimates)
+    report = mc.compare(bound_map, _estimate(cfg, model))
     payload = {
         "experiment": cfg["experiment"],
-        "rows": [
-            {
-                "epsilon": row.epsilon,
-                "bound_name": row.bound_name,
-                "bound_value": row.bound_value,
-                "p_hat": row.p_hat,
-                "ci_low": row.ci_low,
-                "ci_high": row.ci_high,
-                "dominated": row.dominated,
-            }
-            for row in report.rows
-        ],
+        "rows": [dataclasses.asdict(row) for row in report.rows],
         "violations": report.violations,
         "config_echo": cfg,
     }
     out = cfg["output"]
     if out["csv"] is not None:
-        _emit(_compare_csv(report), out["csv"])
+        header = "epsilon,bound,bound_value,p_hat,ci_low,ci_high,dominated"
+        _emit(_csv(header, map(dataclasses.astuple, report.rows)), out["csv"])
     _emit(_json_text(payload), out["json"])
     return 0 if report.violations == 0 else 1
 
@@ -697,16 +626,10 @@ def cmd_demo(args) -> int:
     worst = 0
     for name in demo_config_names():
         demo_args = argparse.Namespace(
+            **vars(args),
             config=demo_config_path(name),
-            seed=args.seed,
-            samples=args.samples,
-            confidence=args.confidence,
-            theta_min=args.theta_min,
-            theta_max=args.theta_max,
-            coarse_points=args.coarse_points,
             csv=str(outdir / f"{name}.csv"),
             json=str(outdir / f"{name}.json"),
-            scale_bounds=None,
         )
         code = cmd_compare(demo_args)
         verdict = "dominated" if code == 0 else "VIOLATION"
@@ -716,20 +639,15 @@ def cmd_demo(args) -> int:
 
 
 def _add_common(parser: argparse.ArgumentParser, with_config: bool = True) -> None:
+    """The _SCHEMA flags.  demo (with_config=False) runs the bundled configs
+    and writes into --outdir, so it takes neither --config nor output paths."""
     if with_config:
         parser.add_argument("--config", required=True, help="experiment config (YAML)")
-    parser.add_argument("--seed", type=int, default=None, help="override the config seed")
-    parser.add_argument("--samples", type=int, default=None, help="override simulation.n")
-    parser.add_argument(
-        "--confidence", type=float, default=None, help="override simulation.confidence"
-    )
-    parser.add_argument("--theta-min", type=float, default=None, dest="theta_min")
-    parser.add_argument("--theta-max", type=float, default=None, dest="theta_max")
-    parser.add_argument(
-        "--coarse-points", type=int, default=None, dest="coarse_points"
-    )
-    parser.add_argument("--csv", default=None, help="CSV output path")
-    parser.add_argument("--json", default=None, help="JSON output path")
+    for section, fields in _SCHEMA.items():
+        for key, (cast, _default, flag) in fields.items():
+            if flag is not None and (with_config or section != "output"):
+                arg_type = int if cast is _integer else cast
+                parser.add_argument(flag, type=arg_type, help=f"override {section}.{key}")
 
 
 def build_parser() -> argparse.ArgumentParser:

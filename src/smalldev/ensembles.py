@@ -11,6 +11,7 @@ psd X.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -69,8 +70,8 @@ class Exponential:
     kind = "exponential"
 
     def __post_init__(self):
-        if self.rate <= 0:
-            raise ValueError("exponential rate must be positive")
+        if not 0 < self.rate < math.inf:
+            raise ValueError("exponential rate must be positive and finite")
 
     @property
     def mean(self) -> float:
@@ -101,8 +102,8 @@ class Gamma:
     kind = "gamma"
 
     def __post_init__(self):
-        if self.shape <= 0 or self.rate <= 0:
-            raise ValueError("gamma shape and rate must be positive")
+        if not (0 < self.shape < math.inf and 0 < self.rate < math.inf):
+            raise ValueError("gamma shape and rate must be positive and finite")
 
     @property
     def mean(self) -> float:
@@ -163,8 +164,8 @@ class Uniform:
     kind = "uniform"
 
     def __post_init__(self):
-        if self.high <= 0:
-            raise ValueError("uniform upper endpoint must be positive")
+        if not 0 < self.high < math.inf:
+            raise ValueError("uniform upper endpoint must be positive and finite")
 
     @property
     def mean(self) -> float:
@@ -252,8 +253,8 @@ class BernoulliDiagonal:
             raise ValueError("dim must be at least 1")
         if not 0.0 <= self.p <= 1.0:
             raise ValueError("p must lie in [0, 1]")
-        if self.scale <= 0:
-            raise ValueError("scale must be positive")
+        if not 0 < self.scale < math.inf:
+            raise ValueError("scale must be positive and finite")
 
     def mean(self) -> HermitianMatrix | None:
         return HermitianMatrix.identity(self.dim).scaled(self.p * self.scale)
@@ -284,8 +285,8 @@ class BoundedRankOne:
     def __post_init__(self):
         if self.dim < 1:
             raise ValueError("dim must be at least 1")
-        if self.bound <= 0:
-            raise ValueError("bound must be positive")
+        if not 0 < self.bound < math.inf:
+            raise ValueError("bound must be positive and finite")
 
     def mean(self) -> HermitianMatrix | None:
         return HermitianMatrix.identity(self.dim).scaled(

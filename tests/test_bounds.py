@@ -398,6 +398,26 @@ class TestNegativeMomentBound:
             admissible_cp(model, 1.0)
 
 
+@pytest.mark.parametrize("bad", [0.0, -1.0, math.nan, math.inf])
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda x: negative_moment_bound(x, 1.0, 0.5),
+        lambda x: negative_moment_bound(0.2, x, 0.5),
+        lambda x: admissible_cp(bernoulli_model(), x),
+        exp_envelope,
+        log_rate,
+        lambda x: power_envelope(x, 1.0),
+        lambda x: power_envelope(1.0, x),
+    ],
+    ids=["negative-moment-Cp", "negative-moment-p", "admissible-cp-p", "exp-envelope",
+         "log-rate", "power-envelope-C", "power-envelope-alpha"],
+)
+def test_rejects_non_positive_or_non_finite_parameter(call, bad):
+    with pytest.raises(ValueError, match="positive and finite"):
+        call(bad)
+
+
 class TestChernoffSumBound:
     def test_boundary_is_exactly_one(self):
         res = chernoff_sum_bound(bernoulli_model(), 5.0)

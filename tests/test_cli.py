@@ -1,9 +1,13 @@
+import copy
 import json
 
 import pytest
 import yaml
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from smalldev.cli import (
+    BOUNDS,
     build_model,
     demo_config_names,
     demo_config_path,
@@ -88,6 +92,19 @@ class TestConfigValidation:
             {"optimizer": {"refine_tol": 0.0}},
             {"eps_grid": [float("nan")]},
             {"eps_grid": {"start": 0.1, "stop": 0.2, "count": "abc"}},
+            {"eps_grid": {"start": float("inf"), "stop": 0.2, "count": 3}},
+            {"ensemble": {"source": {"kind": "bernoulli_diagonal", "dim": 1, "p": 0.5,
+                                     "scale": float("nan")}},
+             "bounds": ["chernoff_sum"]},
+            {"ensemble": {"source": {"kind": "bounded_rank_one", "dim": 2,
+                                     "bound": float("nan")}},
+             "bounds": ["chernoff_sum"]},
+            {"ensemble": {"source": {"kind": ["wishart"], "dim": 2, "dof": 2}}},
+            {"ensemble": {"source": {"kind": "scaled_fixed", "matrix": {"diagonal": ["a"]},
+                                     "law": {"kind": "exponential", "rate": 1.0}}}},
+            {"ensemble": {"source": {"kind": "scaled_fixed", "matrix": {"identity": 2},
+                                     "law": {"kind": "gamma", "shape": None, "rate": 1.0}}}},
+            {"output": {"csv": [1]}},
         ],
         ids=[
             "simulation-list",
@@ -97,6 +114,13 @@ class TestConfigValidation:
             "zero-tol",
             "nan-eps",
             "count-not-int",
+            "inf-eps-start",
+            "nan-scale",
+            "nan-rank-one-bound",
+            "unhashable-kind",
+            "non-numeric-diagonal",
+            "null-law-field",
+            "csv-not-a-path",
         ],
     )
     def test_malformed_section_exits_2_with_one_line(self, tmp_path, capsys, override):
@@ -158,6 +182,133 @@ class TestConfigValidation:
     def test_descending_grid_rejected(self, tmp_path):
         cfg = dict(FAST_EXP_CONFIG, eps_grid=[0.3, 0.1])
         assert main(["bound", "--config", write_config(tmp_path, cfg)]) == 2
+
+    @pytest.mark.parametrize(
+        "request_",
+        [
+            {"name": "negative_moment", "p": -1},
+            {"name": "negative_moment", "p": float("nan")},
+            {"name": "negative_moment", "Cp": "abc"},
+            {"name": "negative_moment", "Cp": float("nan")},
+            {"name": "g_theta", "g": {"builtin": "exp_envelope", "bound": -1}},
+            {"name": "g_theta", "g": {"builtin": "exp_envelope", "bound": "x"}},
+            {"name": "g_theta", "g": {"builtin": "exp_envelope", "bound": None}},
+            {"name": "g_theta", "g": {"builtin": "log_rate", "rate": float("nan")}},
+            {"name": "g_theta", "g": {"builtin": [1]}},
+            {"name": "g_theta",
+             "g": {"builtin": "power_envelope", "C": 1.0, "alpha": 1.0, "sign": "maybe"}},
+            {"name": ["master"]},
+        ],
+        ids=["p-negative", "p-nan", "Cp-abc", "Cp-nan", "g-bound-negative", "g-bound-x",
+             "g-bound-null", "g-rate-nan", "g-builtin-unhashable", "g-sign-maybe",
+             "name-unhashable"],
+    )
+    def test_malformed_bound_parameters_exit_2(self, tmp_path, capsys, request_):
+        cfg = dict(FAST_EXP_CONFIG, bounds=[{"name": "master"}, request_])
+        path = write_config(tmp_path, cfg)
+        assert main(["compare", "--config", path, "--samples", "64"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ")
+        assert err.count("\n") == 1
+
+    def test_float_field_message_names_the_field(self, tmp_path, capsys):
+        source = {"kind": "bernoulli_diagonal", "dim": 1, "p": "x", "scale": 1.0}
+        cfg = dict(FAST_EXP_CONFIG, ensemble={"source": source})
+        assert main(["bound", "--config", write_config(tmp_path, cfg)]) == 2
+        assert capsys.readouterr().err == (
+            "config error: ensemble.source.p must be a number, got 'x'\n"
+        )
+
+    @pytest.mark.parametrize(
+        "cfg_seed, flags", [(-1, []), (7, ["--seed", "-3"])], ids=["config", "flag"]
+    )
+    def test_negative_seed_exits_2(self, tmp_path, capsys, cfg_seed, flags):
+        cfg = dict(FAST_EXP_CONFIG, simulation={"n": 100, "seed": cfg_seed})
+        path = write_config(tmp_path, cfg)
+        assert main(["simulate", "--config", path, *flags]) == 2
+        assert "simulation.seed must be non-negative" in capsys.readouterr().err
+
+    def test_duplicate_bound_exits_2(self, tmp_path, capsys):
+        cfg = dict(FAST_EXP_CONFIG, bounds=["master", "series_sum", "master"])
+        path = write_config(tmp_path, cfg)
+        assert main(["simulate", "--config", path, "--samples", "64"]) == 2
+        assert "bounds[2]: bound 'master' requested twice" in capsys.readouterr().err
+
+
+_WISHART = {"source": {"kind": "wishart", "dim": 2, "dof": 2}}
+
+# For every BOUNDS entry, an (ensemble, request parameters) pair it does not
+# apply to in analytic mgf mode; a new entry without a case here fails.
+_INAPPLICABLE = {
+    "single": (FAST_EXP_CONFIG["ensemble"], {}),  # two sources, no closed form
+    "master": (_WISHART, {}),
+    "g_theta": (
+        FAST_EXP_CONFIG["ensemble"],
+        {"g": {"builtin": "log_rate", "rate": 1.0}, "dominators": "bogus"},
+    ),
+    "log_mean": (_WISHART, {}),
+    "product": (_WISHART, {}),
+    "negative_moment": (
+        {"source": {"kind": "bernoulli_diagonal", "dim": 1, "p": 0.0, "scale": 1.0}},
+        {},
+    ),
+    "chernoff_sum": (_WISHART, {}),
+    "chernoff_product": (_WISHART, {}),
+    "series_sum": (_WISHART, {}),
+    "series_product": (_WISHART, {}),
+}
+
+
+@pytest.mark.parametrize("name", list(BOUNDS))
+def test_every_bound_rejects_an_inapplicable_model(tmp_path, capsys, name):
+    ensemble, params = _INAPPLICABLE[name]
+    cfg = dict(FAST_EXP_CONFIG, ensemble=ensemble, bounds=[{"name": name, **params}])
+    assert main(["bound", "--config", write_config(tmp_path, cfg)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ")
+    assert err.count("\n") == 1
+
+
+_MUTATIONS = [None, "abc", -1, 0, 2.5, float("nan"), float("inf"), [1], {}]
+
+
+def _key_paths(node, path=()):
+    """The key path of every mapping value and list element under node."""
+    if isinstance(node, dict):
+        items = node.items()
+    elif isinstance(node, list):
+        items = enumerate(node)
+    else:
+        return
+    for key, child in items:
+        yield path + (key,)
+        yield from _key_paths(child, path + (key,))
+
+
+@settings(
+    max_examples=300,
+    derandomize=True,
+    deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(data=st.data())
+def test_mutated_bundled_config_exits_0_or_2(tmp_path, capsys, data):
+    name = data.draw(st.sampled_from(demo_config_names()))
+    with open(demo_config_path(name), encoding="utf-8") as fh:
+        cfg = yaml.safe_load(fh)
+    path = data.draw(st.sampled_from(list(_key_paths(cfg))))
+    node = cfg
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = copy.deepcopy(data.draw(st.sampled_from(_MUTATIONS)))
+    argv = ["simulate", "--config", write_config(tmp_path, cfg), "--samples", "64",
+            "--csv", str(tmp_path / "estimates.csv")]
+    code = main(argv)
+    err = capsys.readouterr().err
+    assert code in (0, 2)
+    if code == 2:
+        assert err.startswith("config error: ")
+        assert err.count("\n") == 1
 
 
 class TestBoundCommand:

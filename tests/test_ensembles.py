@@ -87,6 +87,25 @@ class TestScalarLaws:
             Uniform(high=0.0)
 
 
+@pytest.mark.parametrize("bad", [0.0, -1.0, math.nan, math.inf])
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda x: Exponential(rate=x),
+        lambda x: Gamma(shape=x, rate=1.0),
+        lambda x: Gamma(shape=1.0, rate=x),
+        lambda x: Uniform(high=x),
+        lambda x: BernoulliDiagonal(dim=1, p=0.5, scale=x),
+        lambda x: BoundedRankOne(dim=2, bound=x),
+    ],
+    ids=["exponential-rate", "gamma-shape", "gamma-rate", "uniform-high",
+         "bernoulli-diagonal-scale", "bounded-rank-one-bound"],
+)
+def test_rejects_non_positive_or_non_finite_parameter(make, bad):
+    with pytest.raises(ValueError, match="positive and finite"):
+        make(bad)
+
+
 class TestSourceSampling:
     @pytest.mark.parametrize("factory", ALL_SOURCES)
     def test_samples_are_psd(self, factory):
