@@ -32,6 +32,7 @@ from .ensembles import MgfModel, ScaledFixed, SumModel
 from .errors import (
     DegenerateModelError,
     EigenConvergenceError,
+    FloatRangeError,
     InvalidDominatorsError,
     NotPositiveDefiniteError,
     UnsupportedEnsembleError,
@@ -51,9 +52,11 @@ __all__ = [
     "master_bound_grid",
     "g_theta_bound",
     "g_theta_bound_grid",
+    "g_theta_eta",
     "log_mean_bound",
     "log_mean_bound_grid",
     "product_bound",
+    "source_means",
     "admissible_cp",
     "negative_moment_bound",
     "chernoff_sum_bound",
@@ -174,10 +177,7 @@ def _log_mgf_sum(mats: Sequence[HermitianMatrix], theta: float) -> np.ndarray:
     terms = (u * logs[:, None, :]) @ u.conj().transpose(0, 2, 1)
     # Summed in source order: ndarray.sum may pair the terms differently
     # (it does at d=1), which moves the last bits of the bound.
-    total = terms[0]
-    for term in terms[1:]:
-        total = total + term
-    return total
+    return sum(terms[1:], terms[0])
 
 
 def single_matrix_bound_grid(
@@ -278,40 +278,31 @@ def power_envelope(c: float, alpha: float) -> Callable[[float], float]:
     return lambda th: math.log(c) - alpha * math.log(th)
 
 
+def g_theta_eta(gmodel: GThetaModel, cfg: OptimizerConfig = OptimizerConfig()) -> float:
+    """Check that g is finite and of its declared sign on the coarse grid of
+    cfg, and return eta: lambda_max (g positive) or lambda_min (g negative)
+    of the summed dominators."""
+    positive = gmodel.sign == "positive"
+    gvals = np.array([gmodel.g(t) for t in cfg.coarse_grid()], dtype=float)
+    if not np.isfinite(gvals).all():
+        raise InvalidDominatorsError("g is non-finite on the optimizer grid")
+    if not (gvals > 0 if positive else gvals < 0).all():
+        raise InvalidDominatorsError(
+            f"g declared {gmodel.sign} but is not strictly {gmodel.sign} on the grid"
+        )
+    w = np.linalg.eigvalsh(sum(gmodel.dominators[1:], gmodel.dominators[0]).entries)
+    return float(w[-1] if positive else w[0])
+
+
 def g_theta_bound_grid(
     gmodel: GThetaModel,
     eps_grid: Sequence[float],
     cfg: OptimizerConfig = OptimizerConfig(),
 ) -> list[BoundResult]:
-    """Bound inf_theta exp(theta eps + g(theta) * eta) where eta is
-    lambda_max (g positive) or lambda_min (g negative) of the summed
-    dominators, at every eps."""
-    grid = cfg.coarse_grid()
-    gvals = np.array([gmodel.g(t) for t in grid], dtype=float)
-    if not np.isfinite(gvals).all():
-        raise InvalidDominatorsError("g is non-finite on the optimizer grid")
-    if gmodel.sign == "positive":
-        if not (gvals > 0).all():
-            raise InvalidDominatorsError(
-                "g declared positive but is not strictly positive on the grid"
-            )
-    else:
-        if not (gvals < 0).all():
-            raise InvalidDominatorsError(
-                "g declared negative but is not strictly negative on the grid"
-            )
-
-    total = gmodel.dominators[0]
-    for a in gmodel.dominators[1:]:
-        total = total + a
-    w = np.linalg.eigvalsh(total.entries)
-    if gmodel.sign == "positive":
-        eta = float(w[-1])
-        details = {"eta1": eta}
-    else:
-        eta = float(w[0])
-        details = {"eta2": eta}
-
+    """Bound inf_theta exp(theta eps + g(theta) * eta), with eta from
+    g_theta_eta, at every eps."""
+    eta = g_theta_eta(gmodel, cfg)
+    details = {"eta1" if gmodel.sign == "positive" else "eta2": eta}
     return _scan(lambda th: gmodel.g(th) * eta, eps_grid, cfg, details)
 
 
@@ -337,10 +328,8 @@ def log_mean_bound_grid(
     k = model.size
 
     def h(th: float) -> float:
-        total = None
-        for src in model.sources:
-            m = mgf.evaluate(src, th).entries
-            total = m if total is None else total + m
+        mats = [mgf.evaluate(src, th).entries for src in model.sources]
+        total = sum(mats[1:], mats[0])
         lam = float(np.linalg.eigvalsh(total / k)[-1])
         return k * math.log(max(lam, _EIG_FLOOR))
 
@@ -368,12 +357,8 @@ def product_bound(per_source: Sequence[BoundResult]) -> BoundResult:
     Since every factor is <= 1, the product never exceeds the smallest."""
     if len(per_source) == 0:
         raise ValueError("product_bound needs at least one per-source result")
-    raw = 1.0
-    smallest = 1.0
-    for r in per_source:
-        raw *= r.value
-        smallest = min(smallest, r.value)
-    return _finish(raw, None, True, {"min_single": smallest})
+    values = [r.value for r in per_source]
+    return _finish(math.prod(values), None, True, {"min_single": min([1.0, *values])})
 
 
 # ---------------------------------------------------------------------------
@@ -381,16 +366,19 @@ def product_bound(per_source: Sequence[BoundResult]) -> BoundResult:
 # ---------------------------------------------------------------------------
 
 
-def _mean_sum(model: SumModel) -> HermitianMatrix:
-    total = None
+def source_means(model: SumModel) -> list[HermitianMatrix]:
+    """E X_k for every source, in order; raises UnsupportedEnsembleError
+    naming the first source without a closed-form mean."""
+    means = []
     for k, src in enumerate(model.sources):
         m = src.mean()
         if m is None:
             raise UnsupportedEnsembleError(
-                f"source {k} (kind {src.kind!r}) has no closed-form mean"
+                f"a closed-form mean is needed, but source {k} "
+                f"(kind {src.kind!r}) has none"
             )
-        total = m if total is None else total + m
-    return total
+        means.append(m)
+    return means
 
 
 def admissible_cp(model: SumModel, p: float) -> float:
@@ -399,12 +387,19 @@ def admissible_cp(model: SumModel, p: float) -> float:
     the strict inequality it must satisfy holds."""
     if not 0 < p < math.inf:
         raise ValueError("p must be positive and finite")
-    lam = float(np.linalg.eigvalsh(_mean_sum(model).entries)[-1])
+    means = source_means(model)
+    lam = float(np.linalg.eigvalsh(sum(means[1:], means[0]).entries)[-1])
     if lam <= 0:
         raise DegenerateModelError(
             "the mean of the sum is zero; no admissible constant exists"
         )
-    return lam ** (-p) * (1.0 + 1e-6)
+    try:
+        return lam ** (-p) * (1.0 + 1e-6)
+    except OverflowError:
+        raise FloatRangeError(
+            f"the admissible constant lambda_max(sum_k E X_k)^(-p) = "
+            f"{lam!r}^(-{p!r}) is outside the float range"
+        ) from None
 
 
 def negative_moment_bound(cp: float, p: float, eps: float) -> BoundResult:
@@ -413,7 +408,10 @@ def negative_moment_bound(cp: float, p: float, eps: float) -> BoundResult:
     eps = _check_eps(eps)
     if not (0 < cp < math.inf and 0 < p < math.inf):
         raise ValueError("Cp and p must be positive and finite")
-    raw = cp * eps**p
+    try:
+        raw = cp * eps**p
+    except OverflowError:  # eps^p alone leaves the float range; cp may be tiny
+        raw = math.exp(min(math.log(cp) + p * math.log(eps), _EXP_CAP))
     return _finish(raw, None, True, {"Cp": cp, "p": p})
 
 
@@ -424,7 +422,6 @@ def negative_moment_bound(cp: float, p: float, eps: float) -> BoundResult:
 
 def _uniform_bound_and_means(model: SumModel):
     bounds = []
-    means = []
     for k, src in enumerate(model.sources):
         b = src.uniform_bound()
         if b is None:
@@ -432,15 +429,8 @@ def _uniform_bound_and_means(model: SumModel):
                 f"chernoff bounds need an almost-sure eigenvalue bound; "
                 f"source {k} (kind {src.kind!r}) has none"
             )
-        m = src.mean()
-        if m is None:
-            raise UnsupportedEnsembleError(
-                f"chernoff bounds need a closed-form mean; "
-                f"source {k} (kind {src.kind!r}) has none"
-            )
         bounds.append(float(b))
-        means.append(m)
-    return max(bounds), means
+    return max(bounds), source_means(model)
 
 
 def _chernoff_log_factor(mu: float, eps: float, big_l: float) -> float:
@@ -453,10 +443,7 @@ def chernoff_sum_bound(model: SumModel, eps: float) -> BoundResult:
     theta = log(mu/eps)/L is positive."""
     eps = _check_eps(eps)
     big_l, means = _uniform_bound_and_means(model)
-    total = means[0]
-    for m in means[1:]:
-        total = total + m
-    mu = lambda_min(total)
+    mu = lambda_min(sum(means[1:], means[0]))
     details = {"L": big_l, "mu": mu}
     if eps < mu:
         theta = math.log(mu / eps) / big_l
@@ -514,6 +501,16 @@ def _series_params(model: SumModel):
     return envelope[0], envelope[1], mats
 
 
+def _cutoff(log_cutoff: float) -> float:
+    """exp(log_cutoff), the eps below which a series bound is valid."""
+    try:
+        return math.exp(log_cutoff)
+    except OverflowError:
+        raise FloatRangeError(
+            f"the validity cutoff exp({log_cutoff!r}) is outside the float range"
+        ) from None
+
+
 def series_sum_bound(model: SumModel, eps: float) -> BoundResult:
     """Bound (e eps / (K alpha))^(alpha K) * (C nu / K)^K with
     nu = lambda_max(sum_k A_k^(-alpha)), valid for
@@ -522,16 +519,16 @@ def series_sum_bound(model: SumModel, eps: float) -> BoundResult:
     eps = _check_eps(eps)
     c, alpha, mats = _series_params(model)
     k = model.size
-    total = matrix_power(mats[0], -alpha)
-    for a in mats[1:]:
-        total = total + matrix_power(a, -alpha)
-    nu = float(np.linalg.eigvalsh(total.entries)[-1])
+    powers = [matrix_power(a, -alpha) for a in mats]
+    nu = float(np.linalg.eigvalsh(sum(powers[1:], powers[0]).entries)[-1])
+    if not 0 < c * nu < math.inf:
+        raise FloatRangeError(f"C * nu = {c!r} * {nu!r} is outside the float range")
     log_raw = alpha * k * (1.0 + math.log(eps) - math.log(k * alpha)) + k * (
         math.log(c * nu) - math.log(k)
     )
     raw = math.exp(min(log_raw, _EXP_CAP))
-    cutoff = (k * alpha / math.e) * (k / (c * nu)) ** (1.0 / alpha)
-    valid = eps < cutoff
+    log_cutoff = math.log(k * alpha) - 1.0 + (math.log(k) - math.log(c * nu)) / alpha
+    valid = eps < _cutoff(log_cutoff)
     details = {"C": c, "alpha": alpha, "nu": nu, "K": float(k)}
     theta = alpha * k / eps if valid else None
     return _finish(raw, theta, valid, details)
@@ -559,7 +556,7 @@ def series_product_bound(model: SumModel, eps: float) -> BoundResult:
         - math.log(c) / alpha
         - log_nu_sum / (alpha * k)
     )
-    valid = eps < math.exp(log_cutoff)
+    valid = eps < _cutoff(log_cutoff)
     details = {"C": c, "alpha": alpha}
     for i, nu in enumerate(nus):
         details[f"nu_{i + 1}"] = nu

@@ -43,7 +43,7 @@ from .ensembles import (
     Wishart,
 )
 from .errors import ConfigError, SmallDevError
-from .linalg import HermitianMatrix, matrix_power
+from .linalg import HermitianMatrix
 from .optimizer import OptimizerConfig
 
 # ---------------------------------------------------------------------------
@@ -326,15 +326,7 @@ def _build_gmodel(params: dict, model: SumModel) -> bd.GThetaModel:
     )
     dom = params.get("dominators", "mean")
     if dom == "mean":
-        mats = []
-        for k, src in enumerate(model.sources):
-            m = src.mean()
-            if m is None:
-                raise ConfigError(
-                    f"g_theta with mean dominators: source {k} "
-                    f"(kind {src.kind!r}) has no closed-form mean"
-                )
-            mats.append(m)
+        mats = bd.source_means(model)
     elif dom == "identity":
         mats = [HermitianMatrix.identity(model.dim)] * model.size
     else:
@@ -342,10 +334,12 @@ def _build_gmodel(params: dict, model: SumModel) -> bd.GThetaModel:
     return bd.GThetaModel(g=g, sign=sign, dominators=tuple(mats))
 
 
-# Each BOUNDS entry is prepare(request, model, mgf_mode): it parses the
-# request's parameters, raises when the bound does not apply to the model,
-# and returns run(mgf, eps_grid, opt_cfg) -> list[BoundResult].  prepare
-# draws no mgf snapshot: the order of the draws fixes the empirical values.
+# Each BOUNDS entry is prepare(request, model, mgf_mode, eps_grid, opt_cfg):
+# it parses the request's parameters, raises when the bound does not apply
+# to the model, and returns run(mgf) -> list[BoundResult].  A closed-form
+# bound is computed in prepare, so computing it is its applicability check.
+# prepare draws no mgf snapshot: the order of the draws fixes the empirical
+# values.
 
 
 def _need_closed_form(name: str, model: SumModel, mgf_mode: str) -> None:
@@ -358,25 +352,23 @@ def _need_closed_form(name: str, model: SumModel, mgf_mode: str) -> None:
                 )
 
 
-def _single(req, model, mgf_mode):
+def _single(req, model, mgf_mode, eps_grid, opt_cfg):
     source = SumSource(model)
     if mgf_mode == "analytic" and source.analytic_mgf(1.0) is None:
         raise ConfigError(
             "bound 'single' with analytic mgf needs a one-source model; "
             "use empirical mgf mode"
         )
-    return lambda mgf, eps_grid, opt_cfg: bd.single_matrix_bound_grid(
-        source, mgf, eps_grid, opt_cfg
-    )
+    return lambda mgf: bd.single_matrix_bound_grid(source, mgf, eps_grid, opt_cfg)
 
 
 def _per_source_mgf(grid):
     """prepare for a theta-scan that takes each source's mgf; grid has the
     signature of bd.master_bound_grid."""
 
-    def prepare(req, model, mgf_mode):
+    def prepare(req, model, mgf_mode, eps_grid, opt_cfg):
         _need_closed_form(req["name"], model, mgf_mode)
-        return lambda mgf, eps_grid, opt_cfg: grid(model, mgf, eps_grid, opt_cfg)
+        return lambda mgf: grid(model, mgf, eps_grid, opt_cfg)
 
     return prepare
 
@@ -388,36 +380,28 @@ def _product_grid(model, mgf, eps_grid, opt_cfg):
     return [bd.product_bound(column) for column in zip(*per_source)]
 
 
-def _g_theta(req, model, mgf_mode):
+def _g_theta(req, model, mgf_mode, eps_grid, opt_cfg):
     gmodel = _build_gmodel(req, model)
-    return lambda mgf, eps_grid, opt_cfg: bd.g_theta_bound_grid(gmodel, eps_grid, opt_cfg)
+    bd.g_theta_eta(gmodel, opt_cfg)
+    return lambda mgf: bd.g_theta_bound_grid(gmodel, eps_grid, opt_cfg)
 
 
-def _negative_moment(req, model, mgf_mode):
+def _negative_moment(req, model, mgf_mode, eps_grid, opt_cfg):
     p = _field(req, "negative_moment", "p", float, 1.0)
     if "Cp" in req:
         cp = _cast(req["Cp"], "negative_moment", "Cp", float)
     else:
         cp = bd.admissible_cp(model, p)
-    bd.negative_moment_bound(cp, p, 1.0)  # rejects a bad Cp or p before any bound runs
-    return lambda mgf, eps_grid, opt_cfg: [
-        bd.negative_moment_bound(cp, p, e) for e in eps_grid
-    ]
+    values = [bd.negative_moment_bound(cp, p, e) for e in eps_grid]
+    return lambda mgf: values
 
 
-def _series_applies(model: SumModel) -> None:
-    bd._series_params(model)
-    for src in model.sources:
-        matrix_power(src.matrix, -1.0)  # pd check on the fixed matrices
+def _closed_form(bound):
+    """prepare for a closed-form bound(model, eps)."""
 
-
-def _closed_form(applies, bound):
-    """prepare for a closed-form bound; applies(model) raises when the
-    bound does not apply."""
-
-    def prepare(req, model, mgf_mode):
-        applies(model)
-        return lambda mgf, eps_grid, opt_cfg: [bound(model, e) for e in eps_grid]
+    def prepare(req, model, mgf_mode, eps_grid, opt_cfg):
+        values = [bound(model, e) for e in eps_grid]
+        return lambda mgf: values
 
     return prepare
 
@@ -429,18 +413,18 @@ BOUNDS = {
     "log_mean": _per_source_mgf(bd.log_mean_bound_grid),
     "product": _per_source_mgf(_product_grid),
     "negative_moment": _negative_moment,
-    "chernoff_sum": _closed_form(bd._uniform_bound_and_means, bd.chernoff_sum_bound),
-    "chernoff_product": _closed_form(bd._uniform_bound_and_means, bd.chernoff_product_bound),
-    "series_sum": _closed_form(_series_applies, bd.series_sum_bound),
-    "series_product": _closed_form(_series_applies, bd.series_product_bound),
+    "chernoff_sum": _closed_form(bd.chernoff_sum_bound),
+    "chernoff_product": _closed_form(bd.chernoff_product_bound),
+    "series_sum": _closed_form(bd.series_sum_bound),
+    "series_product": _closed_form(bd.series_product_bound),
 }
 
 
-def _prepare_bound(req: dict, model: SumModel, mgf_mode: str):
+def _prepare_bound(req: dict, model: SumModel, mgf_mode: str, eps_grid, opt_cfg):
     """BOUNDS[name](...), with a library error turned into a config error."""
     name = req["name"]
     try:
-        return BOUNDS[name](req, model, mgf_mode)
+        return BOUNDS[name](req, model, mgf_mode, eps_grid, opt_cfg)
     except ConfigError:
         raise
     except SmallDevError as exc:
@@ -449,11 +433,17 @@ def _prepare_bound(req: dict, model: SumModel, mgf_mode: str):
         raise ConfigError(f"bound {name!r}: {exc}") from exc
 
 
-def validate_requests(requests: list, model: SumModel, mgf_mode: str) -> None:
-    """Reject inapplicable (bound, ensemble) pairs before any computation,
+def validate_requests(
+    requests: list,
+    model: SumModel,
+    mgf_mode: str,
+    eps_grid: list,
+    opt_cfg: OptimizerConfig,
+) -> None:
+    """Reject inapplicable (bound, ensemble) pairs before any theta-scan,
     naming the first offending pair."""
     for req in requests:
-        _prepare_bound(req, model, mgf_mode)
+        _prepare_bound(req, model, mgf_mode, eps_grid, opt_cfg)
 
 
 def evaluate_bounds(
@@ -466,7 +456,7 @@ def evaluate_bounds(
     """Evaluate every requested bound at every grid point; returns a mapping
     name -> list of BoundResult aligned with eps_grid."""
     return {
-        req["name"]: _prepare_bound(req, model, mgf.mode)(mgf, eps_grid, opt_cfg)
+        req["name"]: _prepare_bound(req, model, mgf.mode, eps_grid, opt_cfg)(mgf)
         for req in _normalize_bound_requests(requests)
     }
 
@@ -514,7 +504,6 @@ def _prepare(args):
     mode = cfg["mgf"]["mode"]
     if mode not in ("analytic", "empirical"):
         raise ConfigError(f"unknown mgf mode {mode!r}")
-    validate_requests(requests, model, mode)
     sim = cfg["simulation"]
     if sim["n"] < 1:
         raise ConfigError("simulation.n must be at least 1")
@@ -530,6 +519,7 @@ def _prepare(args):
         mgf = MgfModel(mode=mode, n_samples=cfg["mgf"]["n_samples"], seed=sim["seed"])
     except ValueError as exc:
         raise ConfigError(f"mgf: {exc}") from exc
+    validate_requests(requests, model, mode, cfg["eps_grid"], opt_cfg)
     return cfg, model, requests, mgf, opt_cfg
 
 

@@ -382,22 +382,16 @@ class SumSource:
         return self.model.dim
 
     def mean(self) -> HermitianMatrix | None:
-        total = None
-        for s in self.model.sources:
-            m = s.mean()
-            if m is None:
-                return None
-            total = m if total is None else total + m
-        return total
+        means = [s.mean() for s in self.model.sources]
+        if any(m is None for m in means):
+            return None
+        return sum(means[1:], means[0])
 
     def uniform_bound(self) -> float | None:
-        total = 0.0
-        for s in self.model.sources:
-            b = s.uniform_bound()
-            if b is None:
-                return None
-            total += b
-        return total
+        bounds = [s.uniform_bound() for s in self.model.sources]
+        if any(b is None for b in bounds):
+            return None
+        return sum(bounds, 0.0)
 
     def sample_batch(self, stream: RngStream, size: int) -> np.ndarray:
         return sample_sum_batch(self.model, stream, size)

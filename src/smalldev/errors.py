@@ -36,6 +36,11 @@ class DegenerateModelError(SmallDevError):
     of the sum is zero."""
 
 
+class FloatRangeError(SmallDevError):
+    """A quantity a bound is built from lies outside the double-precision
+    range."""
+
+
 class InvalidDominatorsError(SmallDevError):
     """The supplied dominating-matrix construction violates its declared
     sign on the optimizer grid."""

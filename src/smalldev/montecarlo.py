@@ -128,17 +128,10 @@ def estimate(
     # Chunk c always draws from substream c, whatever thread runs it, so the
     # per-chunk hit vectors (and their integer sum) never depend on workers.
     streams = [base.child(c) for c in range(len(sizes))]
-    workers = worker_count(threads)
-    if workers > 1 and len(sizes) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            parts = list(
-                pool.map(
-                    lambda cs: _chunk_hits(model, cs[0], cs[1], eps),
-                    zip(streams, sizes),
-                )
-            )
-    else:
-        parts = [_chunk_hits(model, s, m, eps) for s, m in zip(streams, sizes)]
+    with ThreadPoolExecutor(max_workers=worker_count(threads)) as pool:
+        parts = list(
+            pool.map(lambda stream, size: _chunk_hits(model, stream, size, eps), streams, sizes)
+        )
     hits = np.sum(np.stack(parts), axis=0)
 
     out = []

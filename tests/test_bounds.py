@@ -14,6 +14,7 @@ from smalldev.bounds import (
     exp_envelope,
     g_theta_bound,
     g_theta_bound_grid,
+    g_theta_eta,
     log_mean_bound,
     log_mean_bound_grid,
     log_rate,
@@ -26,6 +27,7 @@ from smalldev.bounds import (
     series_sum_bound,
     single_matrix_bound,
     single_matrix_bound_grid,
+    source_means,
 )
 from smalldev.ensembles import (
     Bernoulli,
@@ -40,6 +42,7 @@ from smalldev.ensembles import (
 )
 from smalldev.errors import (
     DegenerateModelError,
+    FloatRangeError,
     InvalidDominatorsError,
     NotPositiveDefiniteError,
     UnsupportedEnsembleError,
@@ -237,6 +240,18 @@ class TestGThetaBound:
         with pytest.raises(InvalidDominatorsError):
             g_theta_bound(gmodel, 0.1)
 
+    def test_eta_checks_the_grid_without_a_theta_scan(self, monkeypatch):
+        def minimize(*args, **kwargs):
+            raise AssertionError("g_theta_eta ran a theta-scan")
+
+        monkeypatch.setattr(bounds_mod, "minimize", minimize)
+        dominators = (HermitianMatrix.diagonal([1.0, 3.0]), HermitianMatrix.identity(2))
+        negative = GThetaModel(g=log_rate(1.0), sign="negative", dominators=dominators)
+        assert g_theta_eta(negative) == pytest.approx(2.0)
+        positive = GThetaModel(g=power_envelope(1.0, 1.0), sign="positive", dominators=dominators)
+        with pytest.raises(InvalidDominatorsError, match="declared positive"):
+            g_theta_eta(positive)
+
     def test_positive_sign_uses_eta1(self):
         gmodel = GThetaModel(
             g=power_envelope(2.0, 1.0),
@@ -388,6 +403,14 @@ class TestNegativeMomentBound:
         assert res.trivial
         assert res.valid
 
+    def test_overflowing_eps_power_is_taken_in_log_space(self):
+        res = negative_moment_bound(0.5, 400.0, 10.0)
+        assert res.value == 1.0 and res.valid
+        res = negative_moment_bound(5e-324, 310.0, 10.0)
+        expected = math.exp(math.log(5e-324) + 310.0 * math.log(10.0))
+        assert res.value == pytest.approx(expected, rel=1e-9)
+        assert res.value < 1e-12
+
     def test_degenerate_zero_mean(self):
         model = SumModel(
             sources=(
@@ -416,6 +439,40 @@ class TestNegativeMomentBound:
 def test_rejects_non_positive_or_non_finite_parameter(call, bad):
     with pytest.raises(ValueError, match="positive and finite"):
         call(bad)
+
+
+class _NoMean:
+    dim = 1
+    kind = "no_mean"
+
+    def mean(self):
+        return None
+
+
+def test_source_means_names_the_first_source_without_one():
+    model = SumModel(sources=(BernoulliDiagonal(dim=1, p=0.5, scale=1.0), _NoMean(), _NoMean()))
+    with pytest.raises(UnsupportedEnsembleError, match=r"source 1 \(kind 'no_mean'\) has none"):
+        source_means(model)
+
+
+_HUGE_SCALED_FIXED = SumModel(
+    sources=(ScaledFixed(matrix=HermitianMatrix.diagonal([1e300]), law=Exponential(rate=1e-300)),)
+    * 2
+)
+
+
+@pytest.mark.parametrize(
+    "call, quantity",
+    [
+        (lambda: admissible_cp(bernoulli_model(k=2, p=1e-300), 2.0), "admissible constant"),
+        (lambda: series_sum_bound(_HUGE_SCALED_FIXED, 0.1), r"C \* nu"),
+        (lambda: series_product_bound(_HUGE_SCALED_FIXED, 0.1), "validity cutoff"),
+    ],
+    ids=["admissible-cp", "series-sum", "series-product"],
+)
+def test_quantity_outside_the_float_range_is_named(call, quantity):
+    with pytest.raises(FloatRangeError, match=quantity + ".* outside the float range"):
+        call()
 
 
 class TestChernoffSumBound:

@@ -6,6 +6,7 @@ import yaml
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from smalldev import cli
 from smalldev.cli import (
     BOUNDS,
     build_model,
@@ -259,14 +260,63 @@ _INAPPLICABLE = {
 }
 
 
+def _assert_rejected_by_validation(tmp_path, capsys, monkeypatch, ensemble, bounds):
+    """simulate, which only validates, and bound both exit 2 with one
+    config error line; bound exits before it evaluates any bound."""
+    cfg = dict(FAST_EXP_CONFIG, ensemble=ensemble, bounds=bounds)
+    path = write_config(tmp_path, cfg)
+
+    def evaluate_bounds(*args):
+        raise AssertionError("validation passed a config that bound rejects")
+
+    monkeypatch.setattr(cli, "evaluate_bounds", evaluate_bounds)
+    for command in ("simulate", "bound"):
+        assert main([command, "--config", path, "--samples", "64"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ")
+        assert err.count("\n") == 1
+
+
 @pytest.mark.parametrize("name", list(BOUNDS))
-def test_every_bound_rejects_an_inapplicable_model(tmp_path, capsys, name):
+def test_every_bound_rejects_an_inapplicable_model(tmp_path, capsys, monkeypatch, name):
     ensemble, params = _INAPPLICABLE[name]
-    cfg = dict(FAST_EXP_CONFIG, ensemble=ensemble, bounds=[{"name": name, **params}])
-    assert main(["bound", "--config", write_config(tmp_path, cfg)]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("config error: ")
-    assert err.count("\n") == 1
+    _assert_rejected_by_validation(
+        tmp_path, capsys, monkeypatch, ensemble, [{"name": name, **params}]
+    )
+
+
+# Configs whose bound set-up leaves the float range, or whose g changes
+# sign on the optimizer grid: validation used to pass them, and bound then
+# failed after it had done work.
+_TINY_MEAN = {
+    "sources": [{"kind": "bernoulli_diagonal", "dim": 1, "p": 1.0e-300, "scale": 1.0}] * 2
+}
+_HUGE_SCALED_FIXED = {
+    "repeat": 2,
+    "source": {
+        "kind": "scaled_fixed",
+        "matrix": {"diagonal": [1.0e300]},
+        "law": {"kind": "exponential", "rate": 1.0e-300},
+    },
+}
+_SIGN_CHANGING_G = {"builtin": "power_envelope", "C": 1.0, "alpha": 1.0, "sign": "positive"}
+
+
+@pytest.mark.parametrize(
+    "ensemble, bounds",
+    [
+        (_TINY_MEAN, [{"name": "negative_moment", "p": 2.0}]),
+        (_HUGE_SCALED_FIXED, ["series_product"]),
+        (_HUGE_SCALED_FIXED, ["series_sum"]),
+        (FAST_EXP_CONFIG["ensemble"], ["master", {"name": "g_theta", "g": _SIGN_CHANGING_G}]),
+    ],
+    ids=["cp-overflow", "series-product-cutoff-overflow", "series-sum-c-nu-underflow",
+         "g-changes-sign-on-grid"],
+)
+def test_validation_rejects_what_evaluation_would(
+    tmp_path, capsys, monkeypatch, ensemble, bounds
+):
+    _assert_rejected_by_validation(tmp_path, capsys, monkeypatch, ensemble, bounds)
 
 
 _MUTATIONS = [None, "abc", -1, 0, 2.5, float("nan"), float("inf"), [1], {}]
