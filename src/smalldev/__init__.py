@@ -26,7 +26,6 @@ from .bounds import (
 )
 from .ensembles import (
     Bernoulli,
-    BernoulliDiagonal,
     BoundedRankOne,
     Exponential,
     Gamma,
@@ -36,10 +35,8 @@ from .ensembles import (
     SumSource,
     Uniform,
     Wishart,
-    analytic_mgf,
+    bernoulli_diagonal,
     empirical_mgf,
-    sample,
-    sample_sum,
 )
 from .linalg import (
     HermitianMatrix,

@@ -433,8 +433,14 @@ def _uniform_bound_and_means(model: SumModel):
     return max(bounds), source_means(model)
 
 
+def _log_ratio(mu: float, eps: float) -> float:
+    """log(mu / eps), taken as log(mu) - log(eps) once the ratio overflows."""
+    ratio = mu / eps
+    return math.log(ratio) if ratio < math.inf else math.log(mu) - math.log(eps)
+
+
 def _chernoff_log_factor(mu: float, eps: float, big_l: float) -> float:
-    return (eps / big_l) * math.log(mu / eps) + (eps - mu) / big_l
+    return (eps / big_l) * _log_ratio(mu, eps) + (eps - mu) / big_l
 
 
 def chernoff_sum_bound(model: SumModel, eps: float) -> BoundResult:
@@ -446,7 +452,7 @@ def chernoff_sum_bound(model: SumModel, eps: float) -> BoundResult:
     mu = lambda_min(sum(means[1:], means[0]))
     details = {"L": big_l, "mu": mu}
     if eps < mu:
-        theta = math.log(mu / eps) / big_l
+        theta = _log_ratio(mu, eps) / big_l
         raw = math.exp(_chernoff_log_factor(mu, eps, big_l))
         return _finish(raw, theta, True, details)
     return _finish(1.0, None, False, details)

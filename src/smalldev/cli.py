@@ -20,6 +20,7 @@ import argparse
 import dataclasses
 import json
 import math
+import os
 import sys
 from importlib import resources
 from pathlib import Path
@@ -30,8 +31,8 @@ import yaml
 from . import bounds as bd
 from . import montecarlo as mc
 from .ensembles import (
+    DEFAULT_MGF_SAMPLES,
     Bernoulli,
-    BernoulliDiagonal,
     BoundedRankOne,
     Exponential,
     Gamma,
@@ -41,6 +42,7 @@ from .ensembles import (
     SumSource,
     Uniform,
     Wishart,
+    bernoulli_diagonal,
 )
 from .errors import ConfigError, SmallDevError
 from .linalg import HermitianMatrix
@@ -109,6 +111,8 @@ def _field(section: dict, where: str, key: str, cast, default):
     return _cast(section.get(key, default), where, key, cast)
 
 
+_OPTIMIZER = OptimizerConfig()
+
 # {section: {key: (cast, default, cli_flag)}}.  The flag, where there is
 # one, overrides the config value.
 _SCHEMA = {
@@ -119,14 +123,14 @@ _SCHEMA = {
     },
     "mgf": {
         "mode": (str, "analytic", None),
-        "n_samples": (_integer, 10_000, None),
+        "n_samples": (_integer, DEFAULT_MGF_SAMPLES, None),
     },
     "optimizer": {
-        "theta_min": (float, 1e-6, "--theta-min"),
-        "theta_max": (float, 1e6, "--theta-max"),
-        "coarse_points": (_integer, 200, "--coarse-points"),
-        "refine_tol": (float, 1e-8, None),
-        "max_refine_iters": (_integer, 200, None),
+        "theta_min": (float, _OPTIMIZER.theta_min, "--theta-min"),
+        "theta_max": (float, _OPTIMIZER.theta_max, "--theta-max"),
+        "coarse_points": (_integer, _OPTIMIZER.coarse_points, "--coarse-points"),
+        "refine_tol": (float, _OPTIMIZER.refine_tol, None),
+        "max_refine_iters": (_integer, _OPTIMIZER.max_refine_iters, None),
     },
     "output": {
         "csv": (_path, None, "--csv"),
@@ -226,7 +230,7 @@ _SOURCES = {
         lambda matrix, law: ScaledFixed(_matrix(matrix), law),
         {"matrix": dict, "law": _LAWS},
     ),
-    "bernoulli_diagonal": (BernoulliDiagonal, {"dim": _integer, "p": float, "scale": float}),
+    "bernoulli_diagonal": (bernoulli_diagonal, {"dim": _integer, "p": float, "scale": float}),
     "bounded_rank_one": (BoundedRankOne, {"dim": _integer, "bound": float}),
     "wishart": (Wishart, {"dim": _integer, "dof": _integer}),
 }
@@ -334,41 +338,55 @@ def _build_gmodel(params: dict, model: SumModel) -> bd.GThetaModel:
     return bd.GThetaModel(g=g, sign=sign, dominators=tuple(mats))
 
 
-# Each BOUNDS entry is prepare(request, model, mgf_mode, eps_grid, opt_cfg):
-# it parses the request's parameters, raises when the bound does not apply
-# to the model, and returns run(mgf) -> list[BoundResult].  A closed-form
-# bound is computed in prepare, so computing it is its applicability check.
-# prepare draws no mgf snapshot: the order of the draws fixes the empirical
-# values.
+# Each BOUNDS entry is prepare(request, model, mgf, eps_grid, opt_cfg): it
+# parses the request's parameters, raises when the bound does not apply to
+# the model, and returns run() -> list[BoundResult].  A closed-form bound is
+# computed in prepare, so computing it is its applicability check.  prepare
+# draws no mgf snapshot: the order of the draws fixes the empirical values.
 
 
-def _need_closed_form(name: str, model: SumModel, mgf_mode: str) -> None:
-    if mgf_mode == "analytic":
-        for k, src in enumerate(model.sources):
-            if src.analytic_mgf(1.0) is None:
-                raise ConfigError(
-                    f"bound {name!r} with analytic mgf: source {k} (kind "
-                    f"{src.kind!r}) has no closed form; use empirical mgf mode"
-                )
+def _check_snapshot_memory(mgf: MgfModel, dim: int) -> None:
+    """In empirical mode, refuse a snapshot whose peak size exceeds the
+    machine's physical memory."""
+    if mgf.mode != "empirical":
+        return
+    try:
+        have = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    except (AttributeError, ValueError, OSError):  # not a POSIX system
+        return
+    need = mgf.snapshot_bytes(dim)
+    if need > have:
+        raise ConfigError(
+            f"mgf.n_samples = {mgf.n_samples} at dim {dim} needs about "
+            f"{need / 2**30:.3g} GiB per empirical snapshot, more than the "
+            f"{have / 2**30:.3g} GiB of physical memory"
+        )
 
 
-def _single(req, model, mgf_mode, eps_grid, opt_cfg):
+def _single(req, model, mgf, eps_grid, opt_cfg):
     source = SumSource(model)
-    if mgf_mode == "analytic" and source.analytic_mgf(1.0) is None:
+    if mgf.mode == "analytic" and source.analytic_mgf(1.0) is None:
         raise ConfigError(
             "bound 'single' with analytic mgf needs a one-source model; "
             "use empirical mgf mode"
         )
-    return lambda mgf: bd.single_matrix_bound_grid(source, mgf, eps_grid, opt_cfg)
+    _check_snapshot_memory(mgf, model.dim)
+    return lambda: bd.single_matrix_bound_grid(source, mgf, eps_grid, opt_cfg)
 
 
 def _per_source_mgf(grid):
     """prepare for a theta-scan that takes each source's mgf; grid has the
     signature of bd.master_bound_grid."""
 
-    def prepare(req, model, mgf_mode, eps_grid, opt_cfg):
-        _need_closed_form(req["name"], model, mgf_mode)
-        return lambda mgf: grid(model, mgf, eps_grid, opt_cfg)
+    def prepare(req, model, mgf, eps_grid, opt_cfg):
+        for k, src in enumerate(model.sources):
+            if mgf.mode == "analytic" and src.analytic_mgf(1.0) is None:
+                raise ConfigError(
+                    f"bound {req['name']!r} with analytic mgf: source {k} (kind "
+                    f"{src.kind!r}) has no closed form; use empirical mgf mode"
+                )
+        _check_snapshot_memory(mgf, model.dim)
+        return lambda: grid(model, mgf, eps_grid, opt_cfg)
 
     return prepare
 
@@ -380,28 +398,28 @@ def _product_grid(model, mgf, eps_grid, opt_cfg):
     return [bd.product_bound(column) for column in zip(*per_source)]
 
 
-def _g_theta(req, model, mgf_mode, eps_grid, opt_cfg):
+def _g_theta(req, model, mgf, eps_grid, opt_cfg):
     gmodel = _build_gmodel(req, model)
     bd.g_theta_eta(gmodel, opt_cfg)
-    return lambda mgf: bd.g_theta_bound_grid(gmodel, eps_grid, opt_cfg)
+    return lambda: bd.g_theta_bound_grid(gmodel, eps_grid, opt_cfg)
 
 
-def _negative_moment(req, model, mgf_mode, eps_grid, opt_cfg):
+def _negative_moment(req, model, mgf, eps_grid, opt_cfg):
     p = _field(req, "negative_moment", "p", float, 1.0)
     if "Cp" in req:
         cp = _cast(req["Cp"], "negative_moment", "Cp", float)
     else:
         cp = bd.admissible_cp(model, p)
     values = [bd.negative_moment_bound(cp, p, e) for e in eps_grid]
-    return lambda mgf: values
+    return lambda: values
 
 
 def _closed_form(bound):
     """prepare for a closed-form bound(model, eps)."""
 
-    def prepare(req, model, mgf_mode, eps_grid, opt_cfg):
+    def prepare(req, model, mgf, eps_grid, opt_cfg):
         values = [bound(model, e) for e in eps_grid]
-        return lambda mgf: values
+        return lambda: values
 
     return prepare
 
@@ -420,11 +438,11 @@ BOUNDS = {
 }
 
 
-def _prepare_bound(req: dict, model: SumModel, mgf_mode: str, eps_grid, opt_cfg):
+def _prepare_bound(req: dict, model: SumModel, mgf: MgfModel, eps_grid, opt_cfg):
     """BOUNDS[name](...), with a library error turned into a config error."""
     name = req["name"]
     try:
-        return BOUNDS[name](req, model, mgf_mode, eps_grid, opt_cfg)
+        return BOUNDS[name](req, model, mgf, eps_grid, opt_cfg)
     except ConfigError:
         raise
     except SmallDevError as exc:
@@ -436,14 +454,15 @@ def _prepare_bound(req: dict, model: SumModel, mgf_mode: str, eps_grid, opt_cfg)
 def validate_requests(
     requests: list,
     model: SumModel,
-    mgf_mode: str,
+    mgf: MgfModel,
     eps_grid: list,
     opt_cfg: OptimizerConfig,
 ) -> None:
-    """Reject inapplicable (bound, ensemble) pairs before any theta-scan,
-    naming the first offending pair."""
+    """Reject inapplicable (bound, ensemble) pairs, and empirical mgf
+    snapshots too large to draw, before any theta-scan, naming the first
+    offending pair."""
     for req in requests:
-        _prepare_bound(req, model, mgf_mode, eps_grid, opt_cfg)
+        _prepare_bound(req, model, mgf, eps_grid, opt_cfg)
 
 
 def evaluate_bounds(
@@ -456,7 +475,7 @@ def evaluate_bounds(
     """Evaluate every requested bound at every grid point; returns a mapping
     name -> list of BoundResult aligned with eps_grid."""
     return {
-        req["name"]: _prepare_bound(req, model, mgf.mode, eps_grid, opt_cfg)(mgf)
+        req["name"]: _prepare_bound(req, model, mgf, eps_grid, opt_cfg)()
         for req in _normalize_bound_requests(requests)
     }
 
@@ -501,9 +520,6 @@ def _prepare(args):
     cfg = resolve_config(raw, args)
     model = build_model(cfg["ensemble"])
     requests = _normalize_bound_requests(cfg["bounds"])
-    mode = cfg["mgf"]["mode"]
-    if mode not in ("analytic", "empirical"):
-        raise ConfigError(f"unknown mgf mode {mode!r}")
     sim = cfg["simulation"]
     if sim["n"] < 1:
         raise ConfigError("simulation.n must be at least 1")
@@ -516,10 +532,10 @@ def _prepare(args):
     except ValueError as exc:
         raise ConfigError(f"optimizer: {exc}") from exc
     try:
-        mgf = MgfModel(mode=mode, n_samples=cfg["mgf"]["n_samples"], seed=sim["seed"])
+        mgf = MgfModel(**cfg["mgf"], seed=sim["seed"])
     except ValueError as exc:
         raise ConfigError(f"mgf: {exc}") from exc
-    validate_requests(requests, model, mode, cfg["eps_grid"], opt_cfg)
+    validate_requests(requests, model, mgf, cfg["eps_grid"], opt_cfg)
     return cfg, model, requests, mgf, opt_cfg
 
 

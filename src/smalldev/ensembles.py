@@ -27,17 +27,13 @@ __all__ = [
     "Bernoulli",
     "Uniform",
     "ScaledFixed",
-    "BernoulliDiagonal",
+    "bernoulli_diagonal",
     "BoundedRankOne",
     "Wishart",
     "SumSource",
     "SumModel",
     "MgfModel",
-    "sample",
-    "sample_batch",
-    "sample_sum",
     "sample_sum_batch",
-    "analytic_mgf",
     "empirical_mgf",
 ]
 
@@ -239,37 +235,13 @@ class ScaledFixed:
         return HermitianMatrix((u * vals) @ u.conj().T)
 
 
-@dataclass(frozen=True)
-class BernoulliDiagonal:
-    """X = b * scale * I with b ~ Bernoulli(p)."""
-
-    dim: int
-    p: float
-    scale: float
-    kind = "bernoulli_diagonal"
-
-    def __post_init__(self):
-        if self.dim < 1:
-            raise ValueError("dim must be at least 1")
-        if not 0.0 <= self.p <= 1.0:
-            raise ValueError("p must lie in [0, 1]")
-        if not 0 < self.scale < math.inf:
-            raise ValueError("scale must be positive and finite")
-
-    def mean(self) -> HermitianMatrix | None:
-        return HermitianMatrix.identity(self.dim).scaled(self.p * self.scale)
-
-    def uniform_bound(self) -> float | None:
-        return self.scale
-
-    def sample_batch(self, stream: RngStream, size: int) -> np.ndarray:
-        bits = (stream.generator.random(size) < self.p).astype(float)
-        eye = np.eye(self.dim)
-        return (bits * self.scale)[:, None, None] * eye[None, :, :]
-
-    def analytic_mgf(self, theta: float) -> HermitianMatrix | None:
-        val = (1.0 - self.p) + self.p * np.exp(-theta * self.scale)
-        return HermitianMatrix.identity(self.dim).scaled(float(val))
+def bernoulli_diagonal(dim: int, p: float, scale: float) -> ScaledFixed:
+    """X = b * scale * I with b ~ Bernoulli(p), as a ScaledFixed."""
+    if dim < 1:
+        raise ValueError("dim must be at least 1")
+    if not 0 < scale < math.inf:
+        raise ValueError("scale must be positive and finite")
+    return ScaledFixed(HermitianMatrix.identity(dim).scaled(scale), Bernoulli(p))
 
 
 @dataclass(frozen=True)
@@ -336,7 +308,7 @@ class Wishart:
         return None
 
 
-MatrixSource = ScaledFixed | BernoulliDiagonal | BoundedRankOne | Wishart
+MatrixSource = ScaledFixed | BoundedRankOne | Wishart
 
 
 # ---------------------------------------------------------------------------
@@ -381,18 +353,6 @@ class SumSource:
     def dim(self) -> int:
         return self.model.dim
 
-    def mean(self) -> HermitianMatrix | None:
-        means = [s.mean() for s in self.model.sources]
-        if any(m is None for m in means):
-            return None
-        return sum(means[1:], means[0])
-
-    def uniform_bound(self) -> float | None:
-        bounds = [s.uniform_bound() for s in self.model.sources]
-        if any(b is None for b in bounds):
-            return None
-        return sum(bounds, 0.0)
-
     def sample_batch(self, stream: RngStream, size: int) -> np.ndarray:
         return sample_sum_batch(self.model, stream, size)
 
@@ -407,16 +367,6 @@ class SumSource:
 # ---------------------------------------------------------------------------
 
 
-def sample_batch(source, stream: RngStream, size: int) -> np.ndarray:
-    """Batch of independent draws as a (size, d, d) complex array."""
-    return source.sample_batch(stream, size)
-
-
-def sample(source, stream: RngStream) -> HermitianMatrix:
-    """One independent draw from the source using the given stream."""
-    return HermitianMatrix(source.sample_batch(stream, 1)[0])
-
-
 def sample_sum_batch(model: SumModel, stream: RngStream, size: int) -> np.ndarray:
     """Batch of draws of the sum; source k draws from substream k."""
     total = None
@@ -426,21 +376,9 @@ def sample_sum_batch(model: SumModel, stream: RngStream, size: int) -> np.ndarra
     return total
 
 
-def sample_sum(model: SumModel, stream: RngStream) -> HermitianMatrix:
-    """One draw of the sum, one independent draw per source."""
-    return HermitianMatrix(sample_sum_batch(model, stream, 1)[0])
-
-
 # ---------------------------------------------------------------------------
 # Matrix mgf evaluation
 # ---------------------------------------------------------------------------
-
-
-def analytic_mgf(source, theta: float) -> HermitianMatrix | None:
-    """Closed-form E exp(-theta X) when the source has one, else None."""
-    if theta <= 0:
-        raise ValueError("theta must be positive")
-    return source.analytic_mgf(theta)
 
 
 def empirical_mgf(source, theta: float, n: int, stream: RngStream) -> HermitianMatrix:
@@ -503,7 +441,6 @@ class MgfModel:
         mode: str = "analytic",
         n_samples: int = DEFAULT_MGF_SAMPLES,
         seed: int = 0,
-        stream: RngStream | None = None,
     ) -> None:
         if mode not in ("analytic", "empirical"):
             raise ValueError(f"unknown mgf mode {mode!r}")
@@ -511,12 +448,18 @@ class MgfModel:
             raise ValueError("n_samples must be at least 1")
         self.mode = mode
         self.n_samples = int(n_samples)
-        self._stream = stream if stream is not None else RngStream(seed).child(_MGF_PURPOSE)
+        self._stream = RngStream(seed).child(_MGF_PURPOSE)
         # Keyed by id(source), with the source held alongside its snapshot:
         # a freed source's id could otherwise be reused by a new source,
         # which would then read the stale snapshot.  Equal sources keep
         # separate snapshots, because i.i.d. copies are independent draws.
         self._snapshots: dict[int, tuple[object, _Snapshot]] = {}
+
+    def snapshot_bytes(self, dim: int) -> int:
+        """Peak memory of drawing one empirical snapshot at this dimension:
+        the (n, d, d) complex draws, their eigenvectors and the real
+        (2d, n*d) basis, 16 n d^2 bytes each."""
+        return 48 * self.n_samples * dim * dim
 
     def evaluate(self, source, theta: float) -> HermitianMatrix:
         if theta <= 0:

@@ -24,13 +24,13 @@ from smalldev.bounds import (
 )
 from smalldev.cli import demo_config_names, demo_config_path, main
 from smalldev.ensembles import (
-    BernoulliDiagonal,
     BoundedRankOne,
     Exponential,
     Gamma,
     MgfModel,
     ScaledFixed,
     SumModel,
+    bernoulli_diagonal,
 )
 from smalldev.linalg import (
     HermitianMatrix,
@@ -49,7 +49,7 @@ TRUE_BINOMIAL = 2.0**-10
 
 def bernoulli_model(k=10):
     return SumModel(
-        sources=tuple(BernoulliDiagonal(dim=1, p=0.5, scale=1.0) for _ in range(k))
+        sources=tuple(bernoulli_diagonal(dim=1, p=0.5, scale=1.0) for _ in range(k))
     )
 
 

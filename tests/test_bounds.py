@@ -31,7 +31,6 @@ from smalldev.bounds import (
 )
 from smalldev.ensembles import (
     Bernoulli,
-    BernoulliDiagonal,
     BoundedRankOne,
     Exponential,
     MgfModel,
@@ -39,6 +38,7 @@ from smalldev.ensembles import (
     SumModel,
     SumSource,
     Wishart,
+    bernoulli_diagonal,
 )
 from smalldev.errors import (
     DegenerateModelError,
@@ -55,7 +55,7 @@ TRUE_BINOMIAL = 2.0**-10
 
 
 def bernoulli_model(k=10, d=1, p=0.5, s=1.0):
-    return SumModel(sources=tuple(BernoulliDiagonal(dim=d, p=p, scale=s) for _ in range(k)))
+    return SumModel(sources=tuple(bernoulli_diagonal(dim=d, p=p, scale=s) for _ in range(k)))
 
 
 def exp_series_model(k, d=2, rate=1.0):
@@ -90,7 +90,7 @@ def assert_result_invariants(res):
 
 class TestSingleMatrixBound:
     def test_deterministic_identity_goes_to_zero(self):
-        src = BernoulliDiagonal(dim=2, p=1.0, scale=1.0)
+        src = bernoulli_diagonal(dim=2, p=1.0, scale=1.0)
         res = single_matrix_bound(src, ANALYTIC, 0.5)
         assert res.value < 1e-50
         assert_result_invariants(res)
@@ -112,14 +112,14 @@ class TestSingleMatrixBound:
         assert res.value >= 1.0 - math.exp(-eps)
 
     def test_rejects_nonpositive_eps(self):
-        src = BernoulliDiagonal(dim=1, p=0.5, scale=1.0)
+        src = bernoulli_diagonal(dim=1, p=0.5, scale=1.0)
         with pytest.raises(ValueError):
             single_matrix_bound(src, ANALYTIC, 0.0)
 
 
 class TestMasterBound:
     def test_deterministic_identity_goes_to_zero(self):
-        model = SumModel(sources=(BernoulliDiagonal(dim=2, p=1.0, scale=1.0),))
+        model = SumModel(sources=(bernoulli_diagonal(dim=2, p=1.0, scale=1.0),))
         res = master_bound(model, ANALYTIC, 0.5)
         assert res.value < 1e-50
 
@@ -154,14 +154,14 @@ class TestMasterBound:
             def evaluate(self, source, theta):
                 return HermitianMatrix.diagonal([1.0, -0.5])
 
-        model = SumModel(sources=(BernoulliDiagonal(dim=2, p=0.5, scale=1.0),))
+        model = SumModel(sources=(bernoulli_diagonal(dim=2, p=0.5, scale=1.0),))
         with pytest.raises(NotPositiveDefiniteError, match="theta"):
             master_bound(model, BrokenMgf(), 0.5)
 
     def test_broken_mgf_of_one_source_among_several(self):
         # Only the last source's mgf is indefinite; the stacked eigh must
         # still check each matrix on its own.
-        sources = tuple(BernoulliDiagonal(dim=2, p=0.5, scale=1.0) for _ in range(3))
+        sources = tuple(bernoulli_diagonal(dim=2, p=0.5, scale=1.0) for _ in range(3))
 
         class BrokenMgf:
             def evaluate(self, source, theta):
@@ -173,7 +173,7 @@ class TestMasterBound:
             master_bound(SumModel(sources=sources), BrokenMgf(), 0.5)
 
     @pytest.mark.parametrize(
-        "source", [BoundedRankOne(dim=4, bound=1.0), BernoulliDiagonal(dim=1, p=0.5, scale=1.0)]
+        "source", [BoundedRankOne(dim=4, bound=1.0), bernoulli_diagonal(dim=1, p=0.5, scale=1.0)]
     )
     def test_stacked_log_sum_matches_per_matrix_loop(self, source):
         # Reference: one eigendecomposition per matrix, logs summed in order.
@@ -195,7 +195,7 @@ class TestGThetaBound:
         # g(theta) = -theta with dominators E X_k holds with equality and
         # the bound collapses like exp(theta(eps - eta2)).
         model = SumModel(
-            sources=tuple(BernoulliDiagonal(dim=2, p=1.0, scale=1.0) for _ in range(3))
+            sources=tuple(bernoulli_diagonal(dim=2, p=1.0, scale=1.0) for _ in range(3))
         )
         gmodel = GThetaModel(
             g=lambda t: -t,
@@ -319,7 +319,7 @@ class TestGridScan:
 
 class TestLogMeanBound:
     def test_single_source_equals_master(self):
-        model = SumModel(sources=(BernoulliDiagonal(dim=2, p=0.5, scale=1.0),))
+        model = SumModel(sources=(bernoulli_diagonal(dim=2, p=0.5, scale=1.0),))
         a = master_bound(model, ANALYTIC, 0.3)
         b = log_mean_bound(model, ANALYTIC, 0.3)
         assert abs(a.value - b.value) <= 1e-8
@@ -450,7 +450,7 @@ class _NoMean:
 
 
 def test_source_means_names_the_first_source_without_one():
-    model = SumModel(sources=(BernoulliDiagonal(dim=1, p=0.5, scale=1.0), _NoMean(), _NoMean()))
+    model = SumModel(sources=(bernoulli_diagonal(dim=1, p=0.5, scale=1.0), _NoMean(), _NoMean()))
     with pytest.raises(UnsupportedEnsembleError, match=r"source 1 \(kind 'no_mean'\) has none"):
         source_means(model)
 
@@ -515,7 +515,7 @@ class TestChernoffSumBound:
 
 class TestChernoffProductBound:
     def test_single_source_coincides_with_sum_form(self):
-        model = SumModel(sources=(BernoulliDiagonal(dim=1, p=0.5, scale=1.0),))
+        model = SumModel(sources=(bernoulli_diagonal(dim=1, p=0.5, scale=1.0),))
         a = chernoff_sum_bound(model, 0.2)
         b = chernoff_product_bound(model, 0.2)
         assert b.raw_value == pytest.approx(a.raw_value, rel=1e-12)
@@ -538,16 +538,28 @@ class TestChernoffProductBound:
     def test_zero_mean_factor_clamped_to_one(self):
         model = SumModel(
             sources=(
-                BernoulliDiagonal(dim=1, p=0.5, scale=1.0),
-                BernoulliDiagonal(dim=1, p=0.0, scale=1.0),
+                bernoulli_diagonal(dim=1, p=0.5, scale=1.0),
+                bernoulli_diagonal(dim=1, p=0.0, scale=1.0),
             )
         )
         res = chernoff_product_bound(model, 0.25)
         single = chernoff_product_bound(
-            SumModel(sources=(BernoulliDiagonal(dim=1, p=0.5, scale=1.0),)), 0.25
+            SumModel(sources=(bernoulli_diagonal(dim=1, p=0.5, scale=1.0),)), 0.25
         )
         assert res.valid
         assert res.raw_value == pytest.approx(single.raw_value, rel=1e-12)
+
+
+@pytest.mark.parametrize("bound", [chernoff_sum_bound, chernoff_product_bound])
+def test_chernoff_stays_finite_when_mu_over_eps_overflows(bound):
+    # mu / eps = 2e300 / 1e-10 is above the float range; the bound must still
+    # be finite there and no larger than at eps = 1, where mu / eps is finite.
+    model = bernoulli_model(k=2, p=1.0, s=1.0e300)
+    tiny, one = bound(model, 1.0e-10), bound(model, 1.0)
+    assert tiny.valid and one.valid
+    assert math.isfinite(tiny.raw_value)
+    assert tiny.theta_star is None or math.isfinite(tiny.theta_star)
+    assert tiny.value <= one.value < 1.0
 
 
 class TestSeriesSumBound:

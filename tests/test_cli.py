@@ -1,4 +1,5 @@
 import copy
+import dataclasses
 import json
 
 import pytest
@@ -15,7 +16,9 @@ from smalldev.cli import (
     main,
     resolve_config,
 )
+from smalldev.ensembles import DEFAULT_MGF_SAMPLES, BoundedRankOne
 from smalldev.errors import ConfigError
+from smalldev.optimizer import OptimizerConfig
 
 FAST_EXP_CONFIG = {
     "experiment": "fast-exp",
@@ -228,6 +231,39 @@ class TestConfigValidation:
         path = write_config(tmp_path, cfg)
         assert main(["simulate", "--config", path, *flags]) == 2
         assert "simulation.seed must be non-negative" in capsys.readouterr().err
+
+    def test_unknown_mgf_mode_exits_2_with_one_line(self, tmp_path, capsys):
+        cfg = dict(FAST_EXP_CONFIG, mgf={"mode": "symbolic"})
+        assert main(["bound", "--config", write_config(tmp_path, cfg)]) == 2
+        err = capsys.readouterr().err
+        assert err == "config error: mgf: unknown mgf mode 'symbolic'\n"
+
+    def test_defaults_are_the_library_defaults(self):
+        cfg = resolve_config({"ensemble": FAST_EXP_CONFIG["ensemble"], "eps_grid": [0.1]})
+        assert cfg["optimizer"] == dataclasses.asdict(OptimizerConfig())
+        assert cfg["mgf"]["n_samples"] == DEFAULT_MGF_SAMPLES
+
+    @pytest.mark.parametrize("name", ["single", "master", "log_mean", "product"])
+    def test_snapshot_above_physical_memory_exits_2_before_drawing(
+        self, tmp_path, capsys, monkeypatch, name
+    ):
+        # 48 * n * d^2 bytes = 48 EiB at this size: no machine has that much.
+        cfg = dict(
+            FAST_EXP_CONFIG,
+            ensemble={"repeat": 2, "source": {"kind": "bounded_rank_one", "dim": 65536,
+                                              "bound": 1.0}},
+            bounds=[name],
+            mgf={"mode": "empirical", "n_samples": 268435456},
+        )
+
+        def sample_batch(*args):
+            raise AssertionError("a snapshot was drawn")
+
+        monkeypatch.setattr(BoundedRankOne, "sample_batch", sample_batch)
+        assert main(["bound", "--config", write_config(tmp_path, cfg)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: mgf.n_samples = 268435456 at dim 65536 ")
+        assert err.count("\n") == 1
 
     def test_duplicate_bound_exits_2(self, tmp_path, capsys):
         cfg = dict(FAST_EXP_CONFIG, bounds=["master", "series_sum", "master"])

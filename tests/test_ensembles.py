@@ -6,7 +6,6 @@ import scipy.stats
 
 from smalldev.ensembles import (
     Bernoulli,
-    BernoulliDiagonal,
     BoundedRankOne,
     Exponential,
     Gamma,
@@ -16,11 +15,8 @@ from smalldev.ensembles import (
     SumSource,
     Uniform,
     Wishart,
-    analytic_mgf,
+    bernoulli_diagonal,
     empirical_mgf,
-    sample,
-    sample_batch,
-    sample_sum,
     sample_sum_batch,
 )
 from smalldev.errors import MgfUnavailableError
@@ -43,7 +39,7 @@ ALL_SOURCES = [
         matrix=HermitianMatrix.diagonal([2.0, 1.0]), law=Uniform(high=0.7)
     ),
     lambda: ScaledFixed(matrix=HermitianMatrix.identity(3), law=Bernoulli(p=0.3)),
-    lambda: BernoulliDiagonal(dim=2, p=0.5, scale=1.0),
+    lambda: bernoulli_diagonal(dim=2, p=0.5, scale=1.0),
     lambda: BoundedRankOne(dim=4, bound=1.0),
     lambda: Wishart(dim=3, dof=4),
 ]
@@ -95,7 +91,7 @@ class TestScalarLaws:
         lambda x: Gamma(shape=x, rate=1.0),
         lambda x: Gamma(shape=1.0, rate=x),
         lambda x: Uniform(high=x),
-        lambda x: BernoulliDiagonal(dim=1, p=0.5, scale=x),
+        lambda x: bernoulli_diagonal(dim=1, p=0.5, scale=x),
         lambda x: BoundedRankOne(dim=2, bound=x),
     ],
     ids=["exponential-rate", "gamma-shape", "gamma-rate", "uniform-high",
@@ -106,11 +102,36 @@ def test_rejects_non_positive_or_non_finite_parameter(make, bad):
         make(bad)
 
 
+class TestBernoulliDiagonal:
+    @pytest.mark.parametrize("d", [1, 4])
+    def test_is_scaled_fixed_with_scaled_identity(self, d):
+        src = bernoulli_diagonal(dim=d, p=0.3, scale=2.5)
+        assert isinstance(src, ScaledFixed)
+        assert src.law == Bernoulli(p=0.3)
+        assert np.array_equal(src.matrix.entries, 2.5 * np.eye(d))
+        assert np.allclose(src.mean().entries, 0.75 * np.eye(d), rtol=1e-15, atol=0)
+        assert src.uniform_bound() == 2.5
+        for theta in (1e-3, 1.0, 40.0):
+            exact = 0.7 + 0.3 * math.exp(-theta * 2.5)
+            out = src.analytic_mgf(theta).entries
+            assert np.allclose(out, exact * np.eye(d), rtol=1e-15, atol=0)
+
+    def test_draws_scale_identity_on_each_success(self):
+        src = bernoulli_diagonal(dim=3, p=0.4, scale=2.0)
+        batch = src.sample_batch(RngStream(4), 500)
+        bits = RngStream(4).generator.random(500) < 0.4
+        assert np.array_equal(batch, (2.0 * bits)[:, None, None] * np.eye(3))
+
+    def test_rejects_dim_below_one(self):
+        with pytest.raises(ValueError, match="dim must be at least 1"):
+            bernoulli_diagonal(dim=0, p=0.5, scale=1.0)
+
+
 class TestSourceSampling:
     @pytest.mark.parametrize("factory", ALL_SOURCES)
     def test_samples_are_psd(self, factory):
         src = factory()
-        batch = sample_batch(src, RngStream(5), 1000)
+        batch = src.sample_batch(RngStream(5), 1000)
         lam_min = np.linalg.eigvalsh(batch)[:, 0]
         assert lam_min.min() >= -1e-10
 
@@ -120,7 +141,7 @@ class TestSourceSampling:
         bound = src.uniform_bound()
         if bound is None:
             pytest.skip("source is unbounded")
-        batch = sample_batch(src, RngStream(6), 1000)
+        batch = src.sample_batch(RngStream(6), 1000)
         lam_max = np.linalg.eigvalsh(batch)[:, -1]
         assert lam_max.max() <= bound + 1e-10
 
@@ -128,7 +149,7 @@ class TestSourceSampling:
     def test_mean_within_three_standard_errors(self, factory):
         src = factory()
         n = 100_000
-        batch = sample_batch(src, RngStream(7), n)
+        batch = src.sample_batch(RngStream(7), n)
         mean = src.mean().entries
         emp = batch.mean(axis=0)
         se = np.maximum(
@@ -138,31 +159,25 @@ class TestSourceSampling:
         assert (np.abs(emp - mean) <= 3.0 * se + 1e-9).all()
 
     def test_degenerate_bernoulli_always_scale_identity(self):
-        src = BernoulliDiagonal(dim=1, p=1.0, scale=2.0)
+        src = bernoulli_diagonal(dim=1, p=1.0, scale=2.0)
         for _ in range(5):
-            assert np.allclose(sample(src, RngStream(8)).entries, [[2.0]])
+            assert np.allclose(src.sample_batch(RngStream(8), 1)[0], [[2.0]])
 
     def test_zero_matrix_source_samples_zero(self):
         src = ScaledFixed(matrix=HermitianMatrix.zeros(2), law=Exponential(rate=1.0))
-        batch = sample_batch(src, RngStream(9), 100)
+        batch = src.sample_batch(RngStream(9), 100)
         assert np.abs(batch).max() == 0.0
 
     def test_bounded_rank_one_trace_identity(self):
         # trace(bound * u * w w*) = bound * u since w has unit norm, so the
         # trace equals the single nonzero eigenvalue and lies in [0, bound].
         src = BoundedRankOne(dim=4, bound=1.0)
-        batch = sample_batch(src, RngStream(10), 1000)
+        batch = src.sample_batch(RngStream(10), 1000)
         traces = np.trace(batch, axis1=1, axis2=2).real
         lam = np.linalg.eigvalsh(batch)[:, -1]
         assert traces.min() >= -1e-12
         assert traces.max() <= 1.0 + 1e-12
         assert np.abs(traces - lam).max() <= 1e-10
-
-    def test_sample_is_batch_of_one(self):
-        src = Wishart(dim=2, dof=3)
-        one = sample(src, RngStream(11))
-        batch1 = sample_batch(src, RngStream(11), 1)[0]
-        assert np.array_equal(one.entries, batch1)
 
 
 class TestSumModel:
@@ -181,12 +196,12 @@ class TestSumModel:
             ),
             3,
         )
-        assert np.abs(sample_sum(model, RngStream(1)).entries).max() == 0.0
+        assert np.abs(sample_sum_batch(model, RngStream(1), 1)).max() == 0.0
 
     def test_binomial_law_of_bernoulli_sum(self):
         # lambda_max of ten summed Bernoulli(1/2) identities counts the
         # successes, so it follows Binomial(10, 1/2) exactly.
-        model = iid_model(lambda: BernoulliDiagonal(dim=1, p=0.5, scale=1.0), 10)
+        model = iid_model(lambda: bernoulli_diagonal(dim=1, p=0.5, scale=1.0), 10)
         n = 100_000
         lam = np.linalg.eigvalsh(sample_sum_batch(model, RngStream(13), n))[:, -1]
         counts = np.bincount(np.rint(lam).astype(int), minlength=11)
@@ -214,35 +229,35 @@ class TestSumModel:
 class TestAnalyticMgf:
     def test_exponential_identity(self):
         src = ScaledFixed(matrix=HermitianMatrix.identity(2), law=Exponential(rate=1.0))
-        out = analytic_mgf(src, 1.0)
+        out = src.analytic_mgf(1.0)
         assert np.allclose(out.entries, 0.5 * np.eye(2), atol=1e-14)
 
     def test_gamma_diagonal(self):
         src = ScaledFixed(
             matrix=HermitianMatrix.diagonal([1.0, 2.0]), law=Gamma(shape=2.0, rate=1.0)
         )
-        out = analytic_mgf(src, 1.0)
+        out = src.analytic_mgf(1.0)
         assert np.allclose(out.entries, np.diag([0.25, 1.0 / 9.0]), atol=1e-14)
 
     def test_bernoulli_diagonal_small_theta(self):
-        src = BernoulliDiagonal(dim=3, p=0.5, scale=1.0)
-        out = analytic_mgf(src, 1e-12)
+        src = bernoulli_diagonal(dim=3, p=0.5, scale=1.0)
+        out = src.analytic_mgf(1e-12)
         assert np.allclose(out.entries, np.eye(3), atol=1e-9)
 
     def test_unavailable_sources(self):
-        assert analytic_mgf(BoundedRankOne(dim=2, bound=1.0), 1.0) is None
-        assert analytic_mgf(Wishart(dim=2, dof=2), 1.0) is None
+        assert BoundedRankOne(dim=2, bound=1.0).analytic_mgf(1.0) is None
+        assert Wishart(dim=2, dof=2).analytic_mgf(1.0) is None
 
     def test_rejects_nonpositive_theta(self):
-        src = BernoulliDiagonal(dim=1, p=0.5, scale=1.0)
+        src = bernoulli_diagonal(dim=1, p=0.5, scale=1.0)
         with pytest.raises(ValueError):
-            analytic_mgf(src, 0.0)
+            MgfModel(mode="analytic").evaluate(src, 0.0)
 
     @pytest.mark.parametrize("factory", ALL_SOURCES[:5])
     def test_monotone_decreasing_in_theta(self, factory):
         src = factory()
         thetas = np.geomspace(1e-3, 1e2, 12)
-        mats = [analytic_mgf(src, t).entries for t in thetas]
+        mats = [src.analytic_mgf(t).entries for t in thetas]
         for earlier, later in zip(mats, mats[1:]):
             diff = HermitianMatrix(later - earlier)
             assert lambda_max(diff) <= 1e-10
@@ -251,14 +266,14 @@ class TestAnalyticMgf:
     def test_output_pd_and_below_identity(self, factory):
         src = factory()
         for theta in (0.1, 1.0, 10.0):
-            out = analytic_mgf(src, theta)
+            out = src.analytic_mgf(theta)
             assert lambda_min(out) > 0.0
             assert lambda_max(out) <= 1.0 + 1e-12
 
 
 class TestEmpiricalMgf:
     def test_deterministic_source_exact(self):
-        src = BernoulliDiagonal(dim=2, p=1.0, scale=1.5)
+        src = bernoulli_diagonal(dim=2, p=1.0, scale=1.5)
         for n in (1, 7):
             out = empirical_mgf(src, 0.8, n, RngStream(15))
             exact = expm(HermitianMatrix.identity(2).scaled(-0.8 * 1.5))
@@ -266,7 +281,7 @@ class TestEmpiricalMgf:
 
     def test_single_sample_equals_expm_of_draw(self):
         src = Wishart(dim=2, dof=2)
-        x1 = sample(src, RngStream(16))
+        x1 = HermitianMatrix(src.sample_batch(RngStream(16), 1)[0])
         out = empirical_mgf(src, 0.7, 1, RngStream(16))
         assert np.abs(out.entries - expm(x1.scaled(-0.7)).entries).max() <= 1e-10
 
@@ -282,7 +297,7 @@ class TestEmpiricalMgf:
     @pytest.mark.parametrize(
         "factory",
         [
-            lambda d: BernoulliDiagonal(dim=d, p=0.5, scale=2.0),
+            lambda d: bernoulli_diagonal(dim=d, p=0.5, scale=2.0),
             lambda d: Wishart(dim=d, dof=3),
             lambda d: BoundedRankOne(dim=d, bound=1.0),
         ],
@@ -332,8 +347,8 @@ class TestMgfModel:
         # A source freed after use must not hand its snapshot to a new
         # source that happens to get the same id.
         model = MgfModel(mode="empirical", n_samples=64, seed=0)
-        model.evaluate(BernoulliDiagonal(dim=1, p=0.5, scale=1.0), 1.0)
-        src = BernoulliDiagonal(dim=1, p=0.5, scale=100.0)
+        model.evaluate(bernoulli_diagonal(dim=1, p=0.5, scale=1.0), 1.0)
+        src = bernoulli_diagonal(dim=1, p=0.5, scale=100.0)
         out = model.evaluate(src, 1.0)
         manual = empirical_mgf(src, 1.0, 64, RngStream(0).child(1).child(1))
         assert np.array_equal(out.entries, manual.entries)
@@ -346,15 +361,9 @@ class TestMgfModel:
 
 
 class TestSumSource:
-    def test_mean_and_bound_aggregate(self):
-        model = iid_model(lambda: BernoulliDiagonal(dim=2, p=0.5, scale=1.0), 4)
-        view = SumSource(model)
-        assert np.allclose(view.mean().entries, 2.0 * np.eye(2))
-        assert view.uniform_bound() == pytest.approx(4.0)
-
     def test_analytic_mgf_only_for_single_source(self):
-        one = SumModel(sources=(BernoulliDiagonal(dim=1, p=0.5, scale=1.0),))
-        two = iid_model(lambda: BernoulliDiagonal(dim=1, p=0.5, scale=1.0), 2)
+        one = SumModel(sources=(bernoulli_diagonal(dim=1, p=0.5, scale=1.0),))
+        two = iid_model(lambda: bernoulli_diagonal(dim=1, p=0.5, scale=1.0), 2)
         assert SumSource(one).analytic_mgf(1.0) is not None
         assert SumSource(two).analytic_mgf(1.0) is None
 
@@ -362,8 +371,8 @@ class TestSumSource:
 class TestReproducibility:
     def test_identical_streams_bit_identical(self):
         src = BoundedRankOne(dim=3, bound=1.0)
-        a = sample_batch(src, RngStream(42).child(5), 100)
-        b = sample_batch(src, RngStream(42).child(5), 100)
+        a = src.sample_batch(RngStream(42).child(5), 100)
+        b = src.sample_batch(RngStream(42).child(5), 100)
         assert np.array_equal(a, b)
 
     def test_child_streams_are_memoized(self):

@@ -4,11 +4,11 @@ import pytest
 
 from smalldev.bounds import BoundResult, chernoff_sum_bound, master_bound
 from smalldev.ensembles import (
-    BernoulliDiagonal,
     Exponential,
     MgfModel,
     ScaledFixed,
     SumModel,
+    bernoulli_diagonal,
 )
 from smalldev.linalg import HermitianMatrix
 from smalldev.montecarlo import (
@@ -22,7 +22,7 @@ TRUE_BINOMIAL = 2.0**-10
 
 def bernoulli_model(k=10):
     return SumModel(
-        sources=tuple(BernoulliDiagonal(dim=1, p=0.5, scale=1.0) for _ in range(k))
+        sources=tuple(bernoulli_diagonal(dim=1, p=0.5, scale=1.0) for _ in range(k))
     )
 
 
@@ -100,7 +100,7 @@ class TestClopperPearson:
 
 class TestEstimate:
     def test_deterministic_model_hits(self):
-        model = SumModel(sources=(BernoulliDiagonal(dim=2, p=1.0, scale=1.0),))
+        model = SumModel(sources=(bernoulli_diagonal(dim=2, p=1.0, scale=1.0),))
         ests = estimate(model, [0.5, 2.0], n=500, seed=1)
         assert ests[0].hits == 0
         assert ests[0].p_hat == 0.0
