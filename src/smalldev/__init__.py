@@ -32,7 +32,6 @@ from .ensembles import (
     MgfModel,
     ScaledFixed,
     SumModel,
-    SumSource,
     Uniform,
     Wishart,
     bernoulli_diagonal,

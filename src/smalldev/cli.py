@@ -2,7 +2,7 @@
 
 Commands:
   bound     evaluate the requested bounds over the eps grid, write CSV/JSON
-  simulate  Monte Carlo estimates with exact confidence intervals, write CSV
+  simulate  Monte Carlo estimates with exact confidence intervals, write CSV/JSON
   compare   run both pipelines and emit a domination report (exit 1 on any
             violation)
   demo      run the bundled demo experiments end to end
@@ -20,7 +20,6 @@ import argparse
 import dataclasses
 import json
 import math
-import os
 import sys
 from importlib import resources
 from pathlib import Path
@@ -39,7 +38,6 @@ from .ensembles import (
     MgfModel,
     ScaledFixed,
     SumModel,
-    SumSource,
     Uniform,
     Wishart,
     bernoulli_diagonal,
@@ -72,13 +70,16 @@ def _require(mapping: dict, key: str, where: str):
     return mapping[key]
 
 
-def _section(raw: dict, key: str) -> dict:
-    section = raw.get(key)
-    if section is None:
-        return {}
-    if not isinstance(section, dict):
-        raise ConfigError(f"{key} must be a mapping")
-    return section
+def _mapping(value, keys, where: str) -> dict:
+    """value, which must be a mapping whose every key is one of keys."""
+    if not isinstance(value, dict):
+        raise ConfigError(f"{where} must be a mapping")
+    for key in value:
+        if key not in keys:
+            raise ConfigError(
+                f"{where}: unknown key {key!r}; expected one of " + ", ".join(keys)
+            )
+    return value
 
 
 def _integer(value) -> int:
@@ -95,7 +96,7 @@ def _path(value) -> str | None:
     return value
 
 
-_CAST_NAMES = {_integer: "an integer", _path: "a path", dict: "a mapping"}
+_CAST_NAMES = {_integer: "an integer", _path: "a path"}
 
 
 def _cast(value, where: str, key: str, cast):
@@ -142,6 +143,7 @@ _SCHEMA = {
 def resolve_config(raw: dict, args: argparse.Namespace | None = None) -> dict:
     """Fill defaults and apply CLI overrides; the result is echoed verbatim
     into JSON reports so a run is reproducible from its own artifact."""
+    _mapping(raw, ("experiment", "ensemble", "bounds", "eps_grid", *_SCHEMA), "config")
     cfg = {
         "experiment": str(raw.get("experiment", "experiment")),
         "ensemble": _require(raw, "ensemble", "config"),
@@ -149,7 +151,8 @@ def resolve_config(raw: dict, args: argparse.Namespace | None = None) -> dict:
         "eps_grid": _resolve_eps_grid(_require(raw, "eps_grid", "config")),
     }
     for name, fields in _SCHEMA.items():
-        section = _section(raw, name)
+        section = raw.get(name)
+        section = {} if section is None else _mapping(section, fields, name)
         cfg[name] = {}
         for key, (cast, default, flag) in fields.items():
             value = getattr(args, flag[2:].replace("-", "_"), None) if flag else None
@@ -168,6 +171,7 @@ def _resolve_eps_grid(spec) -> list:
         except (TypeError, ValueError) as exc:
             raise ConfigError(f"eps_grid values must be numbers: {exc}") from exc
     elif isinstance(spec, dict):
+        _mapping(spec, ("start", "stop", "count", "spacing"), "eps_grid")
         start = _field(spec, "eps_grid", "start", float, None)
         stop = _field(spec, "eps_grid", "stop", float, None)
         count = _field(spec, "eps_grid", "count", _integer, None)
@@ -200,6 +204,9 @@ def _resolve_eps_grid(spec) -> list:
 # ---------------------------------------------------------------------------
 
 
+_MATRIX_KEYS = ("identity", "diagonal", "dense", "imag")
+
+
 def _matrix(spec: dict) -> HermitianMatrix:
     """{identity: d}, {diagonal: [..]} or {dense: [[..]], imag: [[..]]}."""
     if "identity" in spec:
@@ -215,7 +222,8 @@ def _matrix(spec: dict) -> HermitianMatrix:
 
 
 # {kind: (constructor, {field: cast})}; the constructor takes the fields in
-# table order.  A table in place of a cast is a nested spec built from it.
+# table order.  A table in place of a cast is a nested spec built from it,
+# and a tuple of keys a mapping passed on as it is.
 _LAWS = {
     "exponential": (Exponential, {"rate": float}),
     "gamma": (Gamma, {"shape": float, "rate": float}),
@@ -228,7 +236,7 @@ _SOURCES = {
     # errors (non-numeric entries, ragged rows, identity: 0) into config errors.
     "scaled_fixed": (
         lambda matrix, law: ScaledFixed(_matrix(matrix), law),
-        {"matrix": dict, "law": _LAWS},
+        {"matrix": _MATRIX_KEYS, "law": _LAWS},
     ),
     "bernoulli_diagonal": (bernoulli_diagonal, {"dim": _integer, "p": float, "scale": float}),
     "bounded_rank_one": (BoundedRankOne, {"dim": _integer, "bound": float}),
@@ -257,11 +265,14 @@ def _build(table: dict, spec, where: str, tag: str = "kind"):
             f"{where}: unknown {tag} {kind!r}; expected one of " + ", ".join(table)
         )
     make, fields = table[kind]
+    _mapping(spec, (tag, *fields), where)
     args = []
     for key, cast in fields.items():
         value = _require(spec, key, where)
         if isinstance(cast, dict):
             args.append(_build(cast, value, f"{where}.{key}"))
+        elif isinstance(cast, tuple):
+            args.append(_mapping(value, cast, f"{where}.{key}"))
         else:
             args.append(_cast(value, where, key, cast))
     try:
@@ -271,8 +282,7 @@ def _build(table: dict, spec, where: str, tag: str = "kind"):
 
 
 def build_model(ensemble_spec) -> SumModel:
-    if not isinstance(ensemble_spec, dict):
-        raise ConfigError("ensemble must be a mapping")
+    _mapping(ensemble_spec, ("source", "repeat", "sources"), "ensemble")
     if "sources" in ensemble_spec and "source" in ensemble_spec:
         raise ConfigError("ensemble takes either 'source' (+ repeat) or 'sources'")
     if "sources" in ensemble_spec:
@@ -303,6 +313,10 @@ def build_model(ensemble_spec) -> SumModel:
 # ---------------------------------------------------------------------------
 
 
+# The request keys each bound reads besides its name.
+_BOUND_PARAMS = {"negative_moment": ("p", "Cp"), "g_theta": ("g", "dominators")}
+
+
 def _normalize_bound_requests(spec) -> list:
     if not isinstance(spec, list) or not spec:
         raise ConfigError("bounds must be a non-empty list")
@@ -318,6 +332,7 @@ def _normalize_bound_requests(spec) -> list:
                 f"bounds[{i}]: unknown bound {name!r}; expected one of "
                 + ", ".join(BOUNDS)
             )
+        _mapping(entry, ("name", *_BOUND_PARAMS.get(name, ())), f"bounds[{i}]")
         if any(r["name"] == name for r in requests):
             raise ConfigError(f"bounds[{i}]: bound {name!r} requested twice")
         requests.append(dict(entry))
@@ -345,47 +360,12 @@ def _build_gmodel(params: dict, model: SumModel) -> bd.GThetaModel:
 # draws no mgf snapshot: the order of the draws fixes the empirical values.
 
 
-def _check_snapshot_memory(mgf: MgfModel, dim: int) -> None:
-    """In empirical mode, refuse a snapshot whose peak size exceeds the
-    machine's physical memory."""
-    if mgf.mode != "empirical":
-        return
-    try:
-        have = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
-    except (AttributeError, ValueError, OSError):  # not a POSIX system
-        return
-    need = mgf.snapshot_bytes(dim)
-    if need > have:
-        raise ConfigError(
-            f"mgf.n_samples = {mgf.n_samples} at dim {dim} needs about "
-            f"{need / 2**30:.3g} GiB per empirical snapshot, more than the "
-            f"{have / 2**30:.3g} GiB of physical memory"
-        )
-
-
-def _single(req, model, mgf, eps_grid, opt_cfg):
-    source = SumSource(model)
-    if mgf.mode == "analytic" and source.analytic_mgf(1.0) is None:
-        raise ConfigError(
-            "bound 'single' with analytic mgf needs a one-source model; "
-            "use empirical mgf mode"
-        )
-    _check_snapshot_memory(mgf, model.dim)
-    return lambda: bd.single_matrix_bound_grid(source, mgf, eps_grid, opt_cfg)
-
-
-def _per_source_mgf(grid):
-    """prepare for a theta-scan that takes each source's mgf; grid has the
-    signature of bd.master_bound_grid."""
+def _mgf_bound(grid, sources):
+    """prepare for a theta-scan grid(model, mgf, eps_grid, opt_cfg) over the
+    mgf of sources(model); MgfModel.check decides whether the mgf is there."""
 
     def prepare(req, model, mgf, eps_grid, opt_cfg):
-        for k, src in enumerate(model.sources):
-            if mgf.mode == "analytic" and src.analytic_mgf(1.0) is None:
-                raise ConfigError(
-                    f"bound {req['name']!r} with analytic mgf: source {k} (kind "
-                    f"{src.kind!r}) has no closed form; use empirical mgf mode"
-                )
-        _check_snapshot_memory(mgf, model.dim)
+        mgf.check(sources(model))
         return lambda: grid(model, mgf, eps_grid, opt_cfg)
 
     return prepare
@@ -425,11 +405,12 @@ def _closed_form(bound):
 
 
 BOUNDS = {
-    "single": _single,
-    "master": _per_source_mgf(bd.master_bound_grid),
+    # single applies the one-matrix bound to the sum, whose source is the model.
+    "single": _mgf_bound(bd.single_matrix_bound_grid, lambda m: (m,)),
+    "master": _mgf_bound(bd.master_bound_grid, lambda m: m.sources),
     "g_theta": _g_theta,
-    "log_mean": _per_source_mgf(bd.log_mean_bound_grid),
-    "product": _per_source_mgf(_product_grid),
+    "log_mean": _mgf_bound(bd.log_mean_bound_grid, lambda m: m.sources),
+    "product": _mgf_bound(_product_grid, lambda m: m.sources),
     "negative_moment": _negative_moment,
     "chernoff_sum": _closed_form(bd.chernoff_sum_bound),
     "chernoff_product": _closed_form(bd.chernoff_product_bound),
@@ -510,6 +491,18 @@ def _json_text(payload: dict) -> str:
     return json.dumps(payload, sort_keys=True, indent=2) + "\n"
 
 
+def _write_report(cfg: dict, csv_text: str, rows: list) -> None:
+    """The output of bound and simulate: the CSV to output.csv, the JSON
+    report of rows to output.json, and the CSV to stdout when neither path
+    is set."""
+    out = cfg["output"]
+    if out["csv"] is not None or out["json"] is None:
+        _emit(csv_text, out["csv"])
+    if out["json"] is not None:
+        payload = {"experiment": cfg["experiment"], "rows": rows, "config_echo": cfg}
+        _emit(_json_text(payload), out["json"])
+
+
 # ---------------------------------------------------------------------------
 # Commands
 # ---------------------------------------------------------------------------
@@ -558,21 +551,11 @@ def cmd_bound(args) -> int:
         "epsilon,bound,value,raw_value,theta_star,valid",
         [(eps, name, r.value, r.raw_value, r.theta_star, r.valid) for eps, name, r in rows],
     )
-    payload = {
-        "experiment": cfg["experiment"],
-        "rows": [
-            {"epsilon": eps, "bound": name, **dataclasses.asdict(r)} for eps, name, r in rows
-        ],
-        "config_echo": cfg,
-    }
-    out = cfg["output"]
-    if out["csv"] is None and out["json"] is None:
-        sys.stdout.write(csv_text)
-    else:
-        if out["csv"] is not None:
-            _emit(csv_text, out["csv"])
-        if out["json"] is not None:
-            _emit(_json_text(payload), out["json"])
+    _write_report(
+        cfg,
+        csv_text,
+        [{"epsilon": eps, "bound": name, **dataclasses.asdict(r)} for eps, name, r in rows],
+    )
     return 0
 
 
@@ -580,7 +563,8 @@ def cmd_simulate(args) -> int:
     cfg, model, _requests, _mgf, _opt = _prepare(args)
     estimates = _estimate(cfg, model)
     rows = [(e.epsilon, e.n, e.hits, e.p_hat, e.ci_low, e.ci_high) for e in estimates]
-    _emit(_csv("epsilon,n,hits,p_hat,ci_low,ci_high", rows), cfg["output"]["csv"])
+    csv_text = _csv("epsilon,n,hits,p_hat,ci_low,ci_high", rows)
+    _write_report(cfg, csv_text, [dataclasses.asdict(e) for e in estimates])
     return 0
 
 

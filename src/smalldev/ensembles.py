@@ -12,6 +12,7 @@ psd X.
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -30,7 +31,6 @@ __all__ = [
     "bernoulli_diagonal",
     "BoundedRankOne",
     "Wishart",
-    "SumSource",
     "SumModel",
     "MgfModel",
     "sample_sum_batch",
@@ -230,7 +230,9 @@ class ScaledFixed:
 
     def analytic_mgf(self, theta: float) -> HermitianMatrix | None:
         dec = self._decomposition
-        vals = np.asarray(self.law.mgf(theta * dec.eigenvalues), dtype=float)
+        with np.errstate(over="ignore"):  # theta * lambda = inf has mgf 0
+            t = theta * dec.eigenvalues
+        vals = np.asarray(self.law.mgf(t), dtype=float)
         u = dec.eigenvectors
         return HermitianMatrix((u * vals) @ u.conj().T)
 
@@ -318,9 +320,14 @@ MatrixSource = ScaledFixed | BoundedRankOne | Wishart
 
 @dataclass(frozen=True)
 class SumModel:
-    """Ordered list of independent matrix sources with equal dimension."""
+    """Ordered list of independent matrix sources with equal dimension.
+
+    The sum X_1 + ... + X_K is itself a random matrix, and the model is
+    also a source for it: the one-matrix machinery (single-matrix bound,
+    empirical mgf) applies to the sum directly."""
 
     sources: tuple
+    kind = "sum"
 
     def __post_init__(self):
         sources = tuple(self.sources)
@@ -339,26 +346,13 @@ class SumModel:
     def size(self) -> int:
         return len(self.sources)
 
-
-@dataclass(frozen=True)
-class SumSource:
-    """View of a whole SumModel as a single random matrix, so the
-    one-matrix machinery (single-matrix bound, empirical mgf) applies to
-    the sum itself."""
-
-    model: SumModel
-    kind = "sum"
-
-    @property
-    def dim(self) -> int:
-        return self.model.dim
-
     def sample_batch(self, stream: RngStream, size: int) -> np.ndarray:
-        return sample_sum_batch(self.model, stream, size)
+        return sample_sum_batch(self, stream, size)
 
     def analytic_mgf(self, theta: float) -> HermitianMatrix | None:
-        if self.model.size == 1:
-            return self.model.sources[0].analytic_mgf(theta)
+        """The one source's closed form when K = 1; a sum of K > 1 has none."""
+        if self.size == 1:
+            return self.sources[0].analytic_mgf(theta)
         return None
 
 
@@ -455,11 +449,36 @@ class MgfModel:
         # separate snapshots, because i.i.d. copies are independent draws.
         self._snapshots: dict[int, tuple[object, _Snapshot]] = {}
 
-    def snapshot_bytes(self, dim: int) -> int:
-        """Peak memory of drawing one empirical snapshot at this dimension:
-        the (n, d, d) complex draws, their eigenvectors and the real
-        (2d, n*d) basis, 16 n d^2 bytes each."""
-        return 48 * self.n_samples * dim * dim
+    def check(self, sources) -> None:
+        """Raise MgfUnavailableError unless this model can evaluate the mgf
+        of every one of `sources` (one bound's sources, of one dimension).
+
+        Analytic mode needs a closed form per source.  Empirical mode draws
+        nothing here; it refuses when the snapshots would not fit in the
+        machine's physical memory: each of the K retained snapshots keeps a
+        real (2d, n*d) basis of 16 n d^2 bytes, and the draw in progress
+        also holds its (n, d, d) complex draws and their eigenvectors,
+        another 32 n d^2 bytes."""
+        if self.mode == "analytic":
+            for k, src in enumerate(sources):
+                if src.analytic_mgf(1.0) is None:
+                    raise MgfUnavailableError(
+                        f"source {k} (kind {src.kind!r}) has no closed-form mgf; "
+                        "use empirical mgf mode"
+                    )
+            return
+        try:
+            have = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+        except (AttributeError, ValueError, OSError):  # not a POSIX system
+            return
+        dim = sources[0].dim
+        need = 16 * self.n_samples * dim * dim * (len(sources) + 2)
+        if need > have:
+            raise MgfUnavailableError(
+                f"mgf.n_samples = {self.n_samples} at dim {dim} needs about "
+                f"{need / 2**30:.3g} GiB for {len(sources)} empirical snapshot(s), "
+                f"more than the {have / 2**30:.3g} GiB of physical memory"
+            )
 
     def evaluate(self, source, theta: float) -> HermitianMatrix:
         if theta <= 0:

@@ -36,9 +36,11 @@ __all__ = [
 class HermitianMatrix:
     """Immutable dense d x d complex Hermitian matrix.
 
-    The constructor symmetrizes its input, A <- (A + A*)/2, rather than
+    The constructor symmetrizes its input, A <- A/2 + A*/2, rather than
     rejecting near-Hermitian matrices: accumulating Monte Carlo samples
-    introduces 1-ulp asymmetries that would otherwise be fatal.
+    introduces 1-ulp asymmetries that would otherwise be fatal.  Halving
+    first cannot overflow, and for normal floats it gives the bits of
+    (A + A*)/2.  Non-finite entries are rejected.
     """
 
     __slots__ = ("entries",)
@@ -49,7 +51,10 @@ class HermitianMatrix:
             raise ValueError(f"expected a square matrix, got shape {arr.shape}")
         if arr.shape[0] < 1:
             raise ValueError("matrix dimension must be at least 1")
-        arr = (arr + arr.conj().T) / 2.0
+        if not np.isfinite(arr).all():
+            raise ValueError("matrix entries must be finite")
+        half = arr / 2.0
+        arr = half + half.conj().T
         arr.setflags(write=False)
         object.__setattr__(self, "entries", arr)
 

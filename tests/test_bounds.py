@@ -36,7 +36,6 @@ from smalldev.ensembles import (
     MgfModel,
     ScaledFixed,
     SumModel,
-    SumSource,
     Wishart,
     bernoulli_diagonal,
 )
@@ -757,7 +756,7 @@ class TestCrossFamilyConsistency:
 
     def test_single_on_sum_source_dominates_truth(self):
         model = bernoulli_model()
-        res = single_matrix_bound(SumSource(model), MgfModel(mode="empirical", n_samples=5000, seed=2), 0.5)
+        res = single_matrix_bound(model, MgfModel(mode="empirical", n_samples=5000, seed=2), 0.5)
         assert res.value >= TRUE_BINOMIAL
 
     def test_all_results_satisfy_invariants(self):

@@ -1,6 +1,8 @@
 import copy
 import dataclasses
 import json
+import math
+import os
 
 import pytest
 import yaml
@@ -247,7 +249,8 @@ class TestConfigValidation:
     def test_snapshot_above_physical_memory_exits_2_before_drawing(
         self, tmp_path, capsys, monkeypatch, name
     ):
-        # 48 * n * d^2 bytes = 48 EiB at this size: no machine has that much.
+        # At least 48 * n * d^2 bytes = 48 EiB at this size: no machine has
+        # that much.
         cfg = dict(
             FAST_EXP_CONFIG,
             ensemble={"repeat": 2, "source": {"kind": "bounded_rank_one", "dim": 65536,
@@ -262,7 +265,39 @@ class TestConfigValidation:
         monkeypatch.setattr(BoundedRankOne, "sample_batch", sample_batch)
         assert main(["bound", "--config", write_config(tmp_path, cfg)]) == 2
         err = capsys.readouterr().err
-        assert err.startswith("config error: mgf.n_samples = 268435456 at dim 65536 ")
+        assert err.startswith(
+            f"config error: bound {name!r} inapplicable: mgf.n_samples = 268435456 at dim 65536 "
+        )
+        assert err.count("\n") == 1
+
+    def test_memory_guard_counts_every_snapshot_of_a_bound(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        # 16 n d^2 (K + 2) bytes at n=4000, d=4: 3.07 MB for single's one
+        # snapshot, 10.24 MB for master's eight.  6 MB lies between.
+        pages = {"SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": 6_000_000 // 4096}
+        monkeypatch.setattr(os, "sysconf", pages.__getitem__)
+        cfg = dict(
+            FAST_EXP_CONFIG,
+            ensemble={"repeat": 8, "source": {"kind": "bounded_rank_one", "dim": 4,
+                                              "bound": 1.0}},
+            eps_grid=[0.06],
+            mgf={"mode": "empirical", "n_samples": 4000},
+        )
+        single = write_config(tmp_path, dict(cfg, bounds=["single"]), "single.yaml")
+        assert main(["bound", "--config", single]) == 0
+        capsys.readouterr()
+
+        def sample_batch(*args):
+            raise AssertionError("a snapshot was drawn")
+
+        monkeypatch.setattr(BoundedRankOne, "sample_batch", sample_batch)
+        master = write_config(tmp_path, dict(cfg, bounds=["master"]), "master.yaml")
+        assert main(["bound", "--config", master]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(
+            "config error: bound 'master' inapplicable: mgf.n_samples = 4000 at dim 4 "
+        )
         assert err.count("\n") == 1
 
     def test_duplicate_bound_exits_2(self, tmp_path, capsys):
@@ -397,6 +432,104 @@ def test_mutated_bundled_config_exits_0_or_2(tmp_path, capsys, data):
         assert err.count("\n") == 1
 
 
+_SOURCE = FAST_EXP_CONFIG["ensemble"]["source"]
+_LOG_RATE = {"builtin": "log_rate", "rate": 1.0}
+
+
+def _with_source(**fields):
+    return {"source": dict(_SOURCE, **fields)}
+
+
+# One case per place where the config names its keys: (override, where, key).
+_UNKNOWN_KEYS = {
+    "top-level": ({"simulaton": {"n": 10}}, "config", "simulaton"),
+    "simulation": ({"simulation": {"n": 10, "sed": 1}}, "simulation", "sed"),
+    "mgf": ({"mgf": {"mode": "analytic", "n_sample": 5}}, "mgf", "n_sample"),
+    "optimizer": ({"optimizer": {"theta_mn": 5}}, "optimizer", "theta_mn"),
+    "output": ({"output": {"cvs": "out.csv"}}, "output", "cvs"),
+    "eps_grid": (
+        {"eps_grid": {"start": 0.1, "stop": 0.3, "count": 3, "spaceing": "log"}},
+        "eps_grid",
+        "spaceing",
+    ),
+    "ensemble": ({"ensemble": dict(FAST_EXP_CONFIG["ensemble"], repaet=3)}, "ensemble",
+                 "repaet"),
+    "source": ({"ensemble": _with_source(colour="red")}, "ensemble.source", "colour"),
+    "sources-entry": (
+        {"ensemble": {"sources": [_SOURCE, dict(_SOURCE, colour="red")]}},
+        "ensemble.sources[1]",
+        "colour",
+    ),
+    "law": (
+        {"ensemble": _with_source(law={"kind": "exponential", "rate": 1.0, "rates": 2.0})},
+        "ensemble.source.law",
+        "rates",
+    ),
+    "matrix": (
+        {"ensemble": _with_source(matrix={"identity": 2, "diag": [1.0, 2.0]})},
+        "ensemble.source.matrix",
+        "diag",
+    ),
+    "g-builtin": (
+        {"bounds": [{"name": "g_theta", "g": dict(_LOG_RATE, rat=2.0)}]},
+        "g_theta.g",
+        "rat",
+    ),
+    "negative_moment-request": (
+        {"bounds": [{"name": "negative_moment", "p": 1.0, "cp": 2.0}]},
+        "bounds[0]",
+        "cp",
+    ),
+    "g_theta-request": (
+        {"bounds": [{"name": "g_theta", "g": _LOG_RATE, "dominator": "mean"}]},
+        "bounds[0]",
+        "dominator",
+    ),
+    "master-request": ({"bounds": ["single", {"name": "master", "p": 7}]}, "bounds[1]", "p"),
+}
+
+
+@pytest.mark.parametrize("site", list(_UNKNOWN_KEYS))
+def test_unknown_config_key_exits_2_naming_it(tmp_path, capsys, site):
+    override, where, key = _UNKNOWN_KEYS[site]
+    cfg = dict(FAST_EXP_CONFIG, **override)
+    assert main(["bound", "--config", write_config(tmp_path, cfg)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: {where}: unknown key {key!r}; expected one of ")
+    assert err.count("\n") == 1
+
+
+# Entries near the float limit: symmetrizing them once overflowed to inf.
+_HUGE_ENTRIES = {
+    "bernoulli-scale": (
+        {"repeat": 2, "source": {"kind": "bernoulli_diagonal", "dim": 1, "p": 0.5,
+                                 "scale": 1.0e308}},
+        ["chernoff_sum", "master"],
+    ),
+    "scaled-fixed-diagonal": (
+        {"source": {"kind": "scaled_fixed", "matrix": {"diagonal": [1.0e308]},
+                    "law": {"kind": "exponential", "rate": 1.0}}},
+        ["negative_moment"],
+    ),
+}
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("case", list(_HUGE_ENTRIES))
+def test_entries_near_the_float_limit_give_finite_valid_bounds(tmp_path, capsys, case):
+    ensemble, bounds = _HUGE_ENTRIES[case]
+    cfg = dict(FAST_EXP_CONFIG, ensemble=ensemble, bounds=bounds)
+    assert main(["bound", "--config", write_config(tmp_path, cfg)]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    rows = captured.out.strip().split("\n")[1:]
+    assert len(rows) == len(bounds) * len(cfg["eps_grid"])
+    for row in rows:
+        _eps, _name, value, raw, _theta, valid = row.split(",")
+        assert math.isfinite(float(raw)) and 0.0 < float(value) < 1.0
+        assert valid == "true"
+
+
 class TestBoundCommand:
     def test_csv_schema_on_demo_config(self, tmp_path):
         out = tmp_path / "bounds.csv"
@@ -461,6 +594,27 @@ class TestSimulateCommand:
         main(["simulate", "--config", path, "--csv", str(a)])
         main(["simulate", "--config", path, "--csv", str(b), "--seed", "8"])
         assert a.read_bytes() != b.read_bytes()
+
+    @pytest.mark.parametrize("where", ["flag", "config"])
+    def test_json_rows_and_echo(self, tmp_path, capsys, where):
+        out = tmp_path / "sim.json"
+        cfg = dict(FAST_EXP_CONFIG, output={"json": str(out)} if where == "config" else {})
+        argv = ["simulate", "--config", write_config(tmp_path, cfg), "--samples", "500"]
+        assert main(argv + (["--json", str(out)] if where == "flag" else [])) == 0
+        assert capsys.readouterr().out == ""  # as for bound: a path set, no stdout
+        payload = json.loads(out.read_text())
+        assert set(payload) == {"experiment", "rows", "config_echo"}
+        assert payload["config_echo"]["output"]["json"] == str(out)
+        assert [r["epsilon"] for r in payload["rows"]] == FAST_EXP_CONFIG["eps_grid"]
+        assert set(payload["rows"][0]) == {
+            "epsilon", "n", "hits", "p_hat", "ci_low", "ci_high", "confidence"
+        }
+        csv = tmp_path / "sim.csv"
+        assert main(argv + ["--csv", str(csv)]) == 0
+        csv_rows = csv.read_text().strip().split("\n")[1:]
+        assert [int(r.split(",")[2]) for r in csv_rows] == [
+            r["hits"] for r in payload["rows"]
+        ]
 
     def test_demo_config_byte_identical_runs(self, tmp_path):
         config = demo_config_path("bernoulli_diagonal")

@@ -1,4 +1,5 @@
 import math
+import os
 
 import numpy as np
 import pytest
@@ -12,7 +13,6 @@ from smalldev.ensembles import (
     MgfModel,
     ScaledFixed,
     SumModel,
-    SumSource,
     Uniform,
     Wishart,
     bernoulli_diagonal,
@@ -353,6 +353,26 @@ class TestMgfModel:
         manual = empirical_mgf(src, 1.0, 64, RngStream(0).child(1).child(1))
         assert np.array_equal(out.entries, manual.entries)
 
+    def test_check_names_the_source_without_a_closed_form(self):
+        fixed = bernoulli_diagonal(dim=2, p=0.5, scale=1.0)
+        model = MgfModel(mode="analytic")
+        model.check([fixed, fixed])
+        with pytest.raises(MgfUnavailableError, match="source 1 \\(kind 'wishart'\\)"):
+            model.check([fixed, Wishart(dim=2, dof=2)])
+        with pytest.raises(MgfUnavailableError, match="kind 'sum'"):
+            model.check([iid_model(lambda: fixed, 2)])
+
+    def test_check_counts_every_retained_snapshot(self, monkeypatch):
+        # 16 n d^2 (K + 2) bytes: 3.07 MB for one source, 10.24 MB for eight.
+        pages = {"SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": 6_000_000 // 4096}
+        monkeypatch.setattr(os, "sysconf", pages.__getitem__)
+        src = BoundedRankOne(dim=4, bound=1.0)
+        model = MgfModel(mode="empirical", n_samples=4000)
+        model.check([src])
+        with pytest.raises(MgfUnavailableError, match="8 empirical snapshot"):
+            model.check([src] * 8)
+        assert model._snapshots == {}
+
     def test_mode_validation(self):
         with pytest.raises(ValueError):
             MgfModel(mode="symbolic")
@@ -364,8 +384,8 @@ class TestSumSource:
     def test_analytic_mgf_only_for_single_source(self):
         one = SumModel(sources=(bernoulli_diagonal(dim=1, p=0.5, scale=1.0),))
         two = iid_model(lambda: bernoulli_diagonal(dim=1, p=0.5, scale=1.0), 2)
-        assert SumSource(one).analytic_mgf(1.0) is not None
-        assert SumSource(two).analytic_mgf(1.0) is None
+        assert one.analytic_mgf(1.0) is not None
+        assert two.analytic_mgf(1.0) is None
 
 
 class TestReproducibility:

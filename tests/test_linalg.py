@@ -30,6 +30,22 @@ class TestHermitianMatrix:
         h = HermitianMatrix(a)
         assert np.abs(h.entries - h.entries.conj().T).max() == 0.0
 
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan, complex(0, math.inf)])
+    def test_rejects_non_finite_entries(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            HermitianMatrix(np.array([[1.0, bad], [0.0, 1.0]]))
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_symmetrizes_entries_near_the_float_limit(self):
+        a = np.array([[1.0e308, 1.5e308], [1.7e308, 1.6e308]])
+        h = HermitianMatrix(a)
+        assert np.array_equal(h.entries, [[1.0e308, 1.6e308], [1.6e308, 1.6e308]])
+
+    def test_symmetrizes_normal_floats_to_the_bits_of_the_mean(self):
+        rng = np.random.default_rng(5)
+        a = rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6))
+        assert np.array_equal(HermitianMatrix(a).entries, (a + a.conj().T) / 2.0)
+
     def test_rejects_non_square(self):
         with pytest.raises(ValueError):
             HermitianMatrix(np.zeros((2, 3)))
