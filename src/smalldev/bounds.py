@@ -10,8 +10,8 @@ Two families live here:
 * Laplace-transform bounds minimized numerically over theta > 0
   (single_matrix_bound, master_bound, g_theta_bound, log_mean_bound).
   Each is inf_theta exp(theta*eps + h(theta)) with h independent of eps,
-  so each also has a *_grid form that scans a whole eps grid and
-  evaluates h once per distinct theta.
+  so each also has a *_grid form that runs the searches of a whole eps
+  grid in lockstep and evaluates h in batches, once per distinct theta.
 * Closed-form bounds with analytic minimizers (negative_moment_bound,
   chernoff_sum_bound, chernoff_product_bound, series_sum_bound,
   series_product_bound) plus the per-source product combinator
@@ -37,8 +37,11 @@ from .errors import (
     NotPositiveDefiniteError,
     UnsupportedEnsembleError,
 )
-from .linalg import HermitianMatrix, lambda_min, matrix_power
-from .optimizer import OptimizerConfig, minimize
+from .linalg import HermitianMatrix, lambda_max, lambda_min, matrix_power
+from .optimizer import OptimizerConfig, minimize, search  # noqa: F401
+
+# minimize is imported for the benchmark's tracer (perfbench/spans.py), which
+# wraps bounds.minimize; the theta-scans here drive optimizer.search.
 
 __all__ = [
     "BoundResult",
@@ -125,59 +128,85 @@ def _check_eps(eps: float) -> float:
 
 
 def _scan(
-    h: Callable[[float], float],
+    h_many: Callable[[list], Sequence[float]],
     eps_grid: Sequence[float],
     cfg: OptimizerConfig,
     details: Mapping[str, float],
 ) -> list[BoundResult]:
     """Minimize the log objective theta*eps + h(theta) at every eps of the
-    grid, evaluating h at most once per distinct theta.
+    grid, with h_many(thetas) giving h at a list of thetas.
 
-    Each eps still gets its own full search, so the coarse-grid and Brent
-    refinement points are those of a search at that eps alone; only
-    repeated evaluations of h are saved.  at_boundary in the details flags
-    a theta* found at an end of the coarse grid.
+    The searches of all eps run in lockstep: each step gathers the points
+    they ask for and calls h_many once on the distinct ones not yet
+    evaluated, so the coarse grid is one batch and each Brent step a batch
+    of at most len(eps_grid) points.  Each eps still gets the search it
+    would get alone; only repeated evaluations of h are saved.  at_boundary
+    in the details flags a theta* found at an end of the coarse grid.
     """
     eps_grid = [_check_eps(e) for e in eps_grid]
     memo: dict[float, float] = {}
-
-    def h_memo(th: float) -> float:
-        val = memo.get(th)
-        if val is None:
-            val = memo[th] = h(th)
-        return val
-
-    out = []
-    for eps in eps_grid:
-        res = minimize(lambda th: th * eps + h_memo(th), cfg)
-        raw = math.exp(min(res.f_star, _EXP_CAP))
-        out.append(
-            _finish(raw, res.theta_star, True, {**details, "at_boundary": res.at_boundary})
+    searches = [search(cfg) for _ in eps_grid]
+    # The points each unfinished search asks for, by eps index.
+    asks = {i: next(s) for i, s in enumerate(searches)}
+    results: list = [None] * len(eps_grid)
+    while asks:
+        new = list(dict.fromkeys(t for ts in asks.values() for t in ts if t not in memo))
+        if new:
+            memo.update(zip(new, h_many(new)))
+        for i, ts in list(asks.items()):
+            eps = eps_grid[i]
+            try:
+                asks[i] = searches[i].send([t * eps + memo[t] for t in ts])
+            except StopIteration as done:
+                results[i] = done.value
+                del asks[i]
+    return [
+        _finish(
+            math.exp(min(res.f_star, _EXP_CAP)),
+            res.theta_star,
+            True,
+            {**details, "at_boundary": res.at_boundary},
         )
-    return out
+        for res in results
+    ]
 
 
-def _log_mgf_sum(mats: Sequence[HermitianMatrix], theta: float) -> np.ndarray:
-    """Sum of the matrix logs of K mgf evaluations, from one stacked eigh,
-    with underflowed eigenvalues clipped upward (safe direction: the
-    resulting bound only loosens)."""
+def _log_mgf_sum(mats: np.ndarray, thetas: Sequence[float]) -> np.ndarray:
+    """Sum over sources of the matrix logs of mgf evaluations: mats is
+    (m, K, d, d), one row of K source mgfs per theta, and the result the
+    (m, d, d) sums, from one stacked eigh.  Underflowed eigenvalues are
+    clipped upward (safe direction: the resulting bound only loosens)."""
     try:
-        w, u = np.linalg.eigh(np.stack([m.entries for m in mats]))
+        w, u = np.linalg.eigh(mats)
     except np.linalg.LinAlgError as exc:
         raise EigenConvergenceError(
-            f"Hermitian eigensolver failed to converge at theta={theta!r}: {exc}"
+            f"Hermitian eigensolver failed to converge at one of the thetas "
+            f"{[float(t) for t in thetas]!r}: {exc}"
         ) from exc
-    for wk in w:
-        if float(wk[0]) < -1e-8 * max(1.0, float(wk[-1])):
-            raise NotPositiveDefiniteError(
-                f"mgf evaluation at theta={theta!r} is not psd "
-                f"(min eigenvalue {float(wk[0]):.3e})"
-            )
+    for theta, row in zip(thetas, w):
+        for wk in row:
+            if float(wk[0]) < -1e-8 * max(1.0, float(wk[-1])):
+                raise NotPositiveDefiniteError(
+                    f"mgf evaluation at theta={float(theta)!r} is not psd "
+                    f"(min eigenvalue {float(wk[0]):.3e})"
+                )
     logs = np.log(np.clip(w, _EIG_FLOOR, None))
-    terms = (u * logs[:, None, :]) @ u.conj().transpose(0, 2, 1)
-    # Summed in source order: ndarray.sum may pair the terms differently
-    # (it does at d=1), which moves the last bits of the bound.
-    return sum(terms[1:], terms[0])
+    return _source_sum((u * logs[..., None, :]) @ u.conj().swapaxes(-1, -2))
+
+
+def _stacked(mgf: MgfModel, sources, thetas: list) -> np.ndarray:
+    """(m, K, d, d): the mgf of every source at every theta."""
+    return np.stack([mgf.evaluate_many(src, thetas) for src in sources], axis=1)
+
+
+def _source_sum(stack: np.ndarray) -> np.ndarray:
+    """Sum of an (m, K, d, d) stack over its K sources, in source order:
+    ndarray.sum may pair the terms differently (it does at d=1), which
+    moves the last bits of the bound."""
+    total = stack[:, 0]
+    for k in range(1, stack.shape[1]):
+        total = total + stack[:, k]
+    return total
 
 
 def single_matrix_bound_grid(
@@ -190,12 +219,11 @@ def single_matrix_bound_grid(
     inf_theta (1/d) e^(theta eps) E tr exp(-theta Y), at every eps."""
     d = source.dim
 
-    def h(th: float) -> float:
-        m = mgf.evaluate(source, th)
-        tr = float(np.trace(m.entries).real)
-        return math.log(max(tr / d, _EIG_FLOOR))
+    def h_many(thetas: list) -> list:
+        traces = np.trace(mgf.evaluate_many(source, thetas), axis1=1, axis2=2).real
+        return [math.log(max(float(tr) / d, _EIG_FLOOR)) for tr in traces]
 
-    return _scan(h, eps_grid, cfg, {"d": float(d)})
+    return _scan(h_many, eps_grid, cfg, {"d": float(d)})
 
 
 def single_matrix_bound(
@@ -219,11 +247,11 @@ def master_bound_grid(
     inf_theta e^(theta eps) exp(lambda_max(sum_k log E exp(-theta X_k))),
     at every eps."""
 
-    def h(th: float) -> float:
-        total = _log_mgf_sum([mgf.evaluate(src, th) for src in model.sources], th)
-        return float(np.linalg.eigvalsh(total)[-1])
+    def h_many(thetas: list) -> np.ndarray:
+        total = _log_mgf_sum(_stacked(mgf, model.sources, thetas), thetas)
+        return np.linalg.eigvalsh(total)[:, -1]
 
-    return _scan(h, eps_grid, cfg, {"K": float(model.size)})
+    return _scan(h_many, eps_grid, cfg, {"K": float(model.size)})
 
 
 def master_bound(
@@ -303,7 +331,7 @@ def g_theta_bound_grid(
     g_theta_eta, at every eps."""
     eta = g_theta_eta(gmodel, cfg)
     details = {"eta1" if gmodel.sign == "positive" else "eta2": eta}
-    return _scan(lambda th: gmodel.g(th) * eta, eps_grid, cfg, details)
+    return _scan(lambda thetas: [gmodel.g(t) * eta for t in thetas], eps_grid, cfg, details)
 
 
 def g_theta_bound(
@@ -327,13 +355,12 @@ def log_mean_bound_grid(
     tighter than it."""
     k = model.size
 
-    def h(th: float) -> float:
-        mats = [mgf.evaluate(src, th).entries for src in model.sources]
-        total = sum(mats[1:], mats[0])
-        lam = float(np.linalg.eigvalsh(total / k)[-1])
-        return k * math.log(max(lam, _EIG_FLOOR))
+    def h_many(thetas: list) -> list:
+        total = _source_sum(_stacked(mgf, model.sources, thetas))
+        lams = np.linalg.eigvalsh(total / k)[:, -1]
+        return [k * math.log(max(float(lam), _EIG_FLOOR)) for lam in lams]
 
-    return _scan(h, eps_grid, cfg, {"K": float(k)})
+    return _scan(h_many, eps_grid, cfg, {"K": float(k)})
 
 
 def log_mean_bound(
@@ -368,10 +395,17 @@ def product_bound(per_source: Sequence[BoundResult]) -> BoundResult:
 
 def source_means(model: SumModel) -> list[HermitianMatrix]:
     """E X_k for every source, in order; raises UnsupportedEnsembleError
-    naming the first source without a closed-form mean."""
+    naming the first source without a closed-form mean, and FloatRangeError
+    naming the first whose mean leaves the float range."""
     means = []
     for k, src in enumerate(model.sources):
-        m = src.mean()
+        try:
+            m = src.mean()
+        except ValueError:  # HermitianMatrix rejects non-finite entries
+            raise FloatRangeError(
+                f"the mean E X_k of source {k} (kind {src.kind!r}) is outside "
+                "the float range"
+            ) from None
         if m is None:
             raise UnsupportedEnsembleError(
                 f"a closed-form mean is needed, but source {k} "
@@ -381,14 +415,25 @@ def source_means(model: SumModel) -> list[HermitianMatrix]:
     return means
 
 
+def _mean_of_sum(model: SumModel) -> HermitianMatrix:
+    """sum_k E X_k, from source_means; raises FloatRangeError when the sum
+    leaves the float range."""
+    means = source_means(model)
+    try:
+        return sum(means[1:], means[0])
+    except ValueError:  # HermitianMatrix rejects non-finite entries
+        raise FloatRangeError(
+            "the mean of the sum, sum_k E X_k, is outside the float range"
+        ) from None
+
+
 def admissible_cp(model: SumModel, p: float) -> float:
     """Smallest admissible constant for the negative-moment bound,
     [lambda_max(sum_k E X_k)]^(-p), inflated by 1e-6 relative headroom so
     the strict inequality it must satisfy holds."""
     if not 0 < p < math.inf:
         raise ValueError("p must be positive and finite")
-    means = source_means(model)
-    lam = float(np.linalg.eigvalsh(sum(means[1:], means[0]).entries)[-1])
+    lam = lambda_max(_mean_of_sum(model))
     if lam <= 0:
         raise DegenerateModelError(
             "the mean of the sum is zero; no admissible constant exists"
@@ -420,7 +465,7 @@ def negative_moment_bound(cp: float, p: float, eps: float) -> BoundResult:
 # ---------------------------------------------------------------------------
 
 
-def _uniform_bound_and_means(model: SumModel):
+def _uniform_bound(model: SumModel) -> float:
     bounds = []
     for k, src in enumerate(model.sources):
         b = src.uniform_bound()
@@ -430,7 +475,7 @@ def _uniform_bound_and_means(model: SumModel):
                 f"source {k} (kind {src.kind!r}) has none"
             )
         bounds.append(float(b))
-    return max(bounds), source_means(model)
+    return max(bounds)
 
 
 def _log_ratio(mu: float, eps: float) -> float:
@@ -448,8 +493,8 @@ def chernoff_sum_bound(model: SumModel, eps: float) -> BoundResult:
     mu = lambda_min(sum_k E X_k), valid for eps < mu where the optimal
     theta = log(mu/eps)/L is positive."""
     eps = _check_eps(eps)
-    big_l, means = _uniform_bound_and_means(model)
-    mu = lambda_min(sum(means[1:], means[0]))
+    big_l = _uniform_bound(model)
+    mu = lambda_min(_mean_of_sum(model))
     details = {"L": big_l, "mu": mu}
     if eps < mu:
         theta = _log_ratio(mu, eps) / big_l
@@ -464,8 +509,8 @@ def chernoff_product_bound(model: SumModel, eps: float) -> BoundResult:
     mu_k = 0 contribute the vacuous factor 1; the bound is nontrivial for
     eps below every positive mu_k."""
     eps = _check_eps(eps)
-    big_l, means = _uniform_bound_and_means(model)
-    mus = [lambda_min(m) for m in means]
+    big_l = _uniform_bound(model)
+    mus = [lambda_min(m) for m in source_means(model)]
     details = {"L": big_l}
     for k, mu in enumerate(mus):
         details[f"mu_{k + 1}"] = mu

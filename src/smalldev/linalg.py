@@ -77,14 +77,20 @@ class HermitianMatrix:
     def diagonal(cls, values) -> "HermitianMatrix":
         return cls(np.diag(np.asarray(values, dtype=float)))
 
+    # Arithmetic that leaves the float range gives inf or nan entries, which
+    # the constructor rejects with a ValueError; numpy's warning is silenced.
+
     def scaled(self, c: float) -> "HermitianMatrix":
-        return HermitianMatrix(self.entries * float(c))
+        with np.errstate(over="ignore", invalid="ignore"):
+            return HermitianMatrix(self.entries * float(c))
 
     def __add__(self, other: "HermitianMatrix") -> "HermitianMatrix":
-        return HermitianMatrix(self.entries + other.entries)
+        with np.errstate(over="ignore", invalid="ignore"):
+            return HermitianMatrix(self.entries + other.entries)
 
     def __sub__(self, other: "HermitianMatrix") -> "HermitianMatrix":
-        return HermitianMatrix(self.entries - other.entries)
+        with np.errstate(over="ignore", invalid="ignore"):
+            return HermitianMatrix(self.entries - other.entries)
 
     def __neg__(self) -> "HermitianMatrix":
         return HermitianMatrix(-self.entries)

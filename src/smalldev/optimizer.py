@@ -7,19 +7,24 @@ Brent's minimizer (parabolic steps with a golden-section fallback; Brent
 bracketing cell.  Non-finite objective values are treated as +inf rather
 than errors: empirical mgfs can underflow at extreme theta and should
 simply lose the scan there.
+
+The search itself is the generator `search`, which asks for objective
+values and is sent them, so that a caller can run many searches in
+lockstep and evaluate their points in one batch; `minimize` drives it with
+a scalar objective.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, NamedTuple
+from typing import Callable, Generator, NamedTuple, Sequence
 
 import numpy as np
 
 from .errors import NoFiniteValueError
 
-__all__ = ["OptimizerConfig", "MinimizeResult", "minimize"]
+__all__ = ["OptimizerConfig", "MinimizeResult", "minimize", "search"]
 
 _INV_PHI_SQ = (3.0 - math.sqrt(5.0)) / 2.0
 _EPS = float(np.finfo(float).eps)
@@ -55,8 +60,8 @@ class MinimizeResult(NamedTuple):
     at_boundary: bool
 
 
-def _safe(f: Callable[[float], float], theta: float) -> float:
-    val = f(theta)
+def _finite(val) -> float:
+    """val as a float, with anything non-finite or non-numeric as +inf."""
     try:
         val = float(val)
     except (TypeError, ValueError):
@@ -64,20 +69,21 @@ def _safe(f: Callable[[float], float], theta: float) -> float:
     return val if math.isfinite(val) else math.inf
 
 
-def minimize(f: Callable[[float], float], cfg: OptimizerConfig = OptimizerConfig()) -> MinimizeResult:
-    """Minimize f over [theta_min, theta_max].
+def search(
+    cfg: OptimizerConfig = OptimizerConfig(),
+) -> Generator[Sequence[float], Sequence[float], MinimizeResult]:
+    """The search of `minimize` as a generator, for callers that evaluate
+    the objective in batches.
 
-    Scans a log-spaced coarse grid, then refines with Brent's minimizer in
-    log-theta inside the cell bracketing the grid minimum, started at that
-    minimum so its known value costs no new evaluation; the refinement never
-    leaves that cell, makes at most max_refine_iters evaluations, and stops
-    once the log-theta bracket is about log1p(refine_tol) wide.  f_star is
-    never above the coarse minimum.  at_boundary is true when the coarse
-    minimum sits at an endpoint, signalling an objective that keeps
-    decreasing toward the boundary (or a trivial bound).
+    It yields the coarse grid (an array) and is sent the objective's values
+    there, in grid order; then it yields one Brent point at a time, as a
+    1-tuple, and is sent a 1-sequence holding that point's value.  It
+    returns the MinimizeResult.  The points it asks for depend only on cfg
+    and the values it is sent, so searches driven in lockstep ask for the
+    same points as searches run one after another.
     """
     grid = cfg.coarse_grid()
-    vals = np.array([_safe(f, t) for t in grid])
+    vals = np.array([_finite(v) for v in (yield grid)])
     if not np.isfinite(vals).any():
         raise NoFiniteValueError(
             "objective is non-finite at every point of the coarse grid"
@@ -125,7 +131,8 @@ def minimize(f: Callable[[float], float], cfg: OptimizerConfig = OptimizerConfig
             d = _INV_PHI_SQ * e
         u = x + (d if abs(d) >= tol1 else math.copysign(tol1, d))
         theta_u = math.exp(u)
-        fu = _safe(f, theta_u)
+        (fu,) = yield (theta_u,)
+        fu = _finite(fu)
         # Only a strict improvement moves x: at a flat minimum values tie to
         # the last bit, and moving on ties walks x instead of shrinking [a, b].
         if fu < best_val:
@@ -146,3 +153,24 @@ def minimize(f: Callable[[float], float], cfg: OptimizerConfig = OptimizerConfig
                 v, fv = u, fu
 
     return MinimizeResult(theta_star=best_theta, f_star=best_val, at_boundary=at_boundary)
+
+
+def minimize(f: Callable[[float], float], cfg: OptimizerConfig = OptimizerConfig()) -> MinimizeResult:
+    """Minimize f over [theta_min, theta_max].
+
+    Scans a log-spaced coarse grid, then refines with Brent's minimizer in
+    log-theta inside the cell bracketing the grid minimum, started at that
+    minimum so its known value costs no new evaluation; the refinement never
+    leaves that cell, makes at most max_refine_iters evaluations, and stops
+    once the log-theta bracket is about log1p(refine_tol) wide.  f_star is
+    never above the coarse minimum.  at_boundary is true when the coarse
+    minimum sits at an endpoint, signalling an objective that keeps
+    decreasing toward the boundary (or a trivial bound).
+    """
+    steps = search(cfg)
+    thetas = next(steps)
+    while True:
+        try:
+            thetas = steps.send([f(t) for t in thetas])
+        except StopIteration as done:
+            return done.value

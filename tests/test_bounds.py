@@ -1,4 +1,5 @@
 import math
+import re
 
 import mpmath
 import numpy as np
@@ -33,6 +34,7 @@ from smalldev.ensembles import (
     Bernoulli,
     BoundedRankOne,
     Exponential,
+    Gamma,
     MgfModel,
     ScaledFixed,
     SumModel,
@@ -47,7 +49,7 @@ from smalldev.errors import (
     UnsupportedEnsembleError,
 )
 from smalldev.linalg import HermitianMatrix
-from smalldev.optimizer import OptimizerConfig
+from smalldev.optimizer import OptimizerConfig, minimize
 
 ANALYTIC = MgfModel(mode="analytic")
 TRUE_BINOMIAL = 2.0**-10
@@ -150,12 +152,15 @@ class TestMasterBound:
 
     def test_propagates_broken_mgf(self):
         class BrokenMgf:
-            def evaluate(self, source, theta):
-                return HermitianMatrix.diagonal([1.0, -0.5])
+            def evaluate_many(self, source, thetas):
+                return np.array([np.diag([1.0, -0.5]) for _ in thetas], dtype=complex)
 
         model = SumModel(sources=(bernoulli_diagonal(dim=2, p=0.5, scale=1.0),))
-        with pytest.raises(NotPositiveDefiniteError, match="theta"):
-            master_bound(model, BrokenMgf(), 0.5)
+        cfg = OptimizerConfig()
+        # The first bad theta in batch order: the start of the coarse grid.
+        first = re.escape(f"theta={float(cfg.coarse_grid()[0])!r} ")
+        with pytest.raises(NotPositiveDefiniteError, match=first):
+            master_bound(model, BrokenMgf(), 0.5, cfg)
 
     def test_broken_mgf_of_one_source_among_several(self):
         # Only the last source's mgf is indefinite; the stacked eigh must
@@ -163,10 +168,9 @@ class TestMasterBound:
         sources = tuple(bernoulli_diagonal(dim=2, p=0.5, scale=1.0) for _ in range(3))
 
         class BrokenMgf:
-            def evaluate(self, source, theta):
-                if source is sources[-1]:
-                    return HermitianMatrix.diagonal([1.0, -0.5])
-                return HermitianMatrix.identity(2)
+            def evaluate_many(self, source, thetas):
+                mat = np.diag([1.0, -0.5]) if source is sources[-1] else np.eye(2)
+                return np.array([mat for _ in thetas], dtype=complex)
 
         with pytest.raises(NotPositiveDefiniteError, match="theta"):
             master_bound(SumModel(sources=sources), BrokenMgf(), 0.5)
@@ -178,14 +182,16 @@ class TestMasterBound:
         # Reference: one eigendecomposition per matrix, logs summed in order.
         model = SumModel(sources=(source,) * 12)
         mgf = MgfModel(mode="empirical", n_samples=500, seed=3)
-        for theta in (1e-3, 0.7, 40.0):
-            mats = [mgf.evaluate(src, theta) for src in model.sources]
+        thetas = [1e-3, 0.7, 40.0]
+        mats = np.stack([mgf.evaluate_many(src, thetas) for src in model.sources], axis=1)
+        total = bounds_mod._log_mgf_sum(mats, thetas)
+        for row, got in zip(mats, total):
             ref = None
-            for m in mats:
-                w, u = np.linalg.eigh(m.entries)
+            for m in row:
+                w, u = np.linalg.eigh(m)
                 lm = (u * np.log(np.clip(w, bounds_mod._EIG_FLOOR, None))) @ u.conj().T
                 ref = lm if ref is None else ref + lm
-            np.testing.assert_array_equal(bounds_mod._log_mgf_sum(mats, theta), ref)
+            np.testing.assert_array_equal(got, ref)
 
 
 class TestGThetaBound:
@@ -240,10 +246,10 @@ class TestGThetaBound:
             g_theta_bound(gmodel, 0.1)
 
     def test_eta_checks_the_grid_without_a_theta_scan(self, monkeypatch):
-        def minimize(*args, **kwargs):
+        def search(*args, **kwargs):
             raise AssertionError("g_theta_eta ran a theta-scan")
 
-        monkeypatch.setattr(bounds_mod, "minimize", minimize)
+        monkeypatch.setattr(bounds_mod, "search", search)
         dominators = (HermitianMatrix.diagonal([1.0, 3.0]), HermitianMatrix.identity(2))
         negative = GThetaModel(g=log_rate(1.0), sign="negative", dominators=dominators)
         assert g_theta_eta(negative) == pytest.approx(2.0)
@@ -270,9 +276,9 @@ class CountingMgf:
         self.inner = inner
         self.thetas = []
 
-    def evaluate(self, source, theta):
-        self.thetas.append(theta)
-        return self.inner.evaluate(source, theta)
+    def evaluate_many(self, source, thetas):
+        self.thetas.extend(thetas)
+        return self.inner.evaluate_many(source, thetas)
 
 
 class TestGridScan:
@@ -314,6 +320,74 @@ class TestGridScan:
     def test_rejects_nonpositive_eps_in_grid(self):
         with pytest.raises(ValueError):
             master_bound_grid(exp_series_model(2), ANALYTIC, [0.1, 0.0])
+
+    def test_lockstep_batches(self):
+        # The coarse grid is one batch; every later batch holds at most one
+        # new theta per eps.
+        batches = []
+
+        class BatchMgf:
+            def evaluate_many(self, source, thetas):
+                batches.append(len(thetas))
+                return ANALYTIC.evaluate_many(source, thetas)
+
+        cfg = OptimizerConfig()
+        src = ScaledFixed(matrix=HermitianMatrix.identity(2), law=Exponential(rate=1.0))
+        single_matrix_bound_grid(src, BatchMgf(), self.EPS, cfg)
+        assert batches[0] == cfg.coarse_points
+        assert len(batches) > 1
+        assert all(1 <= b <= len(self.EPS) for b in batches[1:])
+
+    def test_grid_equals_scalar_minimize_of_per_theta_objectives(self):
+        # Reference: the objectives evaluated one theta at a time, matrix by
+        # matrix, and minimized per eps by optimizer.minimize.
+        mixed = SumModel(
+            sources=(
+                ScaledFixed(
+                    matrix=HermitianMatrix([[2.0, 1j], [-1j, 1.0]]), law=Gamma(2.0, 1.5)
+                ),
+                bernoulli_diagonal(dim=2, p=0.3, scale=1.5),
+                ScaledFixed(matrix=HermitianMatrix.diagonal([0.5, 3.0]), law=Exponential(2.0)),
+            )
+        )
+        floor = bounds_mod._EIG_FLOOR
+        cfg = OptimizerConfig()
+        for model in (exp_series_model(3), mixed):
+            k, d = model.size, model.dim
+            gmodel = GThetaModel(
+                g=log_rate(1.0), sign="negative", dominators=source_means(model)
+            )
+            eta = g_theta_eta(gmodel, cfg)
+
+            def single(th, src=model.sources[0]):
+                tr = float(np.trace(ANALYTIC.evaluate(src, th).entries).real)
+                return math.log(max(tr / d, floor))
+
+            def master(th):
+                total = None
+                for src in model.sources:
+                    w, u = np.linalg.eigh(ANALYTIC.evaluate(src, th).entries)
+                    lm = (u * np.log(np.clip(w, floor, None))) @ u.conj().T
+                    total = lm if total is None else total + lm
+                return float(np.linalg.eigvalsh(total)[-1])
+
+            def log_mean(th):
+                mats = [ANALYTIC.evaluate(src, th).entries for src in model.sources]
+                lam = float(np.linalg.eigvalsh(sum(mats[1:], mats[0]) / k)[-1])
+                return k * math.log(max(lam, floor))
+
+            cases = [
+                (single_matrix_bound_grid(model.sources[0], ANALYTIC, self.EPS, cfg), single),
+                (master_bound_grid(model, ANALYTIC, self.EPS, cfg), master),
+                (log_mean_bound_grid(model, ANALYTIC, self.EPS, cfg), log_mean),
+                (g_theta_bound_grid(gmodel, self.EPS, cfg), lambda th: gmodel.g(th) * eta),
+            ]
+            for grid, h in cases:
+                for eps, res in zip(self.EPS, grid):
+                    ref = minimize(lambda th: th * eps + h(th), cfg)
+                    assert res.theta_star == ref.theta_star
+                    assert res.raw_value == math.exp(min(ref.f_star, bounds_mod._EXP_CAP))
+                    assert res.details["at_boundary"] == ref.at_boundary
 
 
 class TestLogMeanBound:
@@ -454,6 +528,18 @@ def test_source_means_names_the_first_source_without_one():
         source_means(model)
 
 
+# Each mean is finite, their sum is not.
+_HUGE_MEAN_SUM = SumModel(
+    sources=(
+        ScaledFixed(matrix=HermitianMatrix.diagonal([1e308, 1.0]), law=Exponential(rate=1.0)),
+    )
+    * 2
+)
+# The one source's mean, 2e308, is not finite.
+_HUGE_MEAN_SOURCE = SumModel(
+    sources=(ScaledFixed(matrix=HermitianMatrix.diagonal([1e308]), law=Exponential(rate=0.5)),)
+)
+
 _HUGE_SCALED_FIXED = SumModel(
     sources=(ScaledFixed(matrix=HermitianMatrix.diagonal([1e300]), law=Exponential(rate=1e-300)),)
     * 2
@@ -466,9 +552,16 @@ _HUGE_SCALED_FIXED = SumModel(
         (lambda: admissible_cp(bernoulli_model(k=2, p=1e-300), 2.0), "admissible constant"),
         (lambda: series_sum_bound(_HUGE_SCALED_FIXED, 0.1), r"C \* nu"),
         (lambda: series_product_bound(_HUGE_SCALED_FIXED, 0.1), "validity cutoff"),
+        (lambda: admissible_cp(_HUGE_MEAN_SUM, 1.0), "the mean of the sum"),
+        (lambda: chernoff_sum_bound(bernoulli_model(k=2, p=1.0, s=1e308), 0.1),
+         "the mean of the sum"),
+        (lambda: source_means(_HUGE_MEAN_SOURCE),
+         r"mean E X_k of source 0 \(kind 'scaled_fixed'\)"),
     ],
-    ids=["admissible-cp", "series-sum", "series-product"],
+    ids=["admissible-cp", "series-sum", "series-product", "mean-of-sum", "chernoff-sum",
+         "source-mean"],
 )
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_quantity_outside_the_float_range_is_named(call, quantity):
     with pytest.raises(FloatRangeError, match=quantity + ".* outside the float range"):
         call()

@@ -530,6 +530,53 @@ def test_entries_near_the_float_limit_give_finite_valid_bounds(tmp_path, capsys,
         assert valid == "true"
 
 
+_HUGE_BERNOULLI = {"repeat": 2, "source": {"kind": "bernoulli_diagonal", "dim": 1, "p": 0.5,
+                                            "scale": 1.0e308}}
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_empirical_master_at_the_float_limit_is_warning_free(tmp_path, capsys):
+    # Snapshot draws of 1e308 weigh exp(-theta * 1e308) = 0 in the mgf.
+    cfg = dict(FAST_EXP_CONFIG, ensemble=_HUGE_BERNOULLI, bounds=["master"],
+               mgf={"mode": "empirical", "n_samples": 400})
+    assert main(["bound", "--config", write_config(tmp_path, cfg)]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    for row in captured.out.strip().split("\n")[1:]:
+        _eps, _name, value, _raw, _theta, valid = row.split(",")
+        assert 0.0 < float(value) < 1.0 and valid == "true"
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_simulate_at_the_float_limit_is_warning_free(tmp_path, capsys):
+    # Two 1e308 draws sum to inf, which lies above every eps, so the hits are
+    # those of the same draws at scale 1: both Bernoulli draws zero.
+    eps = [0.5, 0.9]
+    outs = []
+    for scale in (1.0e308, 1.0):
+        ensemble = {"repeat": 2, "source": dict(_HUGE_BERNOULLI["source"], scale=scale)}
+        cfg = dict(FAST_EXP_CONFIG, ensemble=ensemble, bounds=["master"], eps_grid=eps)
+        path = write_config(tmp_path, cfg, f"scale{scale}.yaml")
+        assert main(["simulate", "--config", path, "--samples", "1000"]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        outs.append(captured.out)
+    assert outs[0] == outs[1]
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_mean_of_the_sum_past_the_float_range_exits_2_naming_it(tmp_path, capsys):
+    source = {"kind": "scaled_fixed", "matrix": {"diagonal": [1.0e308, 1.0]},
+              "law": {"kind": "exponential", "rate": 1.0}}
+    cfg = dict(FAST_EXP_CONFIG, ensemble={"repeat": 2, "source": source},
+               bounds=["negative_moment"])
+    assert main(["bound", "--config", write_config(tmp_path, cfg)]) == 2
+    assert capsys.readouterr().err == (
+        "config error: bound 'negative_moment' inapplicable: "
+        "the mean of the sum, sum_k E X_k, is outside the float range\n"
+    )
+
+
 class TestBoundCommand:
     def test_csv_schema_on_demo_config(self, tmp_path):
         out = tmp_path / "bounds.csv"

@@ -1,10 +1,12 @@
 import math
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
 import scipy.stats
 
+from smalldev import ensembles
 from smalldev.ensembles import (
     Bernoulli,
     BoundedRankOne,
@@ -19,6 +21,7 @@ from smalldev.ensembles import (
     empirical_mgf,
     sample_sum_batch,
 )
+from smalldev.ensembles import _Snapshot
 from smalldev.errors import MgfUnavailableError
 from smalldev.linalg import HermitianMatrix, expm, lambda_max, lambda_min
 from smalldev.rng import RngStream
@@ -198,6 +201,12 @@ class TestSumModel:
         )
         assert np.abs(sample_sum_batch(model, RngStream(1), 1)).max() == 0.0
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_sum_past_the_float_range_is_inf_without_warning(self):
+        model = iid_model(lambda: bernoulli_diagonal(dim=1, p=0.5, scale=1e308), 2)
+        sums = sample_sum_batch(model, RngStream(1), 200).real.ravel()
+        assert set(sums.tolist()) == {0.0, 1e308, math.inf}
+
     def test_binomial_law_of_bernoulli_sum(self):
         # lambda_max of ten summed Bernoulli(1/2) identities counts the
         # successes, so it follows Binomial(10, 1/2) exactly.
@@ -318,6 +327,86 @@ class TestEmpiricalMgf:
             out = empirical_mgf(factory(), 2.0, 500, RngStream(18))
             assert lambda_min(out) > 0.0
             assert lambda_max(out) <= 1.0 + 1e-10
+
+
+def fold_reference(snapshot, theta):
+    """The mgf as (X e^(-theta w)) X^T over the real (2d, N) basis
+    X = [Re V; Im V], folded to G11 + G22 + i (G21 - G12)."""
+    v = snapshot.vectors.T
+    d = v.shape[0]
+    x = np.vstack([v.real, v.imag])
+    g = (x * np.exp(-theta * snapshot.eigenvalues)) @ x.T
+    return (g[:d, :d] + g[d:, d:] + 1j * (g[d:, :d] - g[:d, d:])) / snapshot.n
+
+
+class TestSnapshotKernel:
+    @pytest.mark.parametrize("d", [1, 2, 4, 7])
+    @pytest.mark.parametrize(
+        "factory",
+        [lambda d: BoundedRankOne(dim=d, bound=1.0), lambda d: Wishart(dim=d, dof=3)],
+        ids=["bounded_rank_one", "wishart"],
+    )
+    def test_batch_matches_the_gemm_fold(self, factory, d):
+        snap = _Snapshot(factory(d).sample_batch(RngStream(31), 500))
+        thetas = [*np.geomspace(1e-6, 1e6, 25).tolist(), 0.3, 2.0, 0.3]
+        out = snap.evaluate_many(thetas)
+        assert out.shape == (len(thetas), d, d)
+        for theta, got in zip(thetas, out):
+            ref = fold_reference(snap, theta)
+            assert np.linalg.norm(got - ref) <= 1e-13 * np.linalg.norm(ref)
+            assert np.array_equal(got, got.conj().T)
+        assert np.array_equal(out[-1], out[-3])
+
+    def test_blocks_cover_every_eigenpair(self, monkeypatch):
+        # Blocks far smaller than the sample set, in both directions.
+        monkeypatch.setattr(ensembles, "_KERNEL_BYTES", 1024)
+        snap = _Snapshot(Wishart(dim=3, dof=2).sample_batch(RngStream(32), 101))
+        thetas = np.geomspace(0.01, 10.0, 9).tolist()
+        for theta, got in zip(thetas, snap.evaluate_many(thetas)):
+            ref = fold_reference(snap, theta)
+            assert np.linalg.norm(got - ref) <= 1e-13 * np.linalg.norm(ref)
+
+    def test_memory_stays_within_the_block_budget(self):
+        # The unblocked (200, n*d) exponential alone would be 25.6 MB.
+        snap = _Snapshot(BoundedRankOne(dim=4, bound=1.0).sample_batch(RngStream(33), 4000))
+        retained = snap.vectors.nbytes + snap.eigenvalues.nbytes
+        assert retained == 16 * 4000 * 4**2 + 8 * 4000 * 4
+        thetas = np.geomspace(1e-3, 1e3, 200).tolist()
+        tracemalloc.start()
+        try:
+            snap.evaluate_many(thetas)
+            _current, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2**20
+
+    def test_evaluate_is_the_one_theta_batch(self):
+        src = BoundedRankOne(dim=3, bound=1.0)
+        model = MgfModel(mode="empirical", n_samples=300, seed=4)
+        batch = model.evaluate_many(src, [0.5, 4.0])
+        for theta, m in zip([0.5, 4.0], batch):
+            assert np.array_equal(model.evaluate(src, theta).entries, m)
+
+    def test_analytic_batch_stacks_the_closed_forms(self):
+        src = ScaledFixed(matrix=HermitianMatrix.diagonal([1.0, 0.5]), law=Exponential(rate=1.5))
+        thetas = [1e-3, 1.0, 1.0, 50.0]
+        batch = MgfModel(mode="analytic").evaluate_many(src, thetas)
+        for theta, m in zip(thetas, batch):
+            assert np.array_equal(m, src.analytic_mgf(theta).entries)
+
+    def test_batch_rejects_nonpositive_theta(self):
+        src = BoundedRankOne(dim=2, bound=1.0)
+        with pytest.raises(ValueError, match="positive"):
+            MgfModel(mode="empirical", n_samples=10).evaluate_many(src, [1.0, 0.0])
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_draws_at_the_float_limit_weigh_zero_without_warning(self):
+        # exp(-theta * 1e308) underflows to 0: only the zero draws count.
+        src = bernoulli_diagonal(dim=1, p=0.5, scale=1e308)
+        snap = _Snapshot(src.sample_batch(RngStream(34), 400))
+        zeros = float(np.mean(snap.eigenvalues == 0.0))
+        out = snap.evaluate_many([1e-6, 1.0, 1e6])
+        assert np.array_equal(out.real.ravel(), [zeros] * 3)
 
 
 class TestMgfModel:

@@ -41,6 +41,16 @@ class TestHermitianMatrix:
         h = HermitianMatrix(a)
         assert np.array_equal(h.entries, [[1.0e308, 1.6e308], [1.6e308, 1.6e308]])
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize(
+        "op",
+        [lambda a: a + a, lambda a: a - a.scaled(-1.0), lambda a: a.scaled(10.0)],
+        ids=["add", "sub", "scaled"],
+    )
+    def test_arithmetic_past_the_float_range_raises_without_warning(self, op):
+        with pytest.raises(ValueError, match="finite"):
+            op(HermitianMatrix.diagonal([1.0e308, 1.0]))
+
     def test_symmetrizes_normal_floats_to_the_bits_of_the_mean(self):
         rng = np.random.default_rng(5)
         a = rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6))

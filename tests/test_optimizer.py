@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from smalldev.errors import NoFiniteValueError
-from smalldev.optimizer import OptimizerConfig, minimize
+from smalldev.optimizer import OptimizerConfig, minimize, search
 
 
 def chernoff_objective(theta, big_l=1.0, mu=5.0, eps=0.5):
@@ -158,3 +158,32 @@ class TestOptimizerConfig:
         assert grid[0] == pytest.approx(1e-3)
         assert grid[-1] == pytest.approx(1e3)
         assert len(grid) == 7
+
+
+class TestSearch:
+    def test_minimize_is_search_driven_point_by_point(self):
+        # The coarse grid comes first, then one Brent point per step.
+        cfg = OptimizerConfig()
+        steps = search(cfg)
+        asked = next(steps)
+        assert np.array_equal(asked, cfg.coarse_grid())
+        refinements = 0
+        with pytest.raises(StopIteration) as done:
+            while True:
+                asked = steps.send([chernoff_objective(t) for t in asked])
+                assert len(asked) == 1
+                refinements += 1
+        assert done.value.value == minimize(chernoff_objective, cfg)
+        assert 0 < refinements <= cfg.max_refine_iters
+
+    def test_non_numeric_values_lose_the_search(self):
+        steps = search(OptimizerConfig())
+        grid = next(steps)
+        values = [None if t < 1.0 else rational_objective(t) for t in grid]
+        with pytest.raises(StopIteration) as done:
+            asked = steps.send(values)
+            while True:
+                asked = steps.send([rational_objective(t) for t in asked])
+        assert done.value.value == minimize(
+            lambda t: None if t < 1.0 else rational_objective(t)
+        )
