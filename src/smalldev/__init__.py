@@ -19,6 +19,7 @@ from .bounds import (
     negative_moment_bound,
     power_envelope,
     product_bound,
+    product_bound_grid,
     series_product_bound,
     series_sum_bound,
     single_matrix_bound,

@@ -15,9 +15,12 @@ Two families live here:
 * Closed-form bounds with analytic minimizers (negative_moment_bound,
   chernoff_sum_bound, chernoff_product_bound, series_sum_bound,
   series_product_bound) plus the per-source product combinator
-  (product_bound).
+  (product_bound, and product_bound_grid over single_matrix_bound_grid).
 
-All evaluators are pure given (model, mgf snapshot, eps).
+All evaluators are pure given (model, mgf snapshot, eps).  A source object
+repeated in a SumModel stands for i.i.d. copies: the mgf-based bounds
+evaluate its mgf, and product scans its single bound, once per distinct
+object (see ensembles.distinct_sources).
 """
 
 from __future__ import annotations
@@ -28,7 +31,7 @@ from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-from .ensembles import MgfModel, ScaledFixed, SumModel
+from .ensembles import MgfModel, ScaledFixed, SumModel, distinct_sources
 from .errors import (
     DegenerateModelError,
     EigenConvergenceError,
@@ -59,6 +62,7 @@ __all__ = [
     "log_mean_bound",
     "log_mean_bound_grid",
     "product_bound",
+    "product_bound_grid",
     "source_means",
     "admissible_cp",
     "negative_moment_bound",
@@ -195,8 +199,10 @@ def _log_mgf_sum(mats: np.ndarray, thetas: Sequence[float]) -> np.ndarray:
 
 
 def _stacked(mgf: MgfModel, sources, thetas: list) -> np.ndarray:
-    """(m, K, d, d): the mgf of every source at every theta."""
-    return np.stack([mgf.evaluate_many(src, thetas) for src in sources], axis=1)
+    """(m, K, d, d): the mgf of every source at every theta, evaluated once
+    per distinct source object."""
+    unique, index = distinct_sources(sources)
+    return np.stack([mgf.evaluate_many(src, thetas) for src in unique], axis=1)[:, index]
 
 
 def _source_sum(stack: np.ndarray) -> np.ndarray:
@@ -386,6 +392,19 @@ def product_bound(per_source: Sequence[BoundResult]) -> BoundResult:
         raise ValueError("product_bound needs at least one per-source result")
     values = [r.value for r in per_source]
     return _finish(math.prod(values), None, True, {"min_single": min([1.0, *values])})
+
+
+def product_bound_grid(
+    model: SumModel,
+    mgf: MgfModel,
+    eps_grid: Sequence[float],
+    cfg: OptimizerConfig = OptimizerConfig(),
+) -> list[BoundResult]:
+    """product_bound of the sources' single_matrix_bound_grid, at every eps;
+    one scan per distinct source object, taken once per position."""
+    unique, index = distinct_sources(model.sources)
+    scans = [single_matrix_bound_grid(src, mgf, eps_grid, cfg) for src in unique]
+    return [product_bound(column) for column in zip(*(scans[j] for j in index))]
 
 
 # ---------------------------------------------------------------------------

@@ -20,6 +20,7 @@ import argparse
 import dataclasses
 import json
 import math
+import re
 import sys
 from importlib import resources
 from pathlib import Path
@@ -51,11 +52,23 @@ from .optimizer import OptimizerConfig
 # ---------------------------------------------------------------------------
 
 
+class _Loader(yaml.SafeLoader):
+    """SafeLoader that also reads YAML 1.2 floats such as 1e5 and 1.0e2,
+    which YAML 1.1 (and so PyYAML) takes for strings."""
+
+
+_Loader.add_implicit_resolver(
+    "tag:yaml.org,2002:float",
+    re.compile(r"^[-+]?(?:[0-9]+(?:\.[0-9]*)?|\.[0-9]+)[eE][-+]?[0-9]+$"),
+    list("-+0123456789."),
+)
+
+
 def load_config(path: str) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            raw = yaml.safe_load(fh)
-    except OSError as exc:
+            raw = yaml.load(fh, Loader=_Loader)
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config {path!r}: {exc}") from exc
     except yaml.YAMLError as exc:
         raise ConfigError(f"cannot parse config {path!r}: {exc}") from exc
@@ -296,10 +309,8 @@ def build_model(ensemble_spec) -> SumModel:
         repeat = _field(ensemble_spec, "ensemble", "repeat", _integer, 1)
         if repeat < 1:
             raise ConfigError("ensemble.repeat must be at least 1")
-        sources = tuple(
-            _build(_SOURCES, ensemble_spec["source"], "ensemble.source")
-            for _ in range(repeat)
-        )
+        # One object at every position: K i.i.d. copies (see SumModel).
+        sources = (_build(_SOURCES, ensemble_spec["source"], "ensemble.source"),) * repeat
     else:
         raise ConfigError("ensemble needs 'source' or 'sources'")
     try:
@@ -371,13 +382,6 @@ def _mgf_bound(grid, sources):
     return prepare
 
 
-def _product_grid(model, mgf, eps_grid, opt_cfg):
-    per_source = [
-        bd.single_matrix_bound_grid(s, mgf, eps_grid, opt_cfg) for s in model.sources
-    ]
-    return [bd.product_bound(column) for column in zip(*per_source)]
-
-
 def _g_theta(req, model, mgf, eps_grid, opt_cfg):
     gmodel = _build_gmodel(req, model)
     bd.g_theta_eta(gmodel, opt_cfg)
@@ -410,7 +414,7 @@ BOUNDS = {
     "master": _mgf_bound(bd.master_bound_grid, lambda m: m.sources),
     "g_theta": _g_theta,
     "log_mean": _mgf_bound(bd.log_mean_bound_grid, lambda m: m.sources),
-    "product": _mgf_bound(_product_grid, lambda m: m.sources),
+    "product": _mgf_bound(bd.product_bound_grid, lambda m: m.sources),
     "negative_moment": _negative_moment,
     "chernoff_sum": _closed_form(bd.chernoff_sum_bound),
     "chernoff_product": _closed_form(bd.chernoff_product_bound),
@@ -479,8 +483,11 @@ def _fmt(x) -> str:
 def _emit(text: str, path: str | None) -> None:
     if path is None:
         sys.stdout.write(text)
-    else:
+        return
+    try:
         Path(path).write_text(text, encoding="utf-8")
+    except OSError as exc:
+        raise ConfigError(f"cannot write {path!r}: {exc}") from exc
 
 
 def _csv(header: str, rows) -> str:
@@ -520,6 +527,7 @@ def _prepare(args):
         raise ConfigError("simulation.confidence must lie in (0, 1)")
     if sim["seed"] < 0:
         raise ConfigError("simulation.seed must be non-negative")
+    mc.worker_count()  # a bad SMALLDEV_THREADS exits 2 before any bound runs
     try:
         opt_cfg = OptimizerConfig(**cfg["optimizer"])
     except ValueError as exc:
@@ -612,7 +620,10 @@ def demo_config_path(name: str) -> str:
 
 def cmd_demo(args) -> int:
     outdir = Path(args.outdir)
-    outdir.mkdir(parents=True, exist_ok=True)
+    try:
+        outdir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot write {args.outdir!r}: {exc}") from exc
     worst = 0
     for name in demo_config_names():
         demo_args = argparse.Namespace(

@@ -32,6 +32,7 @@ __all__ = [
     "BoundedRankOne",
     "Wishart",
     "SumModel",
+    "distinct_sources",
     "MgfModel",
     "sample_sum_batch",
     "empirical_mgf",
@@ -64,6 +65,7 @@ class Exponential:
 
     rate: float
     kind = "exponential"
+    upper_bound = None
 
     def __post_init__(self):
         if not 0 < self.rate < math.inf:
@@ -72,10 +74,6 @@ class Exponential:
     @property
     def mean(self) -> float:
         return 1.0 / self.rate
-
-    @property
-    def upper_bound(self) -> float | None:
-        return None
 
     @property
     def envelope(self) -> tuple[float, float] | None:
@@ -96,6 +94,7 @@ class Gamma:
     shape: float
     rate: float
     kind = "gamma"
+    upper_bound = None
 
     def __post_init__(self):
         if not (0 < self.shape < math.inf and 0 < self.rate < math.inf):
@@ -104,10 +103,6 @@ class Gamma:
     @property
     def mean(self) -> float:
         return self.shape / self.rate
-
-    @property
-    def upper_bound(self) -> float | None:
-        return None
 
     @property
     def envelope(self) -> tuple[float, float] | None:
@@ -127,6 +122,9 @@ class Bernoulli:
 
     p: float
     kind = "bernoulli"
+    upper_bound = 1.0
+    # The mgf tends to 1-p > 0 as theta grows, so there is no power envelope.
+    envelope = None
 
     def __post_init__(self):
         if not 0.0 <= self.p <= 1.0:
@@ -135,15 +133,6 @@ class Bernoulli:
     @property
     def mean(self) -> float:
         return self.p
-
-    @property
-    def upper_bound(self) -> float | None:
-        return 1.0
-
-    @property
-    def envelope(self) -> tuple[float, float] | None:
-        # mgf tends to 1-p > 0 as theta grows, so no power envelope.
-        return None
 
     def mgf(self, t):
         return (1.0 - self.p) + self.p * np.exp(-np.asarray(t, dtype=float))
@@ -322,6 +311,12 @@ MatrixSource = ScaledFixed | BoundedRankOne | Wishart
 class SumModel:
     """Ordered list of independent matrix sources with equal dimension.
 
+    A source object that appears at several positions stands for i.i.d.
+    copies: sampling draws each position from its own substream, while
+    the mgf-based layers (empirical snapshots, mgf evaluations, per-source
+    bound scans) work once per distinct object.  Equal but separately
+    built objects are distinct.
+
     The sum X_1 + ... + X_K is itself a random matrix, and the model is
     also a source for it: the one-matrix machinery (single-matrix bound,
     empirical mgf) applies to the sum directly."""
@@ -354,6 +349,15 @@ class SumModel:
         if self.size == 1:
             return self.sources[0].analytic_mgf(theta)
         return None
+
+
+def distinct_sources(sources) -> tuple[list, list[int]]:
+    """The distinct source objects of sources, in order of first appearance,
+    and for each position the index of its object among them: the one
+    place where a repeated object is recognised as i.i.d. copies."""
+    unique = list({id(src): src for src in sources}.values())
+    index = {id(src): j for j, src in enumerate(unique)}
+    return unique, [index[id(src)] for src in sources]
 
 
 # ---------------------------------------------------------------------------
@@ -463,11 +467,12 @@ class _Snapshot:
 class MgfModel:
     """Evaluator of E exp(-theta X) per source, analytic or empirical.
 
-    In empirical mode each source gets one fixed sample snapshot, drawn on
-    first use from a substream keyed by (seed, snapshot index) and reused
-    for every subsequent theta.  Reusing one sample set keeps the 1-D
+    In empirical mode each source object gets one fixed sample snapshot,
+    drawn on first use from a substream keyed by (seed, snapshot index) and
+    reused for every subsequent theta.  Reusing one sample set keeps the 1-D
     objectives smooth in theta; resampling per probe would destabilize the
-    infimum search.
+    infimum search.  A source object repeated in a SumModel stands for
+    i.i.d. copies with one mgf, so all its positions share its snapshot.
     """
 
     def __init__(
@@ -485,26 +490,30 @@ class MgfModel:
         self._stream = RngStream(seed).child(_MGF_PURPOSE)
         # Keyed by id(source), with the source held alongside its snapshot:
         # a freed source's id could otherwise be reused by a new source,
-        # which would then read the stale snapshot.  Equal sources keep
-        # separate snapshots, because i.i.d. copies are independent draws.
+        # which would then read the stale snapshot.  Separately built equal
+        # sources keep separate snapshots; one object has one, however
+        # often a model repeats it.
         self._snapshots: dict[int, tuple[object, _Snapshot]] = {}
 
     def check(self, sources) -> None:
         """Raise MgfUnavailableError unless this model can evaluate the mgf
         of every one of `sources` (one bound's sources, of one dimension).
 
-        Analytic mode needs a closed form per source.  Empirical mode draws
-        nothing here; it refuses when the snapshots would not fit in the
-        machine's physical memory: each of the K retained snapshots keeps a
-        complex (n*d, d) eigenvector array of 16 n d^2 bytes, and the draw
-        in progress also holds its (n, d, d) complex draws and their
+        Each distinct source object is checked once, under the position of
+        its first appearance.  Analytic mode needs a closed form per
+        source.  Empirical mode draws nothing here; it refuses when the
+        snapshots would not fit in the machine's physical memory: each of
+        the retained snapshots, one per distinct source, keeps a complex
+        (n*d, d) eigenvector array of 16 n d^2 bytes, and the draw in
+        progress also holds its (n, d, d) complex draws and their
         eigenvectors, another 32 n d^2 bytes."""
+        unique, index = distinct_sources(sources)
         if self.mode == "analytic":
-            for k, src in enumerate(sources):
+            for j, src in enumerate(unique):
                 if src.analytic_mgf(1.0) is None:
                     raise MgfUnavailableError(
-                        f"source {k} (kind {src.kind!r}) has no closed-form mgf; "
-                        "use empirical mgf mode"
+                        f"source {index.index(j)} (kind {src.kind!r}) has no "
+                        "closed-form mgf; use empirical mgf mode"
                     )
             return
         try:
@@ -512,11 +521,11 @@ class MgfModel:
         except (AttributeError, ValueError, OSError):  # not a POSIX system
             return
         dim = sources[0].dim
-        need = 16 * self.n_samples * dim * dim * (len(sources) + 2)
+        need = 16 * self.n_samples * dim * dim * (len(unique) + 2)
         if need > have:
             raise MgfUnavailableError(
                 f"mgf.n_samples = {self.n_samples} at dim {dim} needs about "
-                f"{need / 2**30:.3g} GiB for {len(sources)} empirical snapshot(s), "
+                f"{need / 2**30:.3g} GiB for {len(unique)} empirical snapshot(s), "
                 f"more than the {have / 2**30:.3g} GiB of physical memory"
             )
 

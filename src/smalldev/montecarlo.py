@@ -20,6 +20,7 @@ from scipy.special import betaincinv
 
 from .bounds import BoundResult
 from .ensembles import SumModel, sample_sum_batch
+from .errors import ConfigError
 from .rng import RngStream
 
 __all__ = [
@@ -74,13 +75,17 @@ class DominationReport:
 
 def worker_count(threads: int | None = None) -> int:
     """Resolve the worker count: explicit argument, else the SMALLDEV_THREADS
-    environment cap, else a small default."""
+    environment cap, else a small default.  A SMALLDEV_THREADS that is not
+    an integer is a ConfigError naming the variable."""
     if threads is not None:
         return max(1, int(threads))
     env = os.environ.get(THREADS_ENV)
-    if env is not None:
+    if env is None:
+        return min(4, os.cpu_count() or 1)
+    try:
         return max(1, int(env))
-    return min(4, os.cpu_count() or 1)
+    except ValueError:
+        raise ConfigError(f"{THREADS_ENV} must be an integer, got {env!r}") from None
 
 
 def clopper_pearson(hits: int, n: int, confidence: float) -> tuple[float, float]:
@@ -135,20 +140,9 @@ def estimate(
     hits = np.sum(np.stack(parts), axis=0)
 
     out = []
-    for e, h in zip(eps, hits):
-        h = int(h)
+    for e, h in zip(eps.tolist(), hits.tolist()):
         low, high = clopper_pearson(h, n, confidence)
-        out.append(
-            EmpiricalEstimate(
-                epsilon=float(e),
-                n=n,
-                hits=h,
-                p_hat=h / n,
-                ci_low=low,
-                ci_high=high,
-                confidence=confidence,
-            )
-        )
+        out.append(EmpiricalEstimate(e, n, h, h / n, low, high, confidence))
     return out
 
 
@@ -168,22 +162,9 @@ def compare(
                 f"{len(estimates)} grid points"
             )
     rows = []
-    violations = 0
     for i, est in enumerate(estimates):
         for name, results in bounds.items():
-            res = results[i]
-            dominated = res.value >= est.ci_low
-            if not dominated:
-                violations += 1
-            rows.append(
-                DominationRow(
-                    epsilon=est.epsilon,
-                    bound_name=name,
-                    bound_value=res.value,
-                    p_hat=est.p_hat,
-                    ci_low=est.ci_low,
-                    ci_high=est.ci_high,
-                    dominated=dominated,
-                )
-            )
-    return DominationReport(rows=tuple(rows), violations=violations)
+            value = results[i].value
+            row = (est.epsilon, name, value, est.p_hat, est.ci_low, est.ci_high)
+            rows.append(DominationRow(*row, value >= est.ci_low))
+    return DominationReport(rows=tuple(rows), violations=sum(not r.dominated for r in rows))

@@ -24,6 +24,7 @@ from smalldev.bounds import (
     negative_moment_bound,
     power_envelope,
     product_bound,
+    product_bound_grid,
     series_product_bound,
     series_sum_bound,
     single_matrix_bound,
@@ -284,6 +285,16 @@ class CountingMgf:
 class TestGridScan:
     EPS = [0.05, 0.1, 0.2, 0.4]
 
+    @pytest.mark.parametrize("grid", [master_bound_grid, log_mean_bound_grid])
+    def test_repeated_source_mgf_is_evaluated_once_per_theta(self, grid):
+        # One object ten times, as `repeat: 10` builds it: one mgf call per
+        # theta, and the bits of ten separately built sources.
+        src = bernoulli_diagonal(dim=1, p=0.5, scale=1.0)
+        mgf = CountingMgf(ANALYTIC)
+        shared = grid(SumModel(sources=(src,) * 10), mgf, self.EPS)
+        assert len(mgf.thetas) == len(set(mgf.thetas)) > 0
+        assert shared == grid(bernoulli_model(), ANALYTIC, self.EPS)
+
     def test_grid_bit_identical_to_per_eps_calls(self):
         model = exp_series_model(3)
         gmodel = GThetaModel(
@@ -427,6 +438,29 @@ class TestLogMeanBound:
 
 
 class TestProductBound:
+    EPS = [0.05, 0.1, 0.2, 0.4]
+
+    def test_grid_scans_each_distinct_source_once(self, monkeypatch):
+        a = bernoulli_diagonal(dim=1, p=0.5, scale=1.0)
+        b = bernoulli_diagonal(dim=1, p=0.5, scale=2.0)
+        scans = {}
+        real = bounds_mod.single_matrix_bound_grid
+
+        def counting(src, *args):
+            scans[id(src)] = scans.get(id(src), 0) + 1
+            return real(src, *args)
+
+        monkeypatch.setattr(bounds_mod, "single_matrix_bound_grid", counting)
+        got = product_bound_grid(SumModel(sources=(a, b, a)), ANALYTIC, self.EPS)
+        assert scans == {id(a): 1, id(b): 1}
+        sa, sb = real(a, ANALYTIC, self.EPS), real(b, ANALYTIC, self.EPS)
+        assert got == [product_bound([x, y, x]) for x, y in zip(sa, sb)]
+
+    def test_grid_on_a_repeated_source_keeps_its_bits(self):
+        src = bernoulli_diagonal(dim=1, p=0.5, scale=1.0)
+        shared = product_bound_grid(SumModel(sources=(src,) * 10), ANALYTIC, self.EPS)
+        assert shared == product_bound_grid(bernoulli_model(), ANALYTIC, self.EPS)
+
     def test_zero_factor_gives_zero(self):
         res = product_bound([fixed_result(0.0), fixed_result(0.7)])
         assert res.value == 0.0

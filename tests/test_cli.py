@@ -9,7 +9,7 @@ import yaml
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from smalldev import cli
+from smalldev import cli, ensembles
 from smalldev.cli import (
     BOUNDS,
     build_model,
@@ -274,13 +274,13 @@ class TestConfigValidation:
         self, tmp_path, capsys, monkeypatch
     ):
         # 16 n d^2 (K + 2) bytes at n=4000, d=4: 3.07 MB for single's one
-        # snapshot, 10.24 MB for master's eight.  6 MB lies between.
+        # snapshot, 10.24 MB for master's eight separately built sources.
+        # 6 MB lies between.
         pages = {"SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": 6_000_000 // 4096}
         monkeypatch.setattr(os, "sysconf", pages.__getitem__)
         cfg = dict(
             FAST_EXP_CONFIG,
-            ensemble={"repeat": 8, "source": {"kind": "bounded_rank_one", "dim": 4,
-                                              "bound": 1.0}},
+            ensemble={"sources": [{"kind": "bounded_rank_one", "dim": 4, "bound": 1.0}] * 8},
             eps_grid=[0.06],
             mgf={"mode": "empirical", "n_samples": 4000},
         )
@@ -299,6 +299,97 @@ class TestConfigValidation:
             "config error: bound 'master' inapplicable: mgf.n_samples = 4000 at dim 4 "
         )
         assert err.count("\n") == 1
+
+    def test_memory_guard_counts_a_repeated_source_once(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        # repeat: 8 is one source object with one snapshot: 3.07 MB, under
+        # the 6 MB that refuses eight separately built sources above.
+        pages = {"SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": 6_000_000 // 4096}
+        monkeypatch.setattr(os, "sysconf", pages.__getitem__)
+        cfg = dict(
+            FAST_EXP_CONFIG,
+            ensemble={"repeat": 8, "source": {"kind": "bounded_rank_one", "dim": 4,
+                                              "bound": 1.0}},
+            bounds=["master"],
+            eps_grid=[0.06],
+            mgf={"mode": "empirical", "n_samples": 4000},
+        )
+        assert main(["bound", "--config", write_config(tmp_path, cfg)]) == 0
+        assert capsys.readouterr().out.startswith("epsilon,bound,")
+
+    def test_repeat_builds_one_object_and_a_list_one_per_entry(self):
+        spec = {"kind": "bounded_rank_one", "dim": 2, "bound": 1.0}
+        model = build_model({"repeat": 3, "source": spec})
+        assert model.size == 3
+        assert all(model.sources[k] is model.sources[0] for k in range(3))
+        listed = build_model({"sources": [spec, spec, spec]})
+        assert len({id(s) for s in listed.sources}) == 3
+
+    def test_bundled_rank_one_draws_one_snapshot_per_distinct_source(
+        self, tmp_path, monkeypatch
+    ):
+        # The sum (for single) and the one repeated source (for master,
+        # log_mean and product): 2 snapshots, not 1 + 8.
+        drawn = []
+
+        class Counting(ensembles._Snapshot):
+            __slots__ = ()
+
+            def __init__(self, samples):
+                drawn.append(samples.shape)
+                super().__init__(samples)
+
+        monkeypatch.setattr(ensembles, "_Snapshot", Counting)
+        config = demo_config_path("bounded_rank_one")
+        assert main(["bound", "--config", config, "--csv", str(tmp_path / "b.csv")]) == 0
+        assert drawn == [(4000, 4, 4)] * 2
+
+    def test_non_utf8_config_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "bad.yaml"
+        path.write_bytes(b"experiment: \xff\xfe\n")
+        assert main(["bound", "--config", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: cannot read config {str(path)!r}: ")
+        assert err.count("\n") == 1
+
+    def test_yaml_1_2_exponent_floats_are_numbers(self, tmp_path, capsys):
+        # YAML 1.1 reads 1.0e2 and 1e5 (no dot or no exponent sign) as strings.
+        path = tmp_path / "exp.yaml"
+        path.write_text(
+            "ensemble:\n"
+            "  repeat: 2\n"
+            "  source: {kind: bernoulli_diagonal, dim: 1, p: 0.5, scale: 1.0e2}\n"
+            "bounds: [chernoff_sum]\n"
+            "eps_grid: [5e1, 1.5E+2]\n"
+            "simulation: {n: 1e5, seed: 1}\n",
+            encoding="utf-8",
+        )
+        out = tmp_path / "sim.json"
+        assert main(["simulate", "--config", str(path), "--json", str(out)]) == 0
+        echo = json.loads(out.read_text())["config_echo"]
+        assert echo["ensemble"]["source"]["scale"] == 100.0
+        assert isinstance(echo["ensemble"]["source"]["scale"], float)
+        assert echo["simulation"]["n"] == 100_000
+        assert echo["eps_grid"] == [50.0, 150.0]
+        raw = cli.load_config(str(path))
+        assert raw["simulation"]["n"] == 1e5 and isinstance(raw["simulation"]["n"], float)
+
+    @pytest.mark.parametrize("value", ["abc", ""])
+    @pytest.mark.parametrize("command", ["simulate", "compare"])
+    def test_bad_threads_variable_exits_2_before_any_bound(
+        self, tmp_path, capsys, monkeypatch, command, value
+    ):
+        monkeypatch.setenv("SMALLDEV_THREADS", value)
+
+        def evaluate_bounds(*args):
+            raise AssertionError("a bound was evaluated")
+
+        monkeypatch.setattr(cli, "evaluate_bounds", evaluate_bounds)
+        path = write_config(tmp_path, FAST_EXP_CONFIG)
+        assert main([command, "--config", path, "--samples", "64"]) == 2
+        err = capsys.readouterr().err
+        assert err == f"config error: SMALLDEV_THREADS must be an integer, got {value!r}\n"
 
     def test_duplicate_bound_exits_2(self, tmp_path, capsys):
         cfg = dict(FAST_EXP_CONFIG, bounds=["master", "series_sum", "master"])
@@ -726,6 +817,18 @@ class TestCompareCommand:
         assert json.loads(json_path.read_text())["violations"] == 0
 
 
+@pytest.mark.parametrize("where", ["flag", "config"])
+@pytest.mark.parametrize("command", ["bound", "simulate", "compare"])
+def test_report_into_a_missing_directory_exits_2(tmp_path, capsys, command, where):
+    target = str(tmp_path / "missing" / "report.csv")
+    cfg = dict(FAST_EXP_CONFIG, output={"csv": target} if where == "config" else {})
+    argv = [command, "--config", write_config(tmp_path, cfg), "--samples", "64"]
+    assert main(argv + (["--csv", target] if where == "flag" else [])) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: cannot write {target!r}: ")
+    assert err.count("\n") == 1
+
+
 class TestOptimizerOverrides:
     def test_flags_reach_the_echo_and_run(self, tmp_path):
         out = tmp_path / "b.json"
@@ -785,6 +888,16 @@ class TestDemoCommand:
         for name in demo_config_names():
             assert (tmp_path / "reports" / f"{name}.json").exists()
             assert (tmp_path / "reports" / f"{name}.csv").exists()
+
+
+    def test_outdir_naming_a_file_exits_2(self, tmp_path, capsys):
+        target = tmp_path / "taken"
+        target.write_text("", encoding="utf-8")
+        assert main(["demo", "--outdir", str(target)]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith(f"config error: cannot write {str(target)!r}: ")
+        assert err.count("\n") == 1
 
 
 class TestDemoConfigs:

@@ -448,19 +448,31 @@ class TestMgfModel:
         model.check([fixed, fixed])
         with pytest.raises(MgfUnavailableError, match="source 1 \\(kind 'wishart'\\)"):
             model.check([fixed, Wishart(dim=2, dof=2)])
+        wishart = Wishart(dim=2, dof=2)
+        with pytest.raises(MgfUnavailableError, match="source 1 \\(kind 'wishart'\\)"):
+            model.check([fixed, wishart, fixed, wishart])
         with pytest.raises(MgfUnavailableError, match="kind 'sum'"):
             model.check([iid_model(lambda: fixed, 2)])
 
     def test_check_counts_every_retained_snapshot(self, monkeypatch):
-        # 16 n d^2 (K + 2) bytes: 3.07 MB for one source, 10.24 MB for eight.
+        # 16 n d^2 (K + 2) bytes, K distinct sources: 3.07 MB for one,
+        # 10.24 MB for eight.  One object repeated eight times is one.
         pages = {"SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": 6_000_000 // 4096}
         monkeypatch.setattr(os, "sysconf", pages.__getitem__)
         src = BoundedRankOne(dim=4, bound=1.0)
         model = MgfModel(mode="empirical", n_samples=4000)
         model.check([src])
+        model.check([src] * 8)
         with pytest.raises(MgfUnavailableError, match="8 empirical snapshot"):
-            model.check([src] * 8)
+            model.check([BoundedRankOne(dim=4, bound=1.0) for _ in range(8)])
         assert model._snapshots == {}
+
+    def test_repeated_source_shares_one_snapshot(self):
+        src = BoundedRankOne(dim=2, bound=1.0)
+        model = MgfModel(mode="empirical", n_samples=64, seed=5)
+        shared = [model.evaluate_many(s, [0.5, 2.0]) for s in (src, src)]
+        assert np.array_equal(shared[0], shared[1])
+        assert len(model._snapshots) == 1
 
     def test_mode_validation(self):
         with pytest.raises(ValueError):
