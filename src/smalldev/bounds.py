@@ -121,7 +121,7 @@ def _finish(
 
 def _check_eps(eps: float) -> float:
     eps = float(eps)
-    if eps <= 0:
+    if not eps > 0:  # a NaN eps fails too
         raise ValueError("eps must be positive")
     return eps
 
@@ -175,11 +175,13 @@ def _scan(
     ]
 
 
-def _log_mgf_sum(mats: np.ndarray, thetas: Sequence[float]) -> np.ndarray:
+def _log_mgf_sum(mats: np.ndarray, index: list, thetas: Sequence[float]) -> np.ndarray:
     """Sum over sources of the matrix logs of mgf evaluations: mats is
-    (m, K, d, d), one row of K source mgfs per theta, and the result the
-    (m, d, d) sums, from one stacked eigh.  Underflowed eigenvalues are
-    clipped upward (safe direction: the resulting bound only loosens)."""
+    (m, J, d, d), one row of J distinct source mgfs per theta, index the
+    distinct mgf of each of the K positions, and the result the (m, d, d)
+    sums of the K logs in position order, from one stacked eigh of the J.
+    Underflowed eigenvalues are clipped upward (safe direction: the
+    resulting bound only loosens)."""
     try:
         w, u = np.linalg.eigh(mats)
     except np.linalg.LinAlgError as exc:
@@ -187,22 +189,22 @@ def _log_mgf_sum(mats: np.ndarray, thetas: Sequence[float]) -> np.ndarray:
             f"Hermitian eigensolver failed to converge at one of the thetas "
             f"{[float(t) for t in thetas]!r}: {exc}"
         ) from exc
-    for theta, row in zip(thetas, w):
-        for wk in row:
-            if float(wk[0]) < -1e-8 * max(1.0, float(wk[-1])):
-                raise NotPositiveDefiniteError(
-                    f"mgf evaluation at theta={float(theta)!r} is not psd "
-                    f"(min eigenvalue {float(wk[0]):.3e})"
-                )
+    bad = np.argwhere(w[..., 0] < -1e-8 * np.maximum(1.0, w[..., -1]))
+    if bad.size:
+        i, j = bad[0]
+        raise NotPositiveDefiniteError(
+            f"mgf evaluation at theta={float(thetas[i])!r} is not psd "
+            f"(min eigenvalue {float(w[i, j, 0]):.3e})"
+        )
     logs = np.log(np.clip(w, _EIG_FLOOR, None))
-    return _source_sum((u * logs[..., None, :]) @ u.conj().swapaxes(-1, -2))
+    return _source_sum(((u * logs[..., None, :]) @ u.conj().swapaxes(-1, -2))[:, index])
 
 
-def _stacked(mgf: MgfModel, sources, thetas: list) -> np.ndarray:
-    """(m, K, d, d): the mgf of every source at every theta, evaluated once
-    per distinct source object."""
+def _stacked(mgf: MgfModel, sources, thetas: list) -> tuple[np.ndarray, list]:
+    """(m, J, d, d): the mgf of each of the J distinct source objects at
+    every theta, and each position's index among them."""
     unique, index = distinct_sources(sources)
-    return np.stack([mgf.evaluate_many(src, thetas) for src in unique], axis=1)[:, index]
+    return np.stack([mgf.evaluate_many(src, thetas) for src in unique], axis=1), index
 
 
 def _source_sum(stack: np.ndarray) -> np.ndarray:
@@ -254,7 +256,7 @@ def master_bound_grid(
     at every eps."""
 
     def h_many(thetas: list) -> np.ndarray:
-        total = _log_mgf_sum(_stacked(mgf, model.sources, thetas), thetas)
+        total = _log_mgf_sum(*_stacked(mgf, model.sources, thetas), thetas)
         return np.linalg.eigvalsh(total)[:, -1]
 
     return _scan(h_many, eps_grid, cfg, {"K": float(model.size)})
@@ -362,7 +364,8 @@ def log_mean_bound_grid(
     k = model.size
 
     def h_many(thetas: list) -> list:
-        total = _source_sum(_stacked(mgf, model.sources, thetas))
+        mats, index = _stacked(mgf, model.sources, thetas)
+        total = _source_sum(mats[:, index])
         lams = np.linalg.eigvalsh(total / k)[:, -1]
         return [k * math.log(max(float(lam), _EIG_FLOOR)) for lam in lams]
 

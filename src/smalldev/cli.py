@@ -527,7 +527,11 @@ def _prepare(args):
         raise ConfigError("simulation.confidence must lie in (0, 1)")
     if sim["seed"] < 0:
         raise ConfigError("simulation.seed must be non-negative")
-    mc.worker_count()  # a bad SMALLDEV_THREADS exits 2 before any bound runs
+    # A bad SMALLDEV_THREADS or report path exits 2 before any bound runs.
+    mc.worker_count()
+    for path in cfg["output"].values():
+        if path is not None and (Path(path).is_dir() or not Path(path).parent.is_dir()):
+            raise ConfigError(f"cannot write {path!r}: not a file in an existing directory")
     try:
         opt_cfg = OptimizerConfig(**cfg["optimizer"])
     except ValueError as exc:

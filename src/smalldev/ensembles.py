@@ -217,13 +217,15 @@ class ScaledFixed:
         xs = self.law.sample(stream.generator, size)
         return xs[:, None, None] * self.matrix.entries[None, :, :]
 
-    def analytic_mgf(self, theta: float) -> HermitianMatrix | None:
+    def analytic_mgf(self, thetas) -> np.ndarray:
+        """The (m, d, d) stack U diag(law.mgf(theta lambda)) U* at the m
+        thetas, symmetrized as A/2 + A*/2 as HermitianMatrix does."""
         dec = self._decomposition
         with np.errstate(over="ignore"):  # theta * lambda = inf has mgf 0
-            t = theta * dec.eigenvalues
-        vals = np.asarray(self.law.mgf(t), dtype=float)
+            t = np.multiply.outer(np.asarray(thetas, dtype=float), dec.eigenvalues)
         u = dec.eigenvectors
-        return HermitianMatrix((u * vals) @ u.conj().T)
+        half = (u * self.law.mgf(t)[:, None, :]) @ u.conj().T / 2.0
+        return half + half.conj().swapaxes(1, 2)
 
 
 def bernoulli_diagonal(dim: int, p: float, scale: float) -> ScaledFixed:
@@ -244,6 +246,7 @@ class BoundedRankOne:
     dim: int
     bound: float
     kind = "bounded_rank_one"
+    analytic_mgf = None
 
     def __post_init__(self):
         if self.dim < 1:
@@ -266,9 +269,6 @@ class BoundedRankOne:
         u = gen.random(size)
         return np.einsum("s,si,sj->sij", self.bound * u, w, w.conj())
 
-    def analytic_mgf(self, theta: float) -> HermitianMatrix | None:
-        return None
-
 
 @dataclass(frozen=True)
 class Wishart:
@@ -278,6 +278,7 @@ class Wishart:
     dim: int
     dof: int
     kind = "wishart"
+    analytic_mgf = None
 
     def __post_init__(self):
         if self.dim < 1:
@@ -294,9 +295,6 @@ class Wishart:
     def sample_batch(self, stream: RngStream, size: int) -> np.ndarray:
         g = _complex_normal(stream.generator, (size, self.dof, self.dim))
         return np.einsum("sni,snj->sij", g, g.conj()) / self.dof
-
-    def analytic_mgf(self, theta: float) -> HermitianMatrix | None:
-        return None
 
 
 MatrixSource = ScaledFixed | BoundedRankOne | Wishart
@@ -344,11 +342,10 @@ class SumModel:
     def sample_batch(self, stream: RngStream, size: int) -> np.ndarray:
         return sample_sum_batch(self, stream, size)
 
-    def analytic_mgf(self, theta: float) -> HermitianMatrix | None:
+    @property
+    def analytic_mgf(self):
         """The one source's closed form when K = 1; a sum of K > 1 has none."""
-        if self.size == 1:
-            return self.sources[0].analytic_mgf(theta)
-        return None
+        return self.sources[0].analytic_mgf if self.size == 1 else None
 
 
 def distinct_sources(sources) -> tuple[list, list[int]]:
@@ -380,10 +377,15 @@ def sample_sum_batch(model: SumModel, stream: RngStream, size: int) -> np.ndarra
 # ---------------------------------------------------------------------------
 
 
+def _check_thetas(thetas) -> None:
+    # Written so that a NaN theta fails too.
+    if not all(0 < t < math.inf for t in thetas):
+        raise ValueError("theta must be positive and finite")
+
+
 def empirical_mgf(source, theta: float, n: int, stream: RngStream) -> HermitianMatrix:
     """Monte Carlo estimate (1/n) sum_j exp(-theta X_j) over fresh draws."""
-    if theta <= 0:
-        raise ValueError("theta must be positive")
+    _check_thetas([theta])
     if n < 1:
         raise ValueError("n must be at least 1")
     return HermitianMatrix(_Snapshot(source.sample_batch(stream, n)).evaluate_many([theta])[0])
@@ -510,7 +512,7 @@ class MgfModel:
         unique, index = distinct_sources(sources)
         if self.mode == "analytic":
             for j, src in enumerate(unique):
-                if src.analytic_mgf(1.0) is None:
+                if src.analytic_mgf is None:
                     raise MgfUnavailableError(
                         f"source {index.index(j)} (kind {src.kind!r}) has no "
                         "closed-form mgf; use empirical mgf mode"
@@ -537,20 +539,15 @@ class MgfModel:
         """E exp(-theta X) of source at each of thetas, as an (m, d, d)
         complex array in the order of thetas."""
         thetas = list(thetas)
-        if any(t <= 0 for t in thetas):
-            raise ValueError("theta must be positive")
+        _check_thetas(thetas)
         if self.mode == "empirical":
             return self._snapshot(source).evaluate_many(thetas)
-        mats = []
-        for theta in thetas:
-            out = source.analytic_mgf(theta)
-            if out is None:
-                raise MgfUnavailableError(
-                    f"no closed-form mgf for source kind {source.kind!r}; "
-                    "use empirical mode"
-                )
-            mats.append(out.entries)
-        return np.array(mats, dtype=np.complex128).reshape(-1, source.dim, source.dim)
+        if source.analytic_mgf is None:
+            raise MgfUnavailableError(
+                f"no closed-form mgf for source kind {source.kind!r}; "
+                "use empirical mode"
+            )
+        return source.analytic_mgf(thetas)
 
     def _snapshot(self, source) -> _Snapshot:
         entry = self._snapshots.get(id(source))

@@ -121,7 +121,7 @@ def estimate(
     eps = np.asarray(list(eps_grid), dtype=float)
     if eps.size == 0:
         raise ValueError("eps_grid must be non-empty")
-    if (eps <= 0).any():
+    if not (eps > 0).all():  # a NaN eps fails too
         raise ValueError("eps_grid values must be positive")
     if eps.size > 1 and not (np.diff(eps) > 0).all():
         raise ValueError("eps_grid must be strictly ascending")

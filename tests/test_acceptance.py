@@ -224,16 +224,17 @@ class _Doubled:
         out[:, d:, d:] = inner
         return out
 
-    def analytic_mgf(self, theta):
-        m = self.inner.analytic_mgf(theta)
-        return None if m is None else HermitianMatrix(self._block(m.entries))
+    @property
+    def analytic_mgf(self):
+        inner = self.inner.analytic_mgf
+        return None if inner is None else lambda thetas: self._block(inner(thetas))
 
     @staticmethod
     def _block(entries):
-        d = entries.shape[0]
-        out = np.zeros((2 * d, 2 * d), dtype=complex)
-        out[:d, :d] = entries
-        out[d:, d:] = entries
+        d = entries.shape[-1]
+        out = np.zeros((*entries.shape[:-2], 2 * d, 2 * d), dtype=complex)
+        out[..., :d, :d] = entries
+        out[..., d:, d:] = entries
         return out
 
 

@@ -41,6 +41,7 @@ from smalldev.ensembles import (
     SumModel,
     Wishart,
     bernoulli_diagonal,
+    distinct_sources,
 )
 from smalldev.errors import (
     DegenerateModelError,
@@ -184,15 +185,33 @@ class TestMasterBound:
         model = SumModel(sources=(source,) * 12)
         mgf = MgfModel(mode="empirical", n_samples=500, seed=3)
         thetas = [1e-3, 0.7, 40.0]
-        mats = np.stack([mgf.evaluate_many(src, thetas) for src in model.sources], axis=1)
-        total = bounds_mod._log_mgf_sum(mats, thetas)
-        for row, got in zip(mats, total):
+        unique, index = distinct_sources(model.sources)
+        mats = np.stack([mgf.evaluate_many(src, thetas) for src in unique], axis=1)
+        total = bounds_mod._log_mgf_sum(mats, index, thetas)
+        for row, got in zip(mats[:, index], total):
             ref = None
             for m in row:
                 w, u = np.linalg.eigh(m)
                 lm = (u * np.log(np.clip(w, bounds_mod._EIG_FLOOR, None))) @ u.conj().T
                 ref = lm if ref is None else ref + lm
             np.testing.assert_array_equal(got, ref)
+
+    def test_eigh_sees_each_distinct_source_once(self, monkeypatch):
+        # (m, J, d, d) with J distinct objects, however often each repeats.
+        a, b = (bernoulli_diagonal(dim=2, p=p, scale=1.0) for p in (0.5, 0.3))
+        shapes = []
+        eigh = np.linalg.eigh
+
+        def recording_eigh(mats, *args, **kwargs):
+            shapes.append(np.shape(mats))
+            return eigh(mats, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigh", recording_eigh)
+        for sources, j in [((a,) * 10, 1), ((a, b, a, a, b), 2)]:
+            shapes.clear()
+            master_bound_grid(SumModel(sources=sources), ANALYTIC, [0.1, 0.5])
+            stacks = [s for s in shapes if len(s) == 4]
+            assert stacks and all(s[1:] == (j, 2, 2) for s in stacks)
 
 
 class TestGThetaBound:
@@ -546,6 +565,20 @@ class TestNegativeMomentBound:
 def test_rejects_non_positive_or_non_finite_parameter(call, bad):
     with pytest.raises(ValueError, match="positive and finite"):
         call(bad)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda e: negative_moment_bound(0.5, 1.0, e),
+        lambda e: chernoff_sum_bound(bernoulli_model(), e),
+        lambda e: master_bound_grid(bernoulli_model(), ANALYTIC, [0.5, e]),
+    ],
+    ids=["negative-moment", "chernoff-sum", "master-grid"],
+)
+def test_rejects_nan_eps(call):
+    with pytest.raises(ValueError, match="eps must be positive"):
+        call(math.nan)
 
 
 class _NoMean:

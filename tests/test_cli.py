@@ -829,6 +829,36 @@ def test_report_into_a_missing_directory_exits_2(tmp_path, capsys, command, wher
     assert err.count("\n") == 1
 
 
+@pytest.mark.parametrize("flag", ["--csv", "--json"])
+@pytest.mark.parametrize("target", ["missing", "directory"])
+@pytest.mark.parametrize("command", ["bound", "simulate", "compare"])
+def test_unwritable_report_exits_2_before_any_work(
+    tmp_path, capsys, monkeypatch, command, target, flag
+):
+    def work(*args, **kwargs):
+        raise AssertionError("work ran before the report path was checked")
+
+    for name in ("validate_requests", "evaluate_bounds"):
+        monkeypatch.setattr(cli, name, work)
+    monkeypatch.setattr(cli.mc, "estimate", work)
+    path = str(tmp_path / "missing" / "r.out" if target == "missing" else tmp_path)
+    argv = ["--config", write_config(tmp_path, FAST_EXP_CONFIG), "--samples", "64"]
+    assert main([command, *argv, flag, path]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: cannot write {path!r}: ")
+    assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("command", ["bound", "simulate", "compare"])
+def test_unwritable_json_leaves_no_csv(tmp_path, capsys, command):
+    csv_path = tmp_path / "ok.csv"
+    json_path = tmp_path / "missing" / "b.json"
+    argv = ["--config", write_config(tmp_path, FAST_EXP_CONFIG), "--samples", "64"]
+    assert main([command, *argv, "--csv", str(csv_path), "--json", str(json_path)]) == 2
+    assert capsys.readouterr().err.startswith(f"config error: cannot write {str(json_path)!r}: ")
+    assert not csv_path.exists()
+
+
 class TestOptimizerOverrides:
     def test_flags_reach_the_echo_and_run(self, tmp_path):
         out = tmp_path / "b.json"

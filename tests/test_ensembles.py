@@ -116,7 +116,7 @@ class TestBernoulliDiagonal:
         assert src.uniform_bound() == 2.5
         for theta in (1e-3, 1.0, 40.0):
             exact = 0.7 + 0.3 * math.exp(-theta * 2.5)
-            out = src.analytic_mgf(theta).entries
+            out = src.analytic_mgf([theta])[0]
             assert np.allclose(out, exact * np.eye(d), rtol=1e-15, atol=0)
 
     def test_draws_scale_identity_on_each_success(self):
@@ -238,24 +238,24 @@ class TestSumModel:
 class TestAnalyticMgf:
     def test_exponential_identity(self):
         src = ScaledFixed(matrix=HermitianMatrix.identity(2), law=Exponential(rate=1.0))
-        out = src.analytic_mgf(1.0)
-        assert np.allclose(out.entries, 0.5 * np.eye(2), atol=1e-14)
+        out = src.analytic_mgf([1.0])[0]
+        assert np.allclose(out, 0.5 * np.eye(2), atol=1e-14)
 
     def test_gamma_diagonal(self):
         src = ScaledFixed(
             matrix=HermitianMatrix.diagonal([1.0, 2.0]), law=Gamma(shape=2.0, rate=1.0)
         )
-        out = src.analytic_mgf(1.0)
-        assert np.allclose(out.entries, np.diag([0.25, 1.0 / 9.0]), atol=1e-14)
+        out = src.analytic_mgf([1.0])[0]
+        assert np.allclose(out, np.diag([0.25, 1.0 / 9.0]), atol=1e-14)
 
     def test_bernoulli_diagonal_small_theta(self):
         src = bernoulli_diagonal(dim=3, p=0.5, scale=1.0)
-        out = src.analytic_mgf(1e-12)
-        assert np.allclose(out.entries, np.eye(3), atol=1e-9)
+        out = src.analytic_mgf([1e-12])[0]
+        assert np.allclose(out, np.eye(3), atol=1e-9)
 
     def test_unavailable_sources(self):
-        assert BoundedRankOne(dim=2, bound=1.0).analytic_mgf(1.0) is None
-        assert Wishart(dim=2, dof=2).analytic_mgf(1.0) is None
+        assert BoundedRankOne(dim=2, bound=1.0).analytic_mgf is None
+        assert Wishart(dim=2, dof=2).analytic_mgf is None
 
     def test_rejects_nonpositive_theta(self):
         src = bernoulli_diagonal(dim=1, p=0.5, scale=1.0)
@@ -266,16 +266,27 @@ class TestAnalyticMgf:
     def test_monotone_decreasing_in_theta(self, factory):
         src = factory()
         thetas = np.geomspace(1e-3, 1e2, 12)
-        mats = [src.analytic_mgf(t).entries for t in thetas]
+        mats = [src.analytic_mgf([t])[0] for t in thetas]
         for earlier, later in zip(mats, mats[1:]):
             diff = HermitianMatrix(later - earlier)
             assert lambda_max(diff) <= 1e-10
 
     @pytest.mark.parametrize("factory", ALL_SOURCES[:5])
+    def test_batch_equals_one_theta_calls_bit_for_bit(self, factory):
+        src = factory()
+        thetas = [*np.geomspace(1e-6, 1e6, 13).tolist(), 0.3, 0.3]
+        batch = src.analytic_mgf(thetas)
+        assert batch.shape == (len(thetas), src.dim, src.dim)
+        for theta, m in zip(thetas, batch):
+            assert np.array_equal(m, src.analytic_mgf([theta])[0])
+            # Symmetrized as HermitianMatrix does, so wrapping keeps the bits.
+            assert np.array_equal(HermitianMatrix(m).entries, m)
+
+    @pytest.mark.parametrize("factory", ALL_SOURCES[:5])
     def test_output_pd_and_below_identity(self, factory):
         src = factory()
         for theta in (0.1, 1.0, 10.0):
-            out = src.analytic_mgf(theta)
+            out = HermitianMatrix(src.analytic_mgf([theta])[0])
             assert lambda_min(out) > 0.0
             assert lambda_max(out) <= 1.0 + 1e-12
 
@@ -293,6 +304,12 @@ class TestEmpiricalMgf:
         x1 = HermitianMatrix(src.sample_batch(RngStream(16), 1)[0])
         out = empirical_mgf(src, 0.7, 1, RngStream(16))
         assert np.abs(out.entries - expm(x1.scaled(-0.7)).entries).max() <= 1e-10
+
+    @pytest.mark.parametrize("theta", [math.nan, 0.0, math.inf])
+    def test_rejects_theta_not_positive_and_finite(self, theta):
+        src = bernoulli_diagonal(dim=1, p=0.5, scale=1.0)
+        with pytest.raises(ValueError, match="theta must be positive"):
+            empirical_mgf(src, theta, 10, RngStream(0))
 
     def test_converges_to_analytic(self):
         src = ScaledFixed(matrix=HermitianMatrix.identity(2), law=Exponential(rate=1.0))
@@ -392,7 +409,7 @@ class TestSnapshotKernel:
         thetas = [1e-3, 1.0, 1.0, 50.0]
         batch = MgfModel(mode="analytic").evaluate_many(src, thetas)
         for theta, m in zip(thetas, batch):
-            assert np.array_equal(m, src.analytic_mgf(theta).entries)
+            assert np.array_equal(m, src.analytic_mgf([theta])[0])
 
     def test_batch_rejects_nonpositive_theta(self):
         src = BoundedRankOne(dim=2, bound=1.0)
@@ -467,6 +484,41 @@ class TestMgfModel:
             model.check([BoundedRankOne(dim=4, bound=1.0) for _ in range(8)])
         assert model._snapshots == {}
 
+    def test_analytic_check_reads_the_attribute_without_calling_it(self):
+        class Raising:
+            kind = "raising"
+            dim = 2
+
+            def analytic_mgf(self, thetas):
+                raise AssertionError("check evaluated a closed form")
+
+        MgfModel(mode="analytic").check([Raising()])
+
+    def test_analytic_batch_builds_no_hermitian_matrix(self, monkeypatch):
+        src = ScaledFixed(matrix=HermitianMatrix([[2.0, 1j], [-1j, 1.0]]), law=Gamma(2.0, 1.5))
+        built = []
+        init = HermitianMatrix.__init__
+
+        def counting_init(self, entries):
+            built.append(1)
+            init(self, entries)
+
+        monkeypatch.setattr(HermitianMatrix, "__init__", counting_init)
+        model = MgfModel(mode="analytic")
+        for source in (src, SumModel(sources=(src,))):
+            assert model.evaluate_many(source, np.geomspace(0.01, 100.0, 50)).shape == (50, 2, 2)
+        assert built == []
+
+    @pytest.mark.parametrize("theta", [math.nan, 0.0, -1.0, math.inf])
+    @pytest.mark.parametrize("mode", ["analytic", "empirical"])
+    def test_rejects_theta_not_positive_and_finite(self, mode, theta):
+        src = bernoulli_diagonal(dim=2, p=0.5, scale=1.0)
+        model = MgfModel(mode=mode, n_samples=10)
+        with pytest.raises(ValueError, match="theta must be positive"):
+            model.evaluate_many(src, [1.0, theta])
+        with pytest.raises(ValueError, match="theta must be positive"):
+            model.evaluate(src, theta)
+
     def test_repeated_source_shares_one_snapshot(self):
         src = BoundedRankOne(dim=2, bound=1.0)
         model = MgfModel(mode="empirical", n_samples=64, seed=5)
@@ -485,8 +537,8 @@ class TestSumSource:
     def test_analytic_mgf_only_for_single_source(self):
         one = SumModel(sources=(bernoulli_diagonal(dim=1, p=0.5, scale=1.0),))
         two = iid_model(lambda: bernoulli_diagonal(dim=1, p=0.5, scale=1.0), 2)
-        assert one.analytic_mgf(1.0) is not None
-        assert two.analytic_mgf(1.0) is None
+        assert one.analytic_mgf is not None
+        assert two.analytic_mgf is None
 
 
 class TestReproducibility:

@@ -149,6 +149,10 @@ class TestEstimate:
         with pytest.raises(ValueError):
             estimate(model, [0.5], n=0)
 
+    def test_rejects_nan_eps(self):
+        with pytest.raises(ValueError, match="eps_grid values must be positive"):
+            estimate(bernoulli_model(2), [0.5, math.nan], n=10)
+
 
 class TestCompare:
     def test_trivial_bound_never_violates(self):
