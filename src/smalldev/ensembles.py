@@ -267,7 +267,8 @@ class BoundedRankOne:
         g = _complex_normal(gen, (size, self.dim))
         w = g / np.linalg.norm(g, axis=1, keepdims=True)
         u = gen.random(size)
-        return np.einsum("s,si,sj->sij", self.bound * u, w, w.conj())
+        v = (self.bound * u)[:, None] * w
+        return v[:, :, None] * w.conj()[:, None, :]
 
 
 @dataclass(frozen=True)
@@ -294,7 +295,7 @@ class Wishart:
 
     def sample_batch(self, stream: RngStream, size: int) -> np.ndarray:
         g = _complex_normal(stream.generator, (size, self.dof, self.dim))
-        return np.einsum("sni,snj->sij", g, g.conj()) / self.dof
+        return (g.transpose(0, 2, 1) @ g.conj()) / self.dof
 
 
 MatrixSource = ScaledFixed | BoundedRankOne | Wishart
@@ -364,11 +365,11 @@ def distinct_sources(sources) -> tuple[list, list[int]]:
 
 def sample_sum_batch(model: SumModel, stream: RngStream, size: int) -> np.ndarray:
     """Batch of draws of the sum; source k draws from substream k."""
-    total = None
-    for k, src in enumerate(model.sources):
+    total = model.sources[0].sample_batch(stream.child(0), size)
+    for k, src in enumerate(model.sources[1:], start=1):
         batch = src.sample_batch(stream.child(k), size)
         with np.errstate(over="ignore"):  # a sum past the float range is inf
-            total = batch if total is None else total + batch
+            total += batch
     return total
 
 

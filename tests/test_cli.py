@@ -3,6 +3,9 @@ import dataclasses
 import json
 import math
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 import yaml
@@ -814,6 +817,31 @@ class TestCompareCommand:
         assert code == 0
         header = csv_path.read_text().split("\n", 1)[0]
         assert header == "epsilon,bound,bound_value,p_hat,ci_low,ci_high,dominated"
+        assert json.loads(json_path.read_text())["violations"] == 0
+
+    def test_runs_with_scipy_unimportable(self, tmp_path):
+        # A None entry in sys.modules makes every scipy import raise
+        # ImportError, so this fails if any module on the compare path
+        # imports scipy.
+        script = (
+            "import sys\n"
+            "sys.modules['scipy'] = None\n"
+            "from smalldev.cli import main\n"
+            "sys.exit(main(sys.argv[1:]))\n"
+        )
+        src_dir = str(Path(cli.__file__).resolve().parents[1])
+        pythonpath = os.pathsep.join(filter(None, [src_dir, os.environ.get("PYTHONPATH")]))
+        json_path = tmp_path / "r.json"
+        config = demo_config_path("bernoulli_diagonal")
+        args = ["compare", "--config", str(config), "--json", str(json_path)]
+        proc = subprocess.run(
+            [sys.executable, "-c", script, *args],
+            env={**os.environ, "PYTHONPATH": pythonpath},
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
         assert json.loads(json_path.read_text())["violations"] == 0
 
 

@@ -183,6 +183,38 @@ class TestSourceSampling:
         assert np.abs(traces - lam).max() <= 1e-10
 
 
+class TestSamplingKernels:
+    """The batched products against the einsum formulas they replaced,
+    recomputed here from the same substream draws."""
+
+    def test_wishart_gram_matches_einsum(self):
+        src = Wishart(dim=5, dof=7)
+        got = src.sample_batch(RngStream(11), 300)
+        g = ensembles._complex_normal(RngStream(11).generator, (300, 7, 5))
+        want = np.einsum("sni,snj->sij", g, g.conj()) / 7
+        np.testing.assert_allclose(got, want, rtol=1e-13, atol=1e-13)
+
+    def test_bounded_rank_one_outer_product_matches_einsum(self):
+        src = BoundedRankOne(dim=4, bound=2.5)
+        got = src.sample_batch(RngStream(12), 300)
+        gen = RngStream(12).generator
+        g = ensembles._complex_normal(gen, (300, 4))
+        w = g / np.linalg.norm(g, axis=1, keepdims=True)
+        u = gen.random(300)
+        want = np.einsum("s,si,sj->sij", 2.5 * u, w, w.conj())
+        np.testing.assert_allclose(got, want, rtol=1e-13, atol=1e-13)
+
+    def test_sum_accumulates_each_source_from_its_own_substream(self):
+        sources = (Wishart(dim=3, dof=4), BoundedRankOne(dim=3, bound=1.0))
+        model = SumModel(sources=sources * 2)
+        got = sample_sum_batch(model, RngStream(13), 50)
+        want = sum(
+            src.sample_batch(RngStream(13).child(k), 50)
+            for k, src in enumerate(model.sources)
+        )
+        np.testing.assert_array_equal(got, want)
+
+
 class TestSumModel:
     def test_requires_equal_dims(self):
         with pytest.raises(ValueError):

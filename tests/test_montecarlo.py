@@ -1,6 +1,8 @@
 import math
 
+import mpmath
 import pytest
+from scipy.special import betaincinv
 
 from smalldev.bounds import BoundResult, chernoff_sum_bound, master_bound
 from smalldev.ensembles import (
@@ -63,6 +65,14 @@ def brute_force_cp(hits, n, confidence):
     return low, high
 
 
+CP_GRID_N = (1, 2, 3, 10, 100, 4096, 100_000, 200_000, 10_000_000)
+CP_GRID_CONFIDENCE = (0.5, 0.9, 0.99, 1.0 - 1e-6)
+
+
+def cp_grid_hits(n):
+    return sorted(k for k in {0, 1, 2, n // 1024, n // 2, n - 1, n} if k <= n)
+
+
 class TestClopperPearson:
     def test_zero_hits_against_binomial_tail(self):
         low, high = clopper_pearson(0, 50, 0.99)
@@ -86,6 +96,44 @@ class TestClopperPearson:
         low, high = clopper_pearson(5, 10, 0.95)
         assert low == pytest.approx(0.1871, abs=1e-4)
         assert high == pytest.approx(0.8129, abs=1e-4)
+
+    @pytest.mark.parametrize("n", CP_GRID_N)
+    def test_matches_scipy_betaincinv(self, n):
+        for hits in cp_grid_hits(n):
+            for conf in CP_GRID_CONFIDENCE:
+                alpha = 1.0 - conf
+                low, high = clopper_pearson(hits, n, conf)
+                want_low = 0.0 if hits == 0 else betaincinv(hits, n - hits + 1, alpha / 2.0)
+                want_high = 1.0 if hits == n else betaincinv(hits + 1, n - hits, 1.0 - alpha / 2.0)
+                # abs=0: the limits 0 at hits 0 and 1 at hits n must be exact.
+                assert low == pytest.approx(want_low, rel=1e-9, abs=0.0), (hits, n, conf)
+                assert high == pytest.approx(want_high, rel=1e-9, abs=0.0), (hits, n, conf)
+
+    @pytest.mark.parametrize("n", [1, 2, 10, 4096, 10_000_000])
+    def test_closed_forms_at_zero_and_all_hits(self, n):
+        for conf in CP_GRID_CONFIDENCE:
+            half_alpha = mpmath.mpf(1.0 - conf) / 2
+            edge = float(half_alpha ** (mpmath.mpf(1) / n))
+            assert clopper_pearson(0, n, conf)[1] == pytest.approx(1.0 - edge, rel=1e-14)
+            assert clopper_pearson(n, n, conf)[0] == pytest.approx(edge, rel=1e-14)
+
+    @pytest.mark.parametrize("n", CP_GRID_N)
+    def test_mirror_symmetry(self, n):
+        # low(k, n) = 1 - high(n - k, n), up to the rounding of 1 - high.
+        for conf in CP_GRID_CONFIDENCE:
+            for hits in cp_grid_hits(n):
+                low, high = clopper_pearson(hits, n, conf)
+                mirror_low, mirror_high = clopper_pearson(n - hits, n, conf)
+                assert low == pytest.approx(1.0 - mirror_high, rel=1e-12, abs=2.3e-16)
+                assert high == pytest.approx(1.0 - mirror_low, rel=1e-12, abs=2.3e-16)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 10, 100, 1000])
+    def test_limits_increase_with_hits(self, n):
+        for conf in CP_GRID_CONFIDENCE:
+            lows, highs = zip(*(clopper_pearson(k, n, conf) for k in range(n + 1)))
+            assert all(a < b for a, b in zip(lows, lows[1:]))
+            assert all(a < b for a, b in zip(highs, highs[1:]))
+            assert all(lo < k / n < hi for k, (lo, hi) in enumerate(zip(lows, highs)) if 0 < k < n)
 
     def test_validation(self):
         with pytest.raises(ValueError):
