@@ -174,6 +174,8 @@ def resolve_config(raw: dict, args: argparse.Namespace | None = None) -> dict:
             cfg[name][key] = _cast(value, name, key, cast)
     scale = getattr(args, "scale_bounds", None)
     cfg["scale_bounds"] = 1.0 if scale is None else float(scale)
+    if not 0.0 <= cfg["scale_bounds"] < math.inf:
+        raise ConfigError(f"--scale-bounds must be finite and non-negative, got {scale!r}")
     return cfg
 
 
@@ -369,6 +371,7 @@ def _build_gmodel(params: dict, model: SumModel) -> bd.GThetaModel:
 # the model, and returns run() -> list[BoundResult].  A closed-form bound is
 # computed in prepare, so computing it is its applicability check.  prepare
 # draws no mgf snapshot: the order of the draws fixes the empirical values.
+# validate_requests calls each prepare once; evaluate_bounds calls the runs.
 
 
 def _mgf_bound(grid, sources):
@@ -423,31 +426,32 @@ BOUNDS = {
 }
 
 
-def _prepare_bound(req: dict, model: SumModel, mgf: MgfModel, eps_grid, opt_cfg):
-    """BOUNDS[name](...), with a library error turned into a config error."""
-    name = req["name"]
-    try:
-        return BOUNDS[name](req, model, mgf, eps_grid, opt_cfg)
-    except ConfigError:
-        raise
-    except SmallDevError as exc:
-        raise ConfigError(f"bound {name!r} inapplicable: {exc}") from exc
-    except ValueError as exc:
-        raise ConfigError(f"bound {name!r}: {exc}") from exc
-
-
 def validate_requests(
     requests: list,
     model: SumModel,
     mgf: MgfModel,
     eps_grid: list,
     opt_cfg: OptimizerConfig,
-) -> None:
-    """Reject inapplicable (bound, ensemble) pairs, and empirical mgf
-    snapshots too large to draw, before any theta-scan, naming the first
-    offending pair."""
-    for req in requests:
-        _prepare_bound(req, model, mgf, eps_grid, opt_cfg)
+) -> list:
+    """Normalise the config's bound list and prepare every request, in
+    order, before any theta-scan.  Returns the normalised request dicts,
+    each with its prepared `run` added: a closed-form bound is computed
+    here, once, and a theta-scan bound only checked.  Raises ConfigError
+    naming the first malformed entry, inapplicable (bound, ensemble) pair
+    or empirical mgf snapshot too large to draw."""
+    prepared = []
+    for req in _normalize_bound_requests(requests):
+        name = req["name"]
+        try:
+            run = BOUNDS[name](req, model, mgf, eps_grid, opt_cfg)
+        except ConfigError:
+            raise
+        except SmallDevError as exc:
+            raise ConfigError(f"bound {name!r} inapplicable: {exc}") from exc
+        except ValueError as exc:
+            raise ConfigError(f"bound {name!r}: {exc}") from exc
+        prepared.append({**req, "run": run})
+    return prepared
 
 
 def evaluate_bounds(
@@ -457,12 +461,12 @@ def evaluate_bounds(
     eps_grid: list,
     opt_cfg: OptimizerConfig,
 ) -> dict:
-    """Evaluate every requested bound at every grid point; returns a mapping
-    name -> list of BoundResult aligned with eps_grid."""
-    return {
-        req["name"]: _prepare_bound(req, model, mgf, eps_grid, opt_cfg)()
-        for req in _normalize_bound_requests(requests)
-    }
+    """Call the runs of validate_requests' prepared requests, in order, since
+    an empirical snapshot takes its substream by order of first use; returns
+    a mapping name -> list of BoundResult aligned with eps_grid."""
+    # Each run already holds model, mgf, eps_grid and opt_cfg; they stay in
+    # the signature because wrappers of this function pass them through.
+    return {req["name"]: req["run"]() for req in requests}
 
 
 # ---------------------------------------------------------------------------
@@ -519,7 +523,6 @@ def _prepare(args):
     raw = load_config(args.config)
     cfg = resolve_config(raw, args)
     model = build_model(cfg["ensemble"])
-    requests = _normalize_bound_requests(cfg["bounds"])
     sim = cfg["simulation"]
     if sim["n"] < 1:
         raise ConfigError("simulation.n must be at least 1")
@@ -540,7 +543,7 @@ def _prepare(args):
         mgf = MgfModel(**cfg["mgf"], seed=sim["seed"])
     except ValueError as exc:
         raise ConfigError(f"mgf: {exc}") from exc
-    validate_requests(requests, model, mgf, cfg["eps_grid"], opt_cfg)
+    requests = validate_requests(cfg["bounds"], model, mgf, cfg["eps_grid"], opt_cfg)
     return cfg, model, requests, mgf, opt_cfg
 
 
@@ -583,15 +586,13 @@ def cmd_simulate(args) -> int:
 def cmd_compare(args) -> int:
     cfg, model, requests, mgf, opt_cfg = _prepare(args)
     bound_map = evaluate_bounds(requests, model, mgf, cfg["eps_grid"], opt_cfg)
+    # Values lie in [0, 1] and the scale is non-negative, so at the default
+    # scale of 1 every value stays as it is.
     scale = cfg["scale_bounds"]
-    if scale != 1.0:
-        bound_map = {
-            name: [
-                dataclasses.replace(r, value=min(max(r.value * scale, 0.0), 1.0))
-                for r in results
-            ]
-            for name, results in bound_map.items()
-        }
+    bound_map = {
+        name: [dataclasses.replace(r, value=min(r.value * scale, 1.0)) for r in results]
+        for name, results in bound_map.items()
+    }
     report = mc.compare(bound_map, _estimate(cfg, model))
     payload = {
         "experiment": cfg["experiment"],
@@ -698,6 +699,10 @@ def main(argv=None) -> int:
         return args.func(args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:
+        # Exit 1 means a domination violation; an input too large is not one.
+        print(f"config error: out of memory: {exc}", file=sys.stderr)
         return 2
     except SmallDevError as exc:
         print(f"numerical error: {exc}", file=sys.stderr)

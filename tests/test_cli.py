@@ -801,6 +801,20 @@ class TestCompareCommand:
         payload = json.loads(capsys.readouterr().out)
         assert payload["violations"] > 0
 
+    @pytest.mark.parametrize("scale", ["nan", "-1", "inf"])
+    def test_non_finite_or_negative_scale_exits_2_before_any_bound(
+        self, tmp_path, capsys, monkeypatch, scale
+    ):
+        def evaluate_bounds(*args):
+            raise AssertionError("a bound was evaluated")
+
+        monkeypatch.setattr(cli, "evaluate_bounds", evaluate_bounds)
+        path = write_config(tmp_path, FAST_EXP_CONFIG)
+        assert main(["compare", "--config", path, "--scale-bounds", scale]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: --scale-bounds must be finite and non-negative")
+        assert err.count("\n") == 1
+
     def test_writes_both_artifacts(self, tmp_path):
         csv_path, json_path = tmp_path / "r.csv", tmp_path / "r.json"
         code = main(
@@ -885,6 +899,56 @@ def test_unwritable_json_leaves_no_csv(tmp_path, capsys, command):
     assert main([command, *argv, "--csv", str(csv_path), "--json", str(json_path)]) == 2
     assert capsys.readouterr().err.startswith(f"config error: cannot write {str(json_path)!r}: ")
     assert not csv_path.exists()
+
+
+# Sizes whose arrays numpy refuses to allocate at once (8 TB of float64).
+@pytest.mark.parametrize(
+    "override, flags",
+    [
+        ({}, ["--coarse-points", "1000000000000"]),
+        ({"eps_grid": {"start": 0.03, "stop": 0.3, "count": 1.0e12}}, []),
+    ],
+    ids=["coarse-points", "eps-grid-count"],
+)
+def test_input_too_large_for_memory_exits_2(tmp_path, capsys, override, flags):
+    path = write_config(tmp_path, dict(FAST_EXP_CONFIG, **override))
+    assert main(["bound", "--config", path, *flags]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: out of memory: ")
+    assert err.count("\n") == 1
+
+
+# The bundled exponential_series requests: every one applies to the model.
+_APPLICABLE_REQUESTS = [
+    "master",
+    "log_mean",
+    "product",
+    {"name": "g_theta", "g": {"builtin": "log_rate", "rate": 1.0}, "dominators": "identity"},
+    {"name": "negative_moment", "p": 1.0},
+    "series_sum",
+    "series_product",
+]
+
+
+@pytest.mark.parametrize("command", ["bound", "simulate", "compare"])
+def test_every_request_is_prepared_once(tmp_path, monkeypatch, command):
+    """Validation prepares each request, and evaluation only runs what it
+    prepared: a closed form is computed once per command."""
+    prepared = []
+    for name, prepare in BOUNDS.items():
+
+        def counted(req, *args, prepare=prepare):
+            prepared.append(req["name"])
+            return prepare(req, *args)
+
+        monkeypatch.setitem(BOUNDS, name, counted)
+    cfg = dict(FAST_EXP_CONFIG, bounds=_APPLICABLE_REQUESTS)
+    out = tmp_path / "r.json"
+    argv = ["--config", write_config(tmp_path, cfg), "--samples", "64", "--json", str(out)]
+    assert main([command, *argv]) == 0
+    assert prepared == [r if isinstance(r, str) else r["name"] for r in _APPLICABLE_REQUESTS]
+    # The prepared runs stay out of the report's echo of the config.
+    assert json.loads(out.read_text())["config_echo"]["bounds"] == _APPLICABLE_REQUESTS
 
 
 class TestOptimizerOverrides:
