@@ -10,20 +10,15 @@ from .bounds import (
     chernoff_sum_bound,
     exp_envelope,
     g_theta_bound,
-    g_theta_bound_grid,
     log_mean_bound,
-    log_mean_bound_grid,
     log_rate,
     master_bound,
-    master_bound_grid,
     negative_moment_bound,
     power_envelope,
     product_bound,
-    product_bound_grid,
     series_product_bound,
     series_sum_bound,
     single_matrix_bound,
-    single_matrix_bound_grid,
 )
 from .ensembles import (
     Bernoulli,

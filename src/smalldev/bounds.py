@@ -1,23 +1,25 @@
 """Small-deviation upper bounds on P{lambda_max(sum_k X_k) <= eps}.
 
-Each bound evaluator returns a BoundResult carrying the raw expression,
-its clamp to [0, 1], the optimal theta when one exists, a validity flag
-for eps ranges outside which only the trivial bound 1 is claimed, and the
-named scalar parameters that went into the expression.
+Every bound takes an eps grid and returns a list of BoundResult aligned
+with it.  Each result carries the raw expression, its clamp to [0, 1],
+the optimal theta when one exists, a validity flag for eps ranges outside
+which only the trivial bound 1 is claimed, and the named scalar
+parameters that went into the expression.
 
 Two families live here:
 
 * Laplace-transform bounds minimized numerically over theta > 0
-  (single_matrix_bound, master_bound, g_theta_bound, log_mean_bound).
-  Each is inf_theta exp(theta*eps + h(theta)) with h independent of eps,
-  so each also has a *_grid form that runs the searches of a whole eps
-  grid in lockstep and evaluates h in batches, once per distinct theta.
+  (single_matrix_bound, master_bound, g_theta_bound, log_mean_bound, and
+  product_bound over the sources' single_matrix_bound).  Each is
+  inf_theta exp(theta*eps + h(theta)) with h independent of eps, so the
+  searches of the whole grid run in lockstep and evaluate h in batches,
+  once per distinct theta.
 * Closed-form bounds with analytic minimizers (negative_moment_bound,
   chernoff_sum_bound, chernoff_product_bound, series_sum_bound,
-  series_product_bound) plus the per-source product combinator
-  (product_bound, and product_bound_grid over single_matrix_bound_grid).
+  series_product_bound).  Each computes its eps-independent constants
+  once per call, then the same expression at every eps.
 
-All evaluators are pure given (model, mgf snapshot, eps).  A source object
+All evaluators are pure given (model, mgf snapshot, eps grid).  A source object
 repeated in a SumModel stands for i.i.d. copies: the mgf-based bounds
 evaluate its mgf, and product scans its single bound, once per distinct
 object (see ensembles.distinct_sources).
@@ -53,16 +55,11 @@ __all__ = [
     "log_rate",
     "power_envelope",
     "single_matrix_bound",
-    "single_matrix_bound_grid",
     "master_bound",
-    "master_bound_grid",
     "g_theta_bound",
-    "g_theta_bound_grid",
     "g_theta_eta",
     "log_mean_bound",
-    "log_mean_bound_grid",
     "product_bound",
-    "product_bound_grid",
     "source_means",
     "admissible_cp",
     "negative_moment_bound",
@@ -82,7 +79,7 @@ _EXP_CAP = 700.0
 
 @dataclass(frozen=True)
 class BoundResult:
-    """Outcome of one bound evaluation at one eps.
+    """Outcome of a bound at one eps of the grid.
 
     value is min(raw_value, 1); outside a bound's stated eps domain
     (valid=False) the trivial bound 1 is reported instead of an
@@ -119,11 +116,11 @@ def _finish(
     )
 
 
-def _check_eps(eps: float) -> float:
-    eps = float(eps)
-    if not eps > 0:  # a NaN eps fails too
+def _check_grid(eps_grid: Sequence[float]) -> list[float]:
+    eps_grid = [float(e) for e in eps_grid]
+    if not all(e > 0 for e in eps_grid):  # a NaN eps fails too
         raise ValueError("eps must be positive")
-    return eps
+    return eps_grid
 
 
 # ---------------------------------------------------------------------------
@@ -147,7 +144,7 @@ def _scan(
     would get alone; only repeated evaluations of h are saved.  at_boundary
     in the details flags a theta* found at an end of the coarse grid.
     """
-    eps_grid = [_check_eps(e) for e in eps_grid]
+    eps_grid = _check_grid(eps_grid)
     memo: dict[float, float] = {}
     searches = [search(cfg) for _ in eps_grid]
     # The points each unfinished search asks for, by eps index.
@@ -217,7 +214,7 @@ def _source_sum(stack: np.ndarray) -> np.ndarray:
     return total
 
 
-def single_matrix_bound_grid(
+def single_matrix_bound(
     source,
     mgf: MgfModel,
     eps_grid: Sequence[float],
@@ -234,17 +231,7 @@ def single_matrix_bound_grid(
     return _scan(h_many, eps_grid, cfg, {"d": float(d)})
 
 
-def single_matrix_bound(
-    source,
-    mgf: MgfModel,
-    eps: float,
-    cfg: OptimizerConfig = OptimizerConfig(),
-) -> BoundResult:
-    """single_matrix_bound_grid at one eps."""
-    return single_matrix_bound_grid(source, mgf, [eps], cfg)[0]
-
-
-def master_bound_grid(
+def master_bound(
     model: SumModel,
     mgf: MgfModel,
     eps_grid: Sequence[float],
@@ -260,16 +247,6 @@ def master_bound_grid(
         return np.linalg.eigvalsh(total)[:, -1]
 
     return _scan(h_many, eps_grid, cfg, {"K": float(model.size)})
-
-
-def master_bound(
-    model: SumModel,
-    mgf: MgfModel,
-    eps: float,
-    cfg: OptimizerConfig = OptimizerConfig(),
-) -> BoundResult:
-    """master_bound_grid at one eps."""
-    return master_bound_grid(model, mgf, [eps], cfg)[0]
 
 
 @dataclass(frozen=True)
@@ -330,7 +307,7 @@ def g_theta_eta(gmodel: GThetaModel, cfg: OptimizerConfig = OptimizerConfig()) -
     return float(w[-1] if positive else w[0])
 
 
-def g_theta_bound_grid(
+def g_theta_bound(
     gmodel: GThetaModel,
     eps_grid: Sequence[float],
     cfg: OptimizerConfig = OptimizerConfig(),
@@ -342,16 +319,7 @@ def g_theta_bound_grid(
     return _scan(lambda thetas: [gmodel.g(t) * eta for t in thetas], eps_grid, cfg, details)
 
 
-def g_theta_bound(
-    gmodel: GThetaModel,
-    eps: float,
-    cfg: OptimizerConfig = OptimizerConfig(),
-) -> BoundResult:
-    """g_theta_bound_grid at one eps."""
-    return g_theta_bound_grid(gmodel, [eps], cfg)[0]
-
-
-def log_mean_bound_grid(
+def log_mean_bound(
     model: SumModel,
     mgf: MgfModel,
     eps_grid: Sequence[float],
@@ -372,42 +340,27 @@ def log_mean_bound_grid(
     return _scan(h_many, eps_grid, cfg, {"K": float(k)})
 
 
-def log_mean_bound(
-    model: SumModel,
-    mgf: MgfModel,
-    eps: float,
-    cfg: OptimizerConfig = OptimizerConfig(),
-) -> BoundResult:
-    """log_mean_bound_grid at one eps."""
-    return log_mean_bound_grid(model, mgf, [eps], cfg)[0]
-
-
-# ---------------------------------------------------------------------------
-# Product combinator
-# ---------------------------------------------------------------------------
-
-
-def product_bound(per_source: Sequence[BoundResult]) -> BoundResult:
-    """Product of per-source bounds at one shared eps; valid for psd
-    summands because the sum's largest eigenvalue dominates each term's.
-    Since every factor is <= 1, the product never exceeds the smallest."""
+def _product(per_source: Sequence[BoundResult]) -> BoundResult:
+    """Product of per-source bounds at one shared eps.  Since every factor
+    is <= 1, the product never exceeds the smallest."""
     if len(per_source) == 0:
         raise ValueError("product_bound needs at least one per-source result")
     values = [r.value for r in per_source]
     return _finish(math.prod(values), None, True, {"min_single": min([1.0, *values])})
 
 
-def product_bound_grid(
+def product_bound(
     model: SumModel,
     mgf: MgfModel,
     eps_grid: Sequence[float],
     cfg: OptimizerConfig = OptimizerConfig(),
 ) -> list[BoundResult]:
-    """product_bound of the sources' single_matrix_bound_grid, at every eps;
-    one scan per distinct source object, taken once per position."""
+    """Product of the sources' single_matrix_bound at every eps; valid for
+    psd summands because the sum's largest eigenvalue dominates each
+    term's.  One scan per distinct source object, taken once per position."""
     unique, index = distinct_sources(model.sources)
-    scans = [single_matrix_bound_grid(src, mgf, eps_grid, cfg) for src in unique]
-    return [product_bound(column) for column in zip(*(scans[j] for j in index))]
+    scans = [single_matrix_bound(src, mgf, eps_grid, cfg) for src in unique]
+    return [_product(column) for column in zip(*(scans[j] for j in index))]
 
 
 # ---------------------------------------------------------------------------
@@ -469,17 +422,22 @@ def admissible_cp(model: SumModel, p: float) -> float:
         ) from None
 
 
-def negative_moment_bound(cp: float, p: float, eps: float) -> BoundResult:
-    """Bound Cp * eps^p, valid for every eps > 0 (trivial once it
-    reaches 1)."""
-    eps = _check_eps(eps)
+def negative_moment_bound(cp: float, p: float, eps_grid: Sequence[float]) -> list[BoundResult]:
+    """Bound Cp * eps^p at every eps, valid for every eps > 0 (trivial once
+    it reaches 1)."""
+    eps_grid = _check_grid(eps_grid)
     if not (0 < cp < math.inf and 0 < p < math.inf):
         raise ValueError("Cp and p must be positive and finite")
-    try:
-        raw = cp * eps**p
-    except OverflowError:  # eps^p alone leaves the float range; cp may be tiny
-        raw = math.exp(min(math.log(cp) + p * math.log(eps), _EXP_CAP))
-    return _finish(raw, None, True, {"Cp": cp, "p": p})
+    details = {"Cp": cp, "p": p}
+
+    def at(eps: float) -> BoundResult:
+        try:
+            raw = cp * eps**p
+        except OverflowError:  # eps^p alone leaves the float range; cp may be tiny
+            raw = math.exp(min(math.log(cp) + p * math.log(eps), _EXP_CAP))
+        return _finish(raw, None, True, details)
+
+    return [at(eps) for eps in eps_grid]
 
 
 # ---------------------------------------------------------------------------
@@ -510,37 +468,44 @@ def _chernoff_log_factor(mu: float, eps: float, big_l: float) -> float:
     return (eps / big_l) * _log_ratio(mu, eps) + (eps - mu) / big_l
 
 
-def chernoff_sum_bound(model: SumModel, eps: float) -> BoundResult:
+def chernoff_sum_bound(model: SumModel, eps_grid: Sequence[float]) -> list[BoundResult]:
     """Closed-form bound (mu/eps)^(eps/L) * exp((eps-mu)/L) with
-    mu = lambda_min(sum_k E X_k), valid for eps < mu where the optimal
-    theta = log(mu/eps)/L is positive."""
-    eps = _check_eps(eps)
+    mu = lambda_min(sum_k E X_k) at every eps, valid for eps < mu where the
+    optimal theta = log(mu/eps)/L is positive."""
+    eps_grid = _check_grid(eps_grid)
     big_l = _uniform_bound(model)
     mu = lambda_min(_mean_of_sum(model))
     details = {"L": big_l, "mu": mu}
-    if eps < mu:
-        theta = _log_ratio(mu, eps) / big_l
-        raw = math.exp(_chernoff_log_factor(mu, eps, big_l))
-        return _finish(raw, theta, True, details)
-    return _finish(1.0, None, False, details)
+
+    def at(eps: float) -> BoundResult:
+        if eps < mu:
+            theta = _log_ratio(mu, eps) / big_l
+            raw = math.exp(_chernoff_log_factor(mu, eps, big_l))
+            return _finish(raw, theta, True, details)
+        return _finish(1.0, None, False, details)
+
+    return [at(eps) for eps in eps_grid]
 
 
-def chernoff_product_bound(model: SumModel, eps: float) -> BoundResult:
+def chernoff_product_bound(model: SumModel, eps_grid: Sequence[float]) -> list[BoundResult]:
     """Product form over per-source factors (mu_k/eps)^(eps/L)
-    exp((eps-mu_k)/L) with mu_k = lambda_min(E X_k).  Sources with
-    mu_k = 0 contribute the vacuous factor 1; the bound is nontrivial for
-    eps below every positive mu_k."""
-    eps = _check_eps(eps)
+    exp((eps-mu_k)/L) with mu_k = lambda_min(E X_k), at every eps.  Sources
+    with mu_k = 0 contribute the vacuous factor 1; the bound is nontrivial
+    for eps below every positive mu_k."""
+    eps_grid = _check_grid(eps_grid)
     big_l = _uniform_bound(model)
     mus = [lambda_min(m) for m in source_means(model)]
-    details = {"L": big_l}
-    for k, mu in enumerate(mus):
-        details[f"mu_{k + 1}"] = mu
+    details = {"L": big_l, **{f"mu_{k + 1}": mu for k, mu in enumerate(mus)}}
     positive = [mu for mu in mus if mu > 0]
-    if positive and eps < min(positive):
-        log_raw = sum(_chernoff_log_factor(mu, eps, big_l) for mu in positive)
-        return _finish(math.exp(log_raw), None, True, details)
-    return _finish(1.0, None, False, details)
+    cutoff = min(positive, default=0.0)
+
+    def at(eps: float) -> BoundResult:
+        if eps < cutoff:
+            log_raw = sum(_chernoff_log_factor(mu, eps, big_l) for mu in positive)
+            return _finish(math.exp(log_raw), None, True, details)
+        return _finish(1.0, None, False, details)
+
+    return [at(eps) for eps in eps_grid]
 
 
 # ---------------------------------------------------------------------------
@@ -584,54 +549,53 @@ def _cutoff(log_cutoff: float) -> float:
         ) from None
 
 
-def series_sum_bound(model: SumModel, eps: float) -> BoundResult:
+def series_sum_bound(model: SumModel, eps_grid: Sequence[float]) -> list[BoundResult]:
     """Bound (e eps / (K alpha))^(alpha K) * (C nu / K)^K with
-    nu = lambda_max(sum_k A_k^(-alpha)), valid for
+    nu = lambda_max(sum_k A_k^(-alpha)) at every eps, valid for
     eps < (K alpha / e) * (K / (C nu))^(1/alpha); the optimal theta is
     alpha K / eps."""
-    eps = _check_eps(eps)
+    eps_grid = _check_grid(eps_grid)
     c, alpha, mats = _series_params(model)
     k = model.size
     powers = [matrix_power(a, -alpha) for a in mats]
     nu = float(np.linalg.eigvalsh(sum(powers[1:], powers[0]).entries)[-1])
     if not 0 < c * nu < math.inf:
         raise FloatRangeError(f"C * nu = {c!r} * {nu!r} is outside the float range")
-    log_raw = alpha * k * (1.0 + math.log(eps) - math.log(k * alpha)) + k * (
-        math.log(c * nu) - math.log(k)
-    )
-    raw = math.exp(min(log_raw, _EXP_CAP))
-    log_cutoff = math.log(k * alpha) - 1.0 + (math.log(k) - math.log(c * nu)) / alpha
-    valid = eps < _cutoff(log_cutoff)
+    log_k_alpha = math.log(k * alpha)
+    log_c_nu_term = k * (math.log(c * nu) - math.log(k))
+    cutoff = _cutoff(log_k_alpha - 1.0 + (math.log(k) - math.log(c * nu)) / alpha)
     details = {"C": c, "alpha": alpha, "nu": nu, "K": float(k)}
-    theta = alpha * k / eps if valid else None
-    return _finish(raw, theta, valid, details)
+
+    def at(eps: float) -> BoundResult:
+        log_raw = alpha * k * (1.0 + math.log(eps) - log_k_alpha) + log_c_nu_term
+        valid = eps < cutoff
+        theta = alpha * k / eps if valid else None
+        return _finish(math.exp(min(log_raw, _EXP_CAP)), theta, valid, details)
+
+    return [at(eps) for eps in eps_grid]
 
 
-def series_product_bound(model: SumModel, eps: float) -> BoundResult:
+def series_product_bound(model: SumModel, eps_grid: Sequence[float]) -> list[BoundResult]:
     """Product form (prod_k nu_k) * C^K * (e eps / alpha)^(K alpha) with
-    nu_k = lambda_max(A_k^(-alpha)), valid for
+    nu_k = lambda_max(A_k^(-alpha)) at every eps, valid for
     eps < (alpha/e) * C^(-1/alpha) * (prod_k nu_k)^(-1/(alpha K)); every
     factor shares the optimal theta = alpha / eps."""
-    eps = _check_eps(eps)
+    eps_grid = _check_grid(eps_grid)
     c, alpha, mats = _series_params(model)
     k = model.size
     nus = [
         float(np.linalg.eigvalsh(matrix_power(a, -alpha).entries)[-1]) for a in mats
     ]
     log_nu_sum = sum(math.log(nu) for nu in nus)
-    log_raw = log_nu_sum + k * math.log(c) + k * alpha * (
-        1.0 + math.log(eps) - math.log(alpha)
-    )
-    raw = math.exp(min(log_raw, _EXP_CAP))
-    log_cutoff = (
-        math.log(alpha)
-        - 1.0
-        - math.log(c) / alpha
-        - log_nu_sum / (alpha * k)
-    )
-    valid = eps < _cutoff(log_cutoff)
-    details = {"C": c, "alpha": alpha}
-    for i, nu in enumerate(nus):
-        details[f"nu_{i + 1}"] = nu
-    theta = alpha / eps if valid else None
-    return _finish(raw, theta, valid, details)
+    log_nu_c_term = log_nu_sum + k * math.log(c)
+    log_alpha = math.log(alpha)
+    cutoff = _cutoff(log_alpha - 1.0 - math.log(c) / alpha - log_nu_sum / (alpha * k))
+    details = {"C": c, "alpha": alpha, **{f"nu_{i + 1}": nu for i, nu in enumerate(nus)}}
+
+    def at(eps: float) -> BoundResult:
+        log_raw = log_nu_c_term + k * alpha * (1.0 + math.log(eps) - log_alpha)
+        valid = eps < cutoff
+        theta = alpha / eps if valid else None
+        return _finish(math.exp(min(log_raw, _EXP_CAP)), theta, valid, details)
+
+    return [at(eps) for eps in eps_grid]

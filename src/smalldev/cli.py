@@ -20,6 +20,7 @@ import argparse
 import dataclasses
 import json
 import math
+import os
 import re
 import sys
 from importlib import resources
@@ -223,17 +224,30 @@ _MATRIX_KEYS = ("identity", "diagonal", "dense", "imag")
 
 
 def _matrix(spec: dict) -> HermitianMatrix:
-    """{identity: d}, {diagonal: [..]} or {dense: [[..]], imag: [[..]]}."""
+    """Exactly one of {identity: d}, {diagonal: [..]} or {dense: [[..]]};
+    dense takes an optional imag: [[..]] of its shape, and the two must
+    form a Hermitian matrix up to roundoff."""
+    if sum(key in spec for key in ("identity", "diagonal", "dense")) != 1:
+        raise ValueError("matrix needs exactly one of identity, diagonal or dense")
+    if "imag" in spec and "dense" not in spec:
+        raise ValueError("matrix imag is only allowed with dense")
     if "identity" in spec:
         return HermitianMatrix.identity(_integer(spec["identity"]))
     if "diagonal" in spec:
         return HermitianMatrix.diagonal([float(x) for x in spec["diagonal"]])
-    if "dense" in spec:
-        entries = np.asarray(spec["dense"], dtype=float)
-        if "imag" in spec:
-            entries = entries + 1j * np.asarray(spec["imag"], dtype=float)
-        return HermitianMatrix(entries)
-    raise ValueError("matrix needs identity, diagonal, or dense")
+    entries = np.asarray(spec["dense"], dtype=float)
+    imag = np.asarray(spec.get("imag", np.zeros_like(entries)), dtype=float)
+    if imag.shape != entries.shape:
+        raise ValueError(f"matrix imag has shape {imag.shape}, dense {entries.shape}")
+    # Set, not multiplied by 1j, so that an infinite imag warns of nothing.
+    entries = entries.astype(complex)
+    entries.imag = imag
+    matrix = HermitianMatrix(entries)  # square and finite
+    # Scaled so that the difference cannot overflow.
+    scale = max(1.0, np.abs(entries.real).max(), np.abs(entries.imag).max())
+    if np.abs(entries / scale - entries.conj().T / scale).max() > 1e-12:
+        raise ValueError("matrix dense (with imag) is not Hermitian")
+    return matrix
 
 
 # {kind: (constructor, {field: cast})}; the constructor takes the fields in
@@ -326,10 +340,6 @@ def build_model(ensemble_spec) -> SumModel:
 # ---------------------------------------------------------------------------
 
 
-# The request keys each bound reads besides its name.
-_BOUND_PARAMS = {"negative_moment": ("p", "Cp"), "g_theta": ("g", "dominators")}
-
-
 def _normalize_bound_requests(spec) -> list:
     if not isinstance(spec, list) or not spec:
         raise ConfigError("bounds must be a non-empty list")
@@ -345,80 +355,80 @@ def _normalize_bound_requests(spec) -> list:
                 f"bounds[{i}]: unknown bound {name!r}; expected one of "
                 + ", ".join(BOUNDS)
             )
-        _mapping(entry, ("name", *_BOUND_PARAMS.get(name, ())), f"bounds[{i}]")
+        _mapping(entry, ("name", *BOUNDS[name][1]), f"bounds[{i}]")
         if any(r["name"] == name for r in requests):
             raise ConfigError(f"bounds[{i}]: bound {name!r} requested twice")
         requests.append(dict(entry))
     return requests
 
 
-def _build_gmodel(params: dict, model: SumModel) -> bd.GThetaModel:
-    g, sign = _build(
-        _G_BUILTINS, _require(params, "g", "g_theta"), "g_theta.g", tag="builtin"
-    )
-    dom = params.get("dominators", "mean")
+# Each BOUNDS entry is (prepare, keys): keys are the request keys the bound
+# reads besides its name, and prepare(request, model, mgf, eps_grid, opt_cfg)
+# parses them, raises when the bound does not apply to the model, and
+# returns run() -> list[BoundResult].  A bound that needs no mgf is computed
+# in prepare, so computing it is its applicability check.  An mgf bound is
+# only checked there, since prepare draws no snapshot: the order of the
+# draws fixes the empirical values.  validate_requests calls each prepare
+# once; evaluate_bounds calls the runs.
+
+
+def _mgf_bound(bound, sources):
+    """Entry for a theta-scan bound(model, mgf, eps_grid, opt_cfg) over the
+    mgf of sources(model); MgfModel.check decides whether the mgf is there."""
+
+    def prepare(req, model, mgf, eps_grid, opt_cfg):
+        mgf.check(sources(model))
+        return lambda: bound(model, mgf, eps_grid, opt_cfg)
+
+    return prepare, ()
+
+
+def _computed(compute, keys=()):
+    """Entry for a bound that needs no mgf: compute(req, model, eps_grid,
+    opt_cfg) runs once, in prepare."""
+
+    def prepare(req, model, mgf, eps_grid, opt_cfg):
+        values = compute(req, model, eps_grid, opt_cfg)
+        return lambda: values
+
+    return prepare, keys
+
+
+def _g_theta(req, model, eps_grid, opt_cfg):
+    g, sign = _build(_G_BUILTINS, _require(req, "g", "g_theta"), "g_theta.g", tag="builtin")
+    dom = req.get("dominators", "mean")
     if dom == "mean":
         mats = bd.source_means(model)
     elif dom == "identity":
         mats = [HermitianMatrix.identity(model.dim)] * model.size
     else:
         raise ConfigError(f"unknown dominators spec {dom!r}")
-    return bd.GThetaModel(g=g, sign=sign, dominators=tuple(mats))
+    gmodel = bd.GThetaModel(g=g, sign=sign, dominators=tuple(mats))
+    return bd.g_theta_bound(gmodel, eps_grid, opt_cfg)
 
 
-# Each BOUNDS entry is prepare(request, model, mgf, eps_grid, opt_cfg): it
-# parses the request's parameters, raises when the bound does not apply to
-# the model, and returns run() -> list[BoundResult].  A closed-form bound is
-# computed in prepare, so computing it is its applicability check.  prepare
-# draws no mgf snapshot: the order of the draws fixes the empirical values.
-# validate_requests calls each prepare once; evaluate_bounds calls the runs.
-
-
-def _mgf_bound(grid, sources):
-    """prepare for a theta-scan grid(model, mgf, eps_grid, opt_cfg) over the
-    mgf of sources(model); MgfModel.check decides whether the mgf is there."""
-
-    def prepare(req, model, mgf, eps_grid, opt_cfg):
-        mgf.check(sources(model))
-        return lambda: grid(model, mgf, eps_grid, opt_cfg)
-
-    return prepare
-
-
-def _g_theta(req, model, mgf, eps_grid, opt_cfg):
-    gmodel = _build_gmodel(req, model)
-    bd.g_theta_eta(gmodel, opt_cfg)
-    return lambda: bd.g_theta_bound_grid(gmodel, eps_grid, opt_cfg)
-
-
-def _negative_moment(req, model, mgf, eps_grid, opt_cfg):
+def _negative_moment(req, model, eps_grid, opt_cfg):
     p = _field(req, "negative_moment", "p", float, 1.0)
     if "Cp" in req:
         cp = _cast(req["Cp"], "negative_moment", "Cp", float)
     else:
         cp = bd.admissible_cp(model, p)
-    values = [bd.negative_moment_bound(cp, p, e) for e in eps_grid]
-    return lambda: values
+    return bd.negative_moment_bound(cp, p, eps_grid)
 
 
 def _closed_form(bound):
-    """prepare for a closed-form bound(model, eps)."""
-
-    def prepare(req, model, mgf, eps_grid, opt_cfg):
-        values = [bound(model, e) for e in eps_grid]
-        return lambda: values
-
-    return prepare
+    """Entry for a closed-form bound(model, eps_grid)."""
+    return _computed(lambda req, model, eps_grid, opt_cfg: bound(model, eps_grid))
 
 
 BOUNDS = {
     # single applies the one-matrix bound to the sum, whose source is the model.
-    "single": _mgf_bound(bd.single_matrix_bound_grid, lambda m: (m,)),
-    "master": _mgf_bound(bd.master_bound_grid, lambda m: m.sources),
-    "g_theta": _g_theta,
-    "log_mean": _mgf_bound(bd.log_mean_bound_grid, lambda m: m.sources),
-    "product": _mgf_bound(bd.product_bound_grid, lambda m: m.sources),
-    "negative_moment": _negative_moment,
+    "single": _mgf_bound(bd.single_matrix_bound, lambda m: (m,)),
+    "master": _mgf_bound(bd.master_bound, lambda m: m.sources),
+    "g_theta": _computed(_g_theta, ("g", "dominators")),
+    "log_mean": _mgf_bound(bd.log_mean_bound, lambda m: m.sources),
+    "product": _mgf_bound(bd.product_bound, lambda m: m.sources),
+    "negative_moment": _computed(_negative_moment, ("p", "Cp")),
     "chernoff_sum": _closed_form(bd.chernoff_sum_bound),
     "chernoff_product": _closed_form(bd.chernoff_product_bound),
     "series_sum": _closed_form(bd.series_sum_bound),
@@ -434,16 +444,16 @@ def validate_requests(
     opt_cfg: OptimizerConfig,
 ) -> list:
     """Normalise the config's bound list and prepare every request, in
-    order, before any theta-scan.  Returns the normalised request dicts,
-    each with its prepared `run` added: a closed-form bound is computed
-    here, once, and a theta-scan bound only checked.  Raises ConfigError
+    order, before any mgf theta-scan.  Returns the normalised request
+    dicts, each with its prepared `run` added: a bound that needs no mgf
+    is computed here, once, and an mgf bound only checked.  Raises ConfigError
     naming the first malformed entry, inapplicable (bound, ensemble) pair
     or empirical mgf snapshot too large to draw."""
     prepared = []
     for req in _normalize_bound_requests(requests):
         name = req["name"]
         try:
-            run = BOUNDS[name](req, model, mgf, eps_grid, opt_cfg)
+            run = BOUNDS[name][0](req, model, mgf, eps_grid, opt_cfg)
         except ConfigError:
             raise
         except SmallDevError as exc:
@@ -532,9 +542,13 @@ def _prepare(args):
         raise ConfigError("simulation.seed must be non-negative")
     # A bad SMALLDEV_THREADS or report path exits 2 before any bound runs.
     mc.worker_count()
-    for path in cfg["output"].values():
-        if path is not None and (Path(path).is_dir() or not Path(path).parent.is_dir()):
+    paths = [path for path in cfg["output"].values() if path is not None]
+    for path in paths:
+        if Path(path).is_dir() or not Path(path).parent.is_dir():
             raise ConfigError(f"cannot write {path!r}: not a file in an existing directory")
+    # realpath, unlike Path.resolve, does not raise on a symlink loop.
+    if len({os.path.realpath(path) for path in paths}) < len(paths):
+        raise ConfigError(f"output.csv and output.json name one file: {paths[0]!r}, {paths[1]!r}")
     try:
         opt_cfg = OptimizerConfig(**cfg["optimizer"])
     except ValueError as exc:

@@ -15,10 +15,10 @@ import pytest
 
 from smalldev.bounds import (
     BoundResult,
+    _product,
     chernoff_sum_bound,
     log_mean_bound,
     master_bound,
-    product_bound,
     series_product_bound,
     series_sum_bound,
 )
@@ -119,20 +119,20 @@ def test_criterion_2_exact_binomial_oracle():
     product achieving it exactly."""
     model = bernoulli_model()
 
-    res = chernoff_sum_bound(model, 0.5)
+    res = chernoff_sum_bound(model, [0.5])[0]
     with mpmath.workdps(60):
         expected = float(mpmath.sqrt(10) * mpmath.exp(mpmath.mpf("-4.5")))
     assert abs(res.raw_value / expected - 1.0) <= 1e-12
     assert expected == pytest.approx(3.513e-2, abs=1e-5)
 
-    master = master_bound(model, MgfModel(mode="analytic"), 0.5)
+    master = master_bound(model, MgfModel(mode="analytic"), [0.5])[0]
     assert master.value >= TRUE_BINOMIAL
 
     per_source = [
         BoundResult(raw_value=0.5, value=0.5, theta_star=None, valid=True, trivial=False)
         for _ in range(10)
     ]
-    prod = product_bound(per_source)
+    prod = _product(per_source)
     assert prod.value >= TRUE_BINOMIAL
     assert abs(prod.value - TRUE_BINOMIAL) <= 1e-12
 
@@ -143,17 +143,17 @@ def test_criterion_3_exponential_series_oracle():
     CDFs, and each closed form crosses 1 exactly at its predicted cutoff."""
     one = exp_series_model(1)
     for eps in (0.01, 0.05, 0.1, 0.2, 0.3):
-        res = series_product_bound(one, eps)
+        res = series_product_bound(one, [eps])[0]
         assert abs(res.raw_value / (math.e * eps) - 1.0) <= 1e-12
         assert res.value >= 1.0 - math.exp(-eps)
 
     two = exp_series_model(2)
     for eps in (0.01, 0.05, 0.1, 0.2, 0.3):
         gamma_cdf = 1.0 - math.exp(-eps) * (1.0 + eps)
-        sum_form = series_sum_bound(two, eps)
+        sum_form = series_sum_bound(two, [eps])[0]
         assert sum_form.valid
         assert sum_form.value >= gamma_cdf
-        prod_form = series_product_bound(two, eps)
+        prod_form = series_product_bound(two, [eps])[0]
         assert prod_form.valid
         assert prod_form.value >= gamma_cdf
 
@@ -167,10 +167,9 @@ def test_criterion_3_exponential_series_oracle():
         (two, series_product_bound, 1.0 / math.e),
     ]
     for model, bound_fn, cutoff in cases:
-        just_below = bound_fn(model, cutoff * (1.0 - 1e-12))
+        just_below, at_cutoff = bound_fn(model, [cutoff * (1.0 - 1e-12), cutoff])
         assert just_below.valid
         assert abs(just_below.raw_value - 1.0) <= 1e-9
-        at_cutoff = bound_fn(model, cutoff)
         assert not at_cutoff.valid
         assert at_cutoff.value == 1.0
 
@@ -261,8 +260,8 @@ def test_criterion_5_dimension_independence():
     ]
     for model, mgf_factory, eps in cases:
         doubled = SumModel(sources=tuple(_Doubled(s) for s in model.sources))
-        base = master_bound(model, mgf_factory(), eps)
-        big = master_bound(doubled, mgf_factory(), eps)
+        base = master_bound(model, mgf_factory(), [eps])[0]
+        big = master_bound(doubled, mgf_factory(), [eps])[0]
         assert abs(big.value - base.value) <= 1e-8 * max(base.value, 1e-300)
 
 
@@ -278,7 +277,7 @@ def test_criterion_6_ordering_properties():
                         valid=True, trivial=False)
             for v in vals
         ]
-        assert product_bound(results).value <= vals.min()
+        assert _product(results).value <= vals.min()
 
     hetero = SumModel(
         sources=(
@@ -292,23 +291,23 @@ def test_criterion_6_ordering_properties():
     )
     mgf = MgfModel(mode="analytic")
     for eps in (0.05, 0.1, 0.2, 0.4):
-        master = master_bound(hetero, mgf, eps)
-        log_mean = log_mean_bound(hetero, mgf, eps)
+        master = master_bound(hetero, mgf, [eps])[0]
+        log_mean = log_mean_bound(hetero, mgf, [eps])[0]
         assert log_mean.value >= master.value - 1e-10
 
     model = bernoulli_model()
     mu = 5.0
     grid = np.linspace(1e-3, mu, 500)
-    raws = [chernoff_sum_bound(model, e).raw_value for e in grid]
+    raws = [r.raw_value for r in chernoff_sum_bound(model, grid)]
     for a, b in zip(raws, raws[1:]):
         assert b >= a * (1.0 - 1e-12)
 
     collected = [
-        chernoff_sum_bound(model, 0.5),
-        chernoff_sum_bound(model, 50.0),
-        master_bound(model, mgf, 0.5),
-        log_mean_bound(model, mgf, 0.5),
-        series_sum_bound(exp_series_model(2), 5.0),
+        chernoff_sum_bound(model, [0.5])[0],
+        chernoff_sum_bound(model, [50.0])[0],
+        master_bound(model, mgf, [0.5])[0],
+        log_mean_bound(model, mgf, [0.5])[0],
+        series_sum_bound(exp_series_model(2), [5.0])[0],
     ]
     for res in collected:
         assert 0.0 <= res.value <= 1.0

@@ -14,21 +14,16 @@ from smalldev.bounds import (
     chernoff_sum_bound,
     exp_envelope,
     g_theta_bound,
-    g_theta_bound_grid,
     g_theta_eta,
     log_mean_bound,
-    log_mean_bound_grid,
     log_rate,
     master_bound,
-    master_bound_grid,
     negative_moment_bound,
     power_envelope,
     product_bound,
-    product_bound_grid,
     series_product_bound,
     series_sum_bound,
     single_matrix_bound,
-    single_matrix_bound_grid,
     source_means,
 )
 from smalldev.ensembles import (
@@ -94,14 +89,14 @@ def assert_result_invariants(res):
 class TestSingleMatrixBound:
     def test_deterministic_identity_goes_to_zero(self):
         src = bernoulli_diagonal(dim=2, p=1.0, scale=1.0)
-        res = single_matrix_bound(src, ANALYTIC, 0.5)
+        res = single_matrix_bound(src, ANALYTIC, [0.5])[0]
         assert res.value < 1e-50
         assert_result_invariants(res)
 
     def test_matches_dense_grid_oracle(self):
         # Y = x * [1], x ~ exp(1): objective exp(theta*eps)/(1+theta)
         src = ScaledFixed(matrix=HermitianMatrix.identity(1), law=Exponential(rate=1.0))
-        res = single_matrix_bound(src, ANALYTIC, 0.1)
+        res = single_matrix_bound(src, ANALYTIC, [0.1])[0]
         thetas = np.geomspace(1e-6, 1e6, 400_001)
         with np.errstate(over="ignore"):
             oracle = (np.exp(thetas * 0.1) / (1.0 + thetas)).min()
@@ -111,34 +106,34 @@ class TestSingleMatrixBound:
     @pytest.mark.parametrize("eps", [0.05, 0.1, 0.2])
     def test_dominates_exponential_cdf(self, eps):
         src = ScaledFixed(matrix=HermitianMatrix.identity(1), law=Exponential(rate=1.0))
-        res = single_matrix_bound(src, ANALYTIC, eps)
+        res = single_matrix_bound(src, ANALYTIC, [eps])[0]
         assert res.value >= 1.0 - math.exp(-eps)
 
     def test_rejects_nonpositive_eps(self):
         src = bernoulli_diagonal(dim=1, p=0.5, scale=1.0)
         with pytest.raises(ValueError):
-            single_matrix_bound(src, ANALYTIC, 0.0)
+            single_matrix_bound(src, ANALYTIC, [0.0])
 
 
 class TestMasterBound:
     def test_deterministic_identity_goes_to_zero(self):
         model = SumModel(sources=(bernoulli_diagonal(dim=2, p=1.0, scale=1.0),))
-        res = master_bound(model, ANALYTIC, 0.5)
+        res = master_bound(model, ANALYTIC, [0.5])[0]
         assert res.value < 1e-50
 
     def test_dominates_exact_binomial(self):
-        res = master_bound(bernoulli_model(), ANALYTIC, 0.5)
+        res = master_bound(bernoulli_model(), ANALYTIC, [0.5])[0]
         assert res.value >= TRUE_BINOMIAL
         assert_result_invariants(res)
 
     def test_dominates_gamma_cdf(self):
-        res = master_bound(exp_series_model(2), ANALYTIC, 0.2)
+        res = master_bound(exp_series_model(2), ANALYTIC, [0.2])[0]
         assert res.value >= gamma2_cdf(0.2)
 
     def test_matches_dense_grid_oracle_bernoulli(self):
         # K=10 Bernoulli(1/2) identities: per-source mgf is the scalar
         # (1 + exp(-theta))/2, so the objective has a closed scalar form.
-        res = master_bound(bernoulli_model(), ANALYTIC, 0.5)
+        res = master_bound(bernoulli_model(), ANALYTIC, [0.5])[0]
         thetas = np.geomspace(1e-6, 1e6, 400_001)
         with np.errstate(over="ignore"):
             objective = np.exp(0.5 * thetas) * (0.5 * (1.0 + np.exp(-thetas))) ** 10
@@ -148,8 +143,8 @@ class TestMasterBound:
     def test_empirical_mgf_agrees_with_analytic(self):
         model = exp_series_model(2)
         emp = MgfModel(mode="empirical", n_samples=20_000, seed=5)
-        ana = master_bound(model, ANALYTIC, 0.2)
-        est = master_bound(model, emp, 0.2)
+        ana = master_bound(model, ANALYTIC, [0.2])[0]
+        est = master_bound(model, emp, [0.2])[0]
         assert est.value == pytest.approx(ana.value, rel=0.05)
 
     def test_propagates_broken_mgf(self):
@@ -162,7 +157,7 @@ class TestMasterBound:
         # The first bad theta in batch order: the start of the coarse grid.
         first = re.escape(f"theta={float(cfg.coarse_grid()[0])!r} ")
         with pytest.raises(NotPositiveDefiniteError, match=first):
-            master_bound(model, BrokenMgf(), 0.5, cfg)
+            master_bound(model, BrokenMgf(), [0.5], cfg)
 
     def test_broken_mgf_of_one_source_among_several(self):
         # Only the last source's mgf is indefinite; the stacked eigh must
@@ -175,7 +170,7 @@ class TestMasterBound:
                 return np.array([mat for _ in thetas], dtype=complex)
 
         with pytest.raises(NotPositiveDefiniteError, match="theta"):
-            master_bound(SumModel(sources=sources), BrokenMgf(), 0.5)
+            master_bound(SumModel(sources=sources), BrokenMgf(), [0.5])
 
     @pytest.mark.parametrize(
         "source", [BoundedRankOne(dim=4, bound=1.0), bernoulli_diagonal(dim=1, p=0.5, scale=1.0)]
@@ -209,7 +204,7 @@ class TestMasterBound:
         monkeypatch.setattr(np.linalg, "eigh", recording_eigh)
         for sources, j in [((a,) * 10, 1), ((a, b, a, a, b), 2)]:
             shapes.clear()
-            master_bound_grid(SumModel(sources=sources), ANALYTIC, [0.1, 0.5])
+            master_bound(SumModel(sources=sources), ANALYTIC, [0.1, 0.5])
             stacks = [s for s in shapes if len(s) == 4]
             assert stacks and all(s[1:] == (j, 2, 2) for s in stacks)
 
@@ -227,7 +222,7 @@ class TestGThetaBound:
             sign="negative",
             dominators=tuple(s.mean() for s in model.sources),
         )
-        res = g_theta_bound(gmodel, 0.5)
+        res = g_theta_bound(gmodel, [0.5])[0]
         assert res.value < 1e-50
         assert res.details["eta2"] == pytest.approx(3.0)
 
@@ -238,7 +233,7 @@ class TestGThetaBound:
             sign="negative",
             dominators=tuple(HermitianMatrix.identity(2) for _ in range(3)),
         )
-        res = g_theta_bound(gmodel, 0.2)
+        res = g_theta_bound(gmodel, [0.2])[0]
         thetas = np.geomspace(1e-6, 1e6, 400_001)
         with np.errstate(over="ignore"):
             oracle = np.exp(0.2 * thetas + 3.0 * np.log(1.0 / (1.0 + thetas))).min()
@@ -249,7 +244,7 @@ class TestGThetaBound:
         gmodel = GThetaModel(
             g=log_rate(1.0), sign="negative", dominators=(HermitianMatrix.identity(1),)
         )
-        res = g_theta_bound(gmodel, 2.0)
+        res = g_theta_bound(gmodel, [2.0])[0]
         assert res.trivial
         assert res.value == 1.0
         assert res.valid
@@ -263,7 +258,7 @@ class TestGThetaBound:
             dominators=(HermitianMatrix.identity(1),),
         )
         with pytest.raises(InvalidDominatorsError):
-            g_theta_bound(gmodel, 0.1)
+            g_theta_bound(gmodel, [0.1])
 
     def test_eta_checks_the_grid_without_a_theta_scan(self, monkeypatch):
         def search(*args, **kwargs):
@@ -284,7 +279,7 @@ class TestGThetaBound:
             dominators=(HermitianMatrix.diagonal([1.0, 3.0]),),
         )
         cfg = OptimizerConfig(theta_min=1e-6, theta_max=1.0)
-        res = g_theta_bound(gmodel, 0.05, cfg)
+        res = g_theta_bound(gmodel, [0.05], cfg)[0]
         assert res.details["eta1"] == pytest.approx(3.0)
         assert_result_invariants(res)
 
@@ -304,7 +299,7 @@ class CountingMgf:
 class TestGridScan:
     EPS = [0.05, 0.1, 0.2, 0.4]
 
-    @pytest.mark.parametrize("grid", [master_bound_grid, log_mean_bound_grid])
+    @pytest.mark.parametrize("grid", [master_bound, log_mean_bound])
     def test_repeated_source_mgf_is_evaluated_once_per_theta(self, grid):
         # One object ten times, as `repeat: 10` builds it: one mgf call per
         # theta, and the bits of ten separately built sources.
@@ -315,6 +310,8 @@ class TestGridScan:
         assert shared == grid(bernoulli_model(), ANALYTIC, self.EPS)
 
     def test_grid_bit_identical_to_per_eps_calls(self):
+        # Each eps of a grid gets what it gets alone: the theta-scans run in
+        # lockstep, and the closed forms share only eps-free constants.
         model = exp_series_model(3)
         gmodel = GThetaModel(
             g=log_rate(1.0),
@@ -323,23 +320,29 @@ class TestGridScan:
         )
         src = model.sources[0]
         cases = [
-            (single_matrix_bound_grid, single_matrix_bound, (src, ANALYTIC)),
-            (master_bound_grid, master_bound, (model, ANALYTIC)),
-            (log_mean_bound_grid, log_mean_bound, (model, ANALYTIC)),
-            (g_theta_bound_grid, g_theta_bound, (gmodel,)),
+            (single_matrix_bound, (src, ANALYTIC)),
+            (master_bound, (model, ANALYTIC)),
+            (log_mean_bound, (model, ANALYTIC)),
+            (g_theta_bound, (gmodel,)),
+            (product_bound, (model, ANALYTIC)),
+            (negative_moment_bound, (0.2, 1.0)),
+            (chernoff_sum_bound, (bernoulli_model(),)),
+            (chernoff_product_bound, (bernoulli_model(),)),
+            (series_sum_bound, (model,)),
+            (series_product_bound, (model,)),
         ]
-        for grid_fn, point_fn, args in cases:
-            grid = grid_fn(*args, self.EPS)
-            assert grid == [point_fn(*args, e) for e in self.EPS]
+        for bound, args in cases:
+            grid = bound(*args, self.EPS)
+            assert grid == [bound(*args, [e])[0] for e in self.EPS]
 
     def test_h_evaluated_once_per_distinct_theta(self):
         src = ScaledFixed(matrix=HermitianMatrix.identity(2), law=Exponential(rate=1.0))
         cfg = OptimizerConfig()
         grid = CountingMgf(ANALYTIC)
-        single_matrix_bound_grid(src, grid, self.EPS, cfg)
+        single_matrix_bound(src, grid, self.EPS, cfg)
         per_eps = CountingMgf(ANALYTIC)
         for e in self.EPS:
-            single_matrix_bound(src, per_eps, e, cfg)
+            single_matrix_bound(src, per_eps, [e], cfg)
         assert sorted(grid.thetas) == sorted(set(per_eps.thetas))
         coarse = set(cfg.coarse_grid().tolist())
         assert sum(t in coarse for t in grid.thetas) == cfg.coarse_points
@@ -349,7 +352,7 @@ class TestGridScan:
 
     def test_rejects_nonpositive_eps_in_grid(self):
         with pytest.raises(ValueError):
-            master_bound_grid(exp_series_model(2), ANALYTIC, [0.1, 0.0])
+            master_bound(exp_series_model(2), ANALYTIC, [0.1, 0.0])
 
     def test_lockstep_batches(self):
         # The coarse grid is one batch; every later batch holds at most one
@@ -363,7 +366,7 @@ class TestGridScan:
 
         cfg = OptimizerConfig()
         src = ScaledFixed(matrix=HermitianMatrix.identity(2), law=Exponential(rate=1.0))
-        single_matrix_bound_grid(src, BatchMgf(), self.EPS, cfg)
+        single_matrix_bound(src, BatchMgf(), self.EPS, cfg)
         assert batches[0] == cfg.coarse_points
         assert len(batches) > 1
         assert all(1 <= b <= len(self.EPS) for b in batches[1:])
@@ -407,10 +410,10 @@ class TestGridScan:
                 return k * math.log(max(lam, floor))
 
             cases = [
-                (single_matrix_bound_grid(model.sources[0], ANALYTIC, self.EPS, cfg), single),
-                (master_bound_grid(model, ANALYTIC, self.EPS, cfg), master),
-                (log_mean_bound_grid(model, ANALYTIC, self.EPS, cfg), log_mean),
-                (g_theta_bound_grid(gmodel, self.EPS, cfg), lambda th: gmodel.g(th) * eta),
+                (single_matrix_bound(model.sources[0], ANALYTIC, self.EPS, cfg), single),
+                (master_bound(model, ANALYTIC, self.EPS, cfg), master),
+                (log_mean_bound(model, ANALYTIC, self.EPS, cfg), log_mean),
+                (g_theta_bound(gmodel, self.EPS, cfg), lambda th: gmodel.g(th) * eta),
             ]
             for grid, h in cases:
                 for eps, res in zip(self.EPS, grid):
@@ -423,14 +426,14 @@ class TestGridScan:
 class TestLogMeanBound:
     def test_single_source_equals_master(self):
         model = SumModel(sources=(bernoulli_diagonal(dim=2, p=0.5, scale=1.0),))
-        a = master_bound(model, ANALYTIC, 0.3)
-        b = log_mean_bound(model, ANALYTIC, 0.3)
+        a = master_bound(model, ANALYTIC, [0.3])[0]
+        b = log_mean_bound(model, ANALYTIC, [0.3])[0]
         assert abs(a.value - b.value) <= 1e-8
 
     def test_iid_equals_master(self):
         model = bernoulli_model()
-        a = master_bound(model, ANALYTIC, 0.5)
-        b = log_mean_bound(model, ANALYTIC, 0.5)
+        a = master_bound(model, ANALYTIC, [0.5])[0]
+        b = log_mean_bound(model, ANALYTIC, [0.5])[0]
         assert b.value == pytest.approx(a.value, rel=1e-6)
 
     def test_heterogeneous_weaker_than_master(self):
@@ -440,8 +443,8 @@ class TestLogMeanBound:
                 ScaledFixed(matrix=HermitianMatrix.identity(1), law=Exponential(rate=2.0)),
             )
         )
-        a = master_bound(model, ANALYTIC, 0.2)
-        b = log_mean_bound(model, ANALYTIC, 0.2)
+        a = master_bound(model, ANALYTIC, [0.2])[0]
+        b = log_mean_bound(model, ANALYTIC, [0.2])[0]
         assert b.value >= a.value - 1e-10
 
     def test_heterogeneous_objective_ordering_on_shared_grid(self):
@@ -456,6 +459,10 @@ class TestLogMeanBound:
         assert log_mean_vals.min() >= master_vals.min() - 1e-12
 
 
+# The per-eps combinator behind product_bound.
+combine = bounds_mod._product
+
+
 class TestProductBound:
     EPS = [0.05, 0.1, 0.2, 0.4]
 
@@ -463,34 +470,49 @@ class TestProductBound:
         a = bernoulli_diagonal(dim=1, p=0.5, scale=1.0)
         b = bernoulli_diagonal(dim=1, p=0.5, scale=2.0)
         scans = {}
-        real = bounds_mod.single_matrix_bound_grid
+        real = bounds_mod.single_matrix_bound
 
         def counting(src, *args):
             scans[id(src)] = scans.get(id(src), 0) + 1
             return real(src, *args)
 
-        monkeypatch.setattr(bounds_mod, "single_matrix_bound_grid", counting)
-        got = product_bound_grid(SumModel(sources=(a, b, a)), ANALYTIC, self.EPS)
+        monkeypatch.setattr(bounds_mod, "single_matrix_bound", counting)
+        got = product_bound(SumModel(sources=(a, b, a)), ANALYTIC, self.EPS)
         assert scans == {id(a): 1, id(b): 1}
         sa, sb = real(a, ANALYTIC, self.EPS), real(b, ANALYTIC, self.EPS)
-        assert got == [product_bound([x, y, x]) for x, y in zip(sa, sb)]
+        assert got == [combine([x, y, x]) for x, y in zip(sa, sb)]
 
     def test_grid_on_a_repeated_source_keeps_its_bits(self):
         src = bernoulli_diagonal(dim=1, p=0.5, scale=1.0)
-        shared = product_bound_grid(SumModel(sources=(src,) * 10), ANALYTIC, self.EPS)
-        assert shared == product_bound_grid(bernoulli_model(), ANALYTIC, self.EPS)
+        shared = product_bound(SumModel(sources=(src,) * 10), ANALYTIC, self.EPS)
+        assert shared == product_bound(bernoulli_model(), ANALYTIC, self.EPS)
+
+    def test_grid_never_exceeds_smallest_single(self):
+        rng = np.random.default_rng(1)
+        for _ in range(5):
+            k = int(rng.integers(1, 5))
+            sources = tuple(
+                bernoulli_diagonal(dim=2, p=float(p), scale=float(s))
+                for p, s in zip(rng.uniform(0.1, 1.0, k), rng.uniform(0.5, 2.0, k))
+            )
+            got = product_bound(SumModel(sources=sources), ANALYTIC, self.EPS)
+            singles = [single_matrix_bound(src, ANALYTIC, self.EPS) for src in sources]
+            for i, res in enumerate(got):
+                smallest = min(column[i].value for column in singles)
+                assert res.value <= smallest
+                assert res.details["min_single"] == smallest
 
     def test_zero_factor_gives_zero(self):
-        res = product_bound([fixed_result(0.0), fixed_result(0.7)])
+        res = combine([fixed_result(0.0), fixed_result(0.7)])
         assert res.value == 0.0
 
     def test_all_ones_gives_one(self):
-        res = product_bound([fixed_result(1.0)] * 3)
+        res = combine([fixed_result(1.0)] * 3)
         assert res.value == 1.0
         assert res.trivial
 
     def test_exact_binomial_product(self):
-        res = product_bound([fixed_result(0.5)] * 10)
+        res = combine([fixed_result(0.5)] * 10)
         assert res.value == pytest.approx(TRUE_BINOMIAL, abs=1e-12)
         assert res.details["min_single"] == 0.5
 
@@ -498,12 +520,12 @@ class TestProductBound:
         rng = np.random.default_rng(0)
         for _ in range(50):
             vals = rng.random(rng.integers(1, 6))
-            res = product_bound([fixed_result(float(v)) for v in vals])
+            res = combine([fixed_result(float(v)) for v in vals])
             assert res.value <= vals.min()
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
-            product_bound([])
+            combine([])
 
 
 class TestNegativeMomentBound:
@@ -511,7 +533,7 @@ class TestNegativeMomentBound:
         model = bernoulli_model()
         c1 = admissible_cp(model, 1.0)
         assert c1 == pytest.approx(0.2 * (1.0 + 1e-6), rel=1e-12)
-        res = negative_moment_bound(c1, 1.0, 0.5)
+        res = negative_moment_bound(c1, 1.0, [0.5])[0]
         assert res.raw_value == pytest.approx(0.1, rel=1e-5)
         assert res.value >= TRUE_BINOMIAL
 
@@ -519,20 +541,20 @@ class TestNegativeMomentBound:
         model = bernoulli_model()
         c2 = admissible_cp(model, 2.0)
         assert c2 == pytest.approx(0.04 * (1.0 + 1e-6), rel=1e-12)
-        res = negative_moment_bound(c2, 2.0, 0.5)
+        res = negative_moment_bound(c2, 2.0, [0.5])[0]
         assert res.raw_value == pytest.approx(0.01, rel=1e-5)
 
     def test_trivial_when_reaching_one(self):
-        res = negative_moment_bound(0.5, 1.0, 3.0)
+        res = negative_moment_bound(0.5, 1.0, [3.0])[0]
         assert res.raw_value == pytest.approx(1.5)
         assert res.value == 1.0
         assert res.trivial
         assert res.valid
 
     def test_overflowing_eps_power_is_taken_in_log_space(self):
-        res = negative_moment_bound(0.5, 400.0, 10.0)
+        res = negative_moment_bound(0.5, 400.0, [10.0])[0]
         assert res.value == 1.0 and res.valid
-        res = negative_moment_bound(5e-324, 310.0, 10.0)
+        res = negative_moment_bound(5e-324, 310.0, [10.0])[0]
         expected = math.exp(math.log(5e-324) + 310.0 * math.log(10.0))
         assert res.value == pytest.approx(expected, rel=1e-9)
         assert res.value < 1e-12
@@ -551,8 +573,8 @@ class TestNegativeMomentBound:
 @pytest.mark.parametrize(
     "call",
     [
-        lambda x: negative_moment_bound(x, 1.0, 0.5),
-        lambda x: negative_moment_bound(0.2, x, 0.5),
+        lambda x: negative_moment_bound(x, 1.0, [0.5]),
+        lambda x: negative_moment_bound(0.2, x, [0.5]),
         lambda x: admissible_cp(bernoulli_model(), x),
         exp_envelope,
         log_rate,
@@ -570,9 +592,9 @@ def test_rejects_non_positive_or_non_finite_parameter(call, bad):
 @pytest.mark.parametrize(
     "call",
     [
-        lambda e: negative_moment_bound(0.5, 1.0, e),
-        lambda e: chernoff_sum_bound(bernoulli_model(), e),
-        lambda e: master_bound_grid(bernoulli_model(), ANALYTIC, [0.5, e]),
+        lambda e: negative_moment_bound(0.5, 1.0, [e]),
+        lambda e: chernoff_sum_bound(bernoulli_model(), [e]),
+        lambda e: master_bound(bernoulli_model(), ANALYTIC, [0.5, e]),
     ],
     ids=["negative-moment", "chernoff-sum", "master-grid"],
 )
@@ -617,10 +639,10 @@ _HUGE_SCALED_FIXED = SumModel(
     "call, quantity",
     [
         (lambda: admissible_cp(bernoulli_model(k=2, p=1e-300), 2.0), "admissible constant"),
-        (lambda: series_sum_bound(_HUGE_SCALED_FIXED, 0.1), r"C \* nu"),
-        (lambda: series_product_bound(_HUGE_SCALED_FIXED, 0.1), "validity cutoff"),
+        (lambda: series_sum_bound(_HUGE_SCALED_FIXED, [0.1]), r"C \* nu"),
+        (lambda: series_product_bound(_HUGE_SCALED_FIXED, [0.1]), "validity cutoff"),
         (lambda: admissible_cp(_HUGE_MEAN_SUM, 1.0), "the mean of the sum"),
-        (lambda: chernoff_sum_bound(bernoulli_model(k=2, p=1.0, s=1e308), 0.1),
+        (lambda: chernoff_sum_bound(bernoulli_model(k=2, p=1.0, s=1e308), [0.1]),
          "the mean of the sum"),
         (lambda: source_means(_HUGE_MEAN_SOURCE),
          r"mean E X_k of source 0 \(kind 'scaled_fixed'\)"),
@@ -636,13 +658,13 @@ def test_quantity_outside_the_float_range_is_named(call, quantity):
 
 class TestChernoffSumBound:
     def test_boundary_is_exactly_one(self):
-        res = chernoff_sum_bound(bernoulli_model(), 5.0)
+        res = chernoff_sum_bound(bernoulli_model(), [5.0])[0]
         assert res.raw_value == 1.0
         assert res.value == 1.0
         assert not res.valid
 
     def test_binomial_closed_form_extended_precision(self):
-        res = chernoff_sum_bound(bernoulli_model(), 0.5)
+        res = chernoff_sum_bound(bernoulli_model(), [0.5])[0]
         with mpmath.workdps(50):
             expected = mpmath.sqrt(10) * mpmath.e**-4.5
             assert abs(res.raw_value / float(expected) - 1.0) <= 1e-12
@@ -653,7 +675,7 @@ class TestChernoffSumBound:
 
     def test_bounded_rank_one_mean_parameters(self):
         model = SumModel(sources=tuple(BoundedRankOne(dim=4, bound=1.0) for _ in range(8)))
-        res = chernoff_sum_bound(model, 0.25)
+        res = chernoff_sum_bound(model, [0.25])[0]
         assert res.details["mu"] == pytest.approx(1.0, abs=1e-12)
         expected = 4.0**0.25 * math.exp(-0.75)
         assert res.raw_value == pytest.approx(expected, rel=1e-12)
@@ -662,12 +684,12 @@ class TestChernoffSumBound:
     def test_unbounded_source_rejected(self):
         model = SumModel(sources=(Wishart(dim=2, dof=2),))
         with pytest.raises(UnsupportedEnsembleError, match="wishart"):
-            chernoff_sum_bound(model, 0.5)
+            chernoff_sum_bound(model, [0.5])
 
     def test_monotone_on_validity_range(self):
         model = bernoulli_model()
         eps_grid = np.linspace(0.001, 5.0, 400)
-        raws = [chernoff_sum_bound(model, e).raw_value for e in eps_grid]
+        raws = [r.raw_value for r in chernoff_sum_bound(model, eps_grid)]
         for a, b in zip(raws, raws[1:]):
             assert b >= a * (1.0 - 1e-12)
 
@@ -675,13 +697,13 @@ class TestChernoffSumBound:
 class TestChernoffProductBound:
     def test_single_source_coincides_with_sum_form(self):
         model = SumModel(sources=(bernoulli_diagonal(dim=1, p=0.5, scale=1.0),))
-        a = chernoff_sum_bound(model, 0.2)
-        b = chernoff_product_bound(model, 0.2)
+        a = chernoff_sum_bound(model, [0.2])[0]
+        b = chernoff_product_bound(model, [0.2])[0]
         assert b.raw_value == pytest.approx(a.raw_value, rel=1e-12)
         assert a.valid == b.valid
 
     def test_binomial_closed_form(self):
-        res = chernoff_product_bound(bernoulli_model(), 0.25)
+        res = chernoff_product_bound(bernoulli_model(), [0.25])[0]
         with mpmath.workdps(50):
             factor = mpmath.mpf(2) ** mpmath.mpf("0.25") * mpmath.e ** mpmath.mpf("-0.25")
             expected = float(factor**10)
@@ -690,7 +712,7 @@ class TestChernoffProductBound:
         assert res.details["mu_1"] == pytest.approx(0.5)
 
     def test_boundary_trivial(self):
-        res = chernoff_product_bound(bernoulli_model(), 0.5)
+        res = chernoff_product_bound(bernoulli_model(), [0.5])[0]
         assert res.value == 1.0
         assert not res.valid
 
@@ -701,10 +723,10 @@ class TestChernoffProductBound:
                 bernoulli_diagonal(dim=1, p=0.0, scale=1.0),
             )
         )
-        res = chernoff_product_bound(model, 0.25)
+        res = chernoff_product_bound(model, [0.25])[0]
         single = chernoff_product_bound(
-            SumModel(sources=(bernoulli_diagonal(dim=1, p=0.5, scale=1.0),)), 0.25
-        )
+            SumModel(sources=(bernoulli_diagonal(dim=1, p=0.5, scale=1.0),)), [0.25]
+        )[0]
         assert res.valid
         assert res.raw_value == pytest.approx(single.raw_value, rel=1e-12)
 
@@ -714,7 +736,7 @@ def test_chernoff_stays_finite_when_mu_over_eps_overflows(bound):
     # mu / eps = 2e300 / 1e-10 is above the float range; the bound must still
     # be finite there and no larger than at eps = 1, where mu / eps is finite.
     model = bernoulli_model(k=2, p=1.0, s=1.0e300)
-    tiny, one = bound(model, 1.0e-10), bound(model, 1.0)
+    tiny, one = bound(model, [1.0e-10, 1.0])
     assert tiny.valid and one.valid
     assert math.isfinite(tiny.raw_value)
     assert tiny.theta_star is None or math.isfinite(tiny.theta_star)
@@ -724,7 +746,7 @@ def test_chernoff_stays_finite_when_mu_over_eps_overflows(bound):
 class TestSeriesSumBound:
     def test_single_identity_exponential(self):
         model = exp_series_model(1)
-        res = series_sum_bound(model, 0.1)
+        res = series_sum_bound(model, [0.1])[0]
         assert res.raw_value == pytest.approx(math.e * 0.1, rel=1e-12)
         assert res.value >= 1.0 - math.exp(-0.1)
         assert res.details["nu"] == pytest.approx(1.0)
@@ -733,8 +755,8 @@ class TestSeriesSumBound:
     def test_boundary_crossing(self):
         model = exp_series_model(1)
         cutoff = 1.0 / math.e
-        below = series_sum_bound(model, cutoff * (1.0 - 1e-12))
-        at = series_sum_bound(model, cutoff)
+        below = series_sum_bound(model, [cutoff * (1.0 - 1e-12)])[0]
+        at = series_sum_bound(model, [cutoff])[0]
         assert below.valid
         assert abs(below.raw_value - 1.0) <= 1e-9
         assert not at.valid
@@ -742,7 +764,7 @@ class TestSeriesSumBound:
 
     def test_two_sources_closed_form(self):
         model = exp_series_model(2)
-        res = series_sum_bound(model, 0.2)
+        res = series_sum_bound(model, [0.2])[0]
         assert res.details["nu"] == pytest.approx(2.0)
         assert res.raw_value == pytest.approx(math.e**2 * 0.2**2 / 4.0, rel=1e-12)
         assert res.value >= gamma2_cdf(0.2)
@@ -750,7 +772,7 @@ class TestSeriesSumBound:
     def test_monotone_on_validity_range(self):
         model = exp_series_model(2)
         eps = np.linspace(0.01, 0.7, 200)
-        raws = [series_sum_bound(model, e).raw_value for e in eps]
+        raws = [r.raw_value for r in series_sum_bound(model, eps)]
         for a, b in zip(raws, raws[1:]):
             assert b >= a * (1.0 - 1e-12)
 
@@ -764,7 +786,7 @@ class TestSeriesSumBound:
             )
         )
         with pytest.raises(NotPositiveDefiniteError):
-            series_sum_bound(model, 0.1)
+            series_sum_bound(model, [0.1])
 
     def test_mismatched_envelopes_rejected(self):
         model = SumModel(
@@ -774,7 +796,7 @@ class TestSeriesSumBound:
             )
         )
         with pytest.raises(UnsupportedEnsembleError, match="shared envelope"):
-            series_sum_bound(model, 0.1)
+            series_sum_bound(model, [0.1])
 
     def test_envelope_free_law_rejected(self):
         model = SumModel(
@@ -783,26 +805,26 @@ class TestSeriesSumBound:
             )
         )
         with pytest.raises(UnsupportedEnsembleError, match="power envelope"):
-            series_sum_bound(model, 0.1)
+            series_sum_bound(model, [0.1])
 
     def test_wrong_source_kind_rejected(self):
         model = SumModel(sources=(Wishart(dim=2, dof=2),))
         with pytest.raises(UnsupportedEnsembleError, match="scaled_fixed"):
-            series_sum_bound(model, 0.1)
+            series_sum_bound(model, [0.1])
 
 
 class TestSeriesProductBound:
     def test_single_source_coincides_with_sum_form(self):
         model = exp_series_model(1)
-        a = series_sum_bound(model, 0.1)
-        b = series_product_bound(model, 0.1)
+        a = series_sum_bound(model, [0.1])[0]
+        b = series_product_bound(model, [0.1])[0]
         assert b.raw_value == pytest.approx(a.raw_value, rel=1e-12)
 
     def test_two_sources_closed_form_weaker_than_sum_form(self):
         model = exp_series_model(2)
-        res = series_product_bound(model, 0.2)
+        res = series_product_bound(model, [0.2])[0]
         assert res.raw_value == pytest.approx(math.e**2 * 0.2**2, rel=1e-12)
-        assert res.raw_value > series_sum_bound(model, 0.2).raw_value
+        assert res.raw_value > series_sum_bound(model, [0.2])[0].raw_value
 
     def test_diagonal_inverse_parameter(self):
         model = SumModel(
@@ -813,16 +835,16 @@ class TestSeriesProductBound:
                 ),
             )
         )
-        res = series_product_bound(model, 0.05)
+        res = series_product_bound(model, [0.05])[0]
         assert res.details["nu_1"] == pytest.approx(1.0)
 
     def test_boundary_crossing(self):
         model = exp_series_model(2)
         cutoff = 1.0 / math.e  # (alpha/e) C^(-1/alpha) (nu1 nu2)^(-1/(alpha K))
-        below = series_product_bound(model, cutoff * (1.0 - 1e-12))
+        below = series_product_bound(model, [cutoff * (1.0 - 1e-12)])[0]
         assert below.valid
         assert abs(below.raw_value - 1.0) <= 1e-9
-        at = series_product_bound(model, cutoff)
+        at = series_product_bound(model, [cutoff])[0]
         assert not at.valid
 
 
@@ -857,10 +879,10 @@ class TestInfimumConsistency:
             dominators=tuple(s.mean() for s in model.sources),
         )
         cases = [
-            (single_matrix_bound(model.sources[0], ANALYTIC, eps), single_log_objective),
-            (master_bound(model, ANALYTIC, eps), sum_log_objective),
-            (log_mean_bound(model, ANALYTIC, eps), sum_log_objective),
-            (g_theta_bound(gmodel, eps), g_theta_log_objective),
+            (single_matrix_bound(model.sources[0], ANALYTIC, [eps])[0], single_log_objective),
+            (master_bound(model, ANALYTIC, [eps])[0], sum_log_objective),
+            (log_mean_bound(model, ANALYTIC, [eps])[0], sum_log_objective),
+            (g_theta_bound(gmodel, [eps])[0], g_theta_log_objective),
         ]
         for res, log_objective in cases:
             log_raw = math.log(res.raw_value)
@@ -874,20 +896,20 @@ class TestInfimumConsistency:
         model = exp_series_model(2)
         for eps in (0.05, 0.1, 0.2):
             assert (
-                master_bound(model, ANALYTIC, eps).value
-                <= series_sum_bound(model, eps).value + 1e-9
+                master_bound(model, ANALYTIC, [eps])[0].value
+                <= series_sum_bound(model, [eps])[0].value + 1e-9
             )
 
 
 class TestMonotonicityInEps:
     def test_negative_moment_monotone(self):
-        raws = [negative_moment_bound(0.2, 1.0, e).raw_value for e in np.linspace(0.01, 4.9, 100)]
+        raws = [r.raw_value for r in negative_moment_bound(0.2, 1.0, np.linspace(0.01, 4.9, 100))]
         assert all(b >= a for a, b in zip(raws, raws[1:]))
 
     def test_series_product_monotone_on_validity_range(self):
         model = exp_series_model(2)
         eps = np.linspace(0.005, 1.0 / math.e, 100)
-        raws = [series_product_bound(model, e).raw_value for e in eps]
+        raws = [r.raw_value for r in series_product_bound(model, eps)]
         for a, b in zip(raws, raws[1:]):
             assert b >= a * (1.0 - 1e-12)
 
@@ -898,8 +920,8 @@ class TestCrossFamilyConsistency:
         # bound from exact mgfs cannot exceed the closed-form one.
         model = bernoulli_model()
         for eps in (0.1, 0.25, 0.45):
-            a = master_bound(model, ANALYTIC, eps)
-            b = chernoff_sum_bound(model, eps)
+            a = master_bound(model, ANALYTIC, [eps])[0]
+            b = chernoff_sum_bound(model, [eps])[0]
             assert a.value <= b.value + 1e-9
 
     def test_g_theta_envelope_matches_chernoff_closed_form(self):
@@ -910,28 +932,30 @@ class TestCrossFamilyConsistency:
             dominators=tuple(s.mean() for s in model.sources),
         )
         for eps in (0.1, 0.25, 0.45):
-            numeric = g_theta_bound(gmodel, eps)
-            closed = chernoff_sum_bound(model, eps)
+            numeric = g_theta_bound(gmodel, [eps])[0]
+            closed = chernoff_sum_bound(model, [eps])[0]
             assert numeric.raw_value == pytest.approx(closed.raw_value, rel=1e-6)
 
     def test_single_on_sum_source_dominates_truth(self):
         model = bernoulli_model()
-        res = single_matrix_bound(model, MgfModel(mode="empirical", n_samples=5000, seed=2), 0.5)
+        res = single_matrix_bound(
+            model, MgfModel(mode="empirical", n_samples=5000, seed=2), [0.5]
+        )[0]
         assert res.value >= TRUE_BINOMIAL
 
     def test_all_results_satisfy_invariants(self):
         model = bernoulli_model()
         series_model = exp_series_model(2)
         results = [
-            master_bound(model, ANALYTIC, 0.3),
-            log_mean_bound(model, ANALYTIC, 0.3),
-            chernoff_sum_bound(model, 0.3),
-            chernoff_product_bound(model, 0.3),
-            chernoff_sum_bound(model, 7.0),
-            negative_moment_bound(0.2, 1.0, 0.3),
-            series_sum_bound(series_model, 0.2),
-            series_product_bound(series_model, 0.2),
-            series_sum_bound(series_model, 5.0),
+            master_bound(model, ANALYTIC, [0.3])[0],
+            log_mean_bound(model, ANALYTIC, [0.3])[0],
+            chernoff_sum_bound(model, [0.3])[0],
+            chernoff_product_bound(model, [0.3])[0],
+            chernoff_sum_bound(model, [7.0])[0],
+            negative_moment_bound(0.2, 1.0, [0.3])[0],
+            series_sum_bound(series_model, [0.2])[0],
+            series_product_bound(series_model, [0.2])[0],
+            series_sum_bound(series_model, [5.0])[0],
         ]
         for res in results:
             assert_result_invariants(res)

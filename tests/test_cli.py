@@ -465,6 +465,9 @@ _HUGE_SCALED_FIXED = {
     },
 }
 _SIGN_CHANGING_G = {"builtin": "power_envelope", "C": 1.0, "alpha": 1.0, "sign": "positive"}
+# g(theta) * eta overflows at every theta: g is about 700 and eta is 1e308.
+_HUGE_MEAN = {"source": {"kind": "bernoulli_diagonal", "dim": 1, "p": 1.0, "scale": 1.0e308}}
+_HUGE_G = {"builtin": "power_envelope", "C": 1.0e300, "alpha": 1.0, "sign": "positive"}
 
 
 @pytest.mark.parametrize(
@@ -474,9 +477,10 @@ _SIGN_CHANGING_G = {"builtin": "power_envelope", "C": 1.0, "alpha": 1.0, "sign":
         (_HUGE_SCALED_FIXED, ["series_product"]),
         (_HUGE_SCALED_FIXED, ["series_sum"]),
         (FAST_EXP_CONFIG["ensemble"], ["master", {"name": "g_theta", "g": _SIGN_CHANGING_G}]),
+        (_HUGE_MEAN, ["master", {"name": "g_theta", "g": _HUGE_G}]),
     ],
     ids=["cp-overflow", "series-product-cutoff-overflow", "series-sum-c-nu-underflow",
-         "g-changes-sign-on-grid"],
+         "g-changes-sign-on-grid", "g-theta-objective-overflows"],
 )
 def test_validation_rejects_what_evaluation_would(
     tmp_path, capsys, monkeypatch, ensemble, bounds
@@ -901,6 +905,78 @@ def test_unwritable_json_leaves_no_csv(tmp_path, capsys, command):
     assert not csv_path.exists()
 
 
+@pytest.mark.parametrize("where", ["flag", "config"])
+@pytest.mark.parametrize("command", ["bound", "simulate", "compare"])
+def test_csv_and_json_naming_one_file_exit_2_before_any_work(
+    tmp_path, capsys, monkeypatch, command, where
+):
+    def work(*args, **kwargs):
+        raise AssertionError("work ran before the report paths were compared")
+
+    for name in ("validate_requests", "evaluate_bounds"):
+        monkeypatch.setattr(cli, name, work)
+    monkeypatch.setattr(cli.mc, "estimate", work)
+    monkeypatch.chdir(tmp_path)
+    # The same file, spelled the same way or not.
+    output = {"csv": "r.out", "json": "./r.out"}
+    cfg = dict(FAST_EXP_CONFIG, output=output if where == "config" else {})
+    argv = [command, "--config", write_config(tmp_path, cfg), "--samples", "64"]
+    flags = ["--csv", "r.out", "--json", "r.out"] if where == "flag" else []
+    assert main(argv + flags) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: output.csv and output.json name one file: ")
+    assert err.count("\n") == 1
+    assert not (tmp_path / "r.out").exists()
+
+
+def _scaled_fixed(matrix: dict) -> dict:
+    law = {"kind": "exponential", "rate": 1.0}
+    return {"repeat": 2, "source": {"kind": "scaled_fixed", "matrix": matrix, "law": law}}
+
+
+@pytest.mark.parametrize(
+    "matrix, message",
+    [
+        ({"dense": [[2, 1], [0, 2]]}, "matrix dense (with imag) is not Hermitian"),
+        ({"diagonal": [1, 2], "imag": [[0, 1], [-1, 0]]},
+         "matrix imag is only allowed with dense"),
+        ({"dense": [[2, 0], [0, 2]], "imag": [[1]]},
+         "matrix imag has shape (1, 1), dense (2, 2)"),
+        ({"identity": 2, "diagonal": [5, 7]},
+         "matrix needs exactly one of identity, diagonal or dense"),
+        ({"dense": [[0.0, 1.5e308], [-1.5e308, 0.0]]},
+         "matrix dense (with imag) is not Hermitian"),
+        ({"dense": [[1.0, 0.0], [0.0, 1.0]], "imag": [[0.0, math.inf], [-math.inf, 0.0]]},
+         "matrix entries must be finite"),
+    ],
+    ids=["non-hermitian-dense", "imag-without-dense", "imag-of-another-shape",
+         "identity-and-diagonal", "huge-antisymmetric", "infinite-imag"],
+)
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_malformed_matrix_exits_2(tmp_path, capsys, matrix, message):
+    cfg = dict(FAST_EXP_CONFIG, ensemble=_scaled_fixed(matrix))
+    assert main(["bound", "--config", write_config(tmp_path, cfg)]) == 2
+    err = capsys.readouterr().err
+    assert err == f"config error: ensemble.source: {message}\n"
+
+
+@pytest.mark.parametrize(
+    "matrix",
+    [
+        {"dense": [[2.0, 0.5], [0.5, 1.0]], "imag": [[0.0, 1.0], [-1.0, 0.0]]},
+        # Asymmetric by roundoff only.
+        {"dense": [[1.0, 0.1 + 0.2], [0.3, 1.0]]},
+        {"dense": [[2.0e300, 1.0e300], [1.0e300 * (1 + 1e-15), 2.0e300]]},
+    ],
+    ids=["complex-hermitian", "roundoff", "huge"],
+)
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_hermitian_dense_matrix_is_accepted(tmp_path, capsys, matrix):
+    cfg = dict(FAST_EXP_CONFIG, ensemble=_scaled_fixed(matrix), bounds=["master"])
+    assert main(["bound", "--config", write_config(tmp_path, cfg)]) == 0
+    assert capsys.readouterr().err == ""
+
+
 # Sizes whose arrays numpy refuses to allocate at once (8 TB of float64).
 @pytest.mark.parametrize(
     "override, flags",
@@ -930,18 +1006,24 @@ _APPLICABLE_REQUESTS = [
 ]
 
 
+_TEN_BERNOULLI = {
+    "repeat": 10,
+    "source": {"kind": "bernoulli_diagonal", "dim": 1, "p": 0.5, "scale": 1.0},
+}
+
+
 @pytest.mark.parametrize("command", ["bound", "simulate", "compare"])
 def test_every_request_is_prepared_once(tmp_path, monkeypatch, command):
     """Validation prepares each request, and evaluation only runs what it
     prepared: a closed form is computed once per command."""
     prepared = []
-    for name, prepare in BOUNDS.items():
+    for name, (prepare, keys) in BOUNDS.items():
 
         def counted(req, *args, prepare=prepare):
             prepared.append(req["name"])
             return prepare(req, *args)
 
-        monkeypatch.setitem(BOUNDS, name, counted)
+        monkeypatch.setitem(BOUNDS, name, (counted, keys))
     cfg = dict(FAST_EXP_CONFIG, bounds=_APPLICABLE_REQUESTS)
     out = tmp_path / "r.json"
     argv = ["--config", write_config(tmp_path, cfg), "--samples", "64", "--json", str(out)]
@@ -949,6 +1031,50 @@ def test_every_request_is_prepared_once(tmp_path, monkeypatch, command):
     assert prepared == [r if isinstance(r, str) else r["name"] for r in _APPLICABLE_REQUESTS]
     # The prepared runs stay out of the report's echo of the config.
     assert json.loads(out.read_text())["config_echo"]["bounds"] == _APPLICABLE_REQUESTS
+
+
+@pytest.mark.parametrize(
+    "ensemble, bound, function, calls",
+    [
+        (_TEN_BERNOULLI, "negative_moment", "source_means", 1),
+        (_TEN_BERNOULLI, "chernoff_sum", "source_means", 1),
+        (_TEN_BERNOULLI, "chernoff_product", "source_means", 1),
+        (FAST_EXP_CONFIG["ensemble"], "series_sum", "matrix_power", 2),
+        (FAST_EXP_CONFIG["ensemble"], "series_product", "matrix_power", 2),
+    ],
+)
+def test_closed_form_computes_its_constants_once_per_grid(
+    tmp_path, capsys, monkeypatch, ensemble, bound, function, calls
+):
+    """The eps-independent constants of a closed form (the means, or one
+    matrix power per source) are computed once for the whole grid."""
+    counted = []
+    real = getattr(cli.bd, function)
+
+    def counting(*args):
+        counted.append(function)
+        return real(*args)
+
+    monkeypatch.setattr(cli.bd, function, counting)
+    grid = {"start": 0.01, "stop": 0.1, "count": 10}
+    cfg = dict(FAST_EXP_CONFIG, ensemble=ensemble, bounds=[bound], eps_grid=grid)
+    assert main(["bound", "--config", write_config(tmp_path, cfg)]) == 0
+    assert capsys.readouterr().out.count(f",{bound},") == 10
+    assert len(counted) == calls
+
+
+def test_g_theta_eta_is_computed_once(capsys, monkeypatch):
+    etas = []
+    real = cli.bd.g_theta_eta
+
+    def counting(*args):
+        etas.append(real(*args))
+        return etas[-1]
+
+    monkeypatch.setattr(cli.bd, "g_theta_eta", counting)
+    assert main(["bound", "--config", demo_config_path("bernoulli_diagonal")]) == 0
+    assert capsys.readouterr().out.count(",g_theta,") == 10
+    assert etas == [5.0]
 
 
 class TestOptimizerOverrides:

@@ -234,8 +234,8 @@ class TestCompare:
         grid = [0.1, 0.2, 0.3, 0.4]
         mgf = MgfModel(mode="analytic")
         bounds = {
-            "master": [master_bound(model, mgf, e) for e in grid],
-            "chernoff_sum": [chernoff_sum_bound(model, e) for e in grid],
+            "master": master_bound(model, mgf, grid),
+            "chernoff_sum": chernoff_sum_bound(model, grid),
         }
         ests = estimate(model, grid, n=100_000, seed=42)
         report = compare(bounds, ests)
