@@ -369,11 +369,14 @@ def product_bound(
 
 
 def source_means(model: SumModel) -> list[HermitianMatrix]:
-    """E X_k for every source, in order; raises UnsupportedEnsembleError
+    """E X_k for every source, in order, computed once per distinct source
+    object and shared by its positions; raises UnsupportedEnsembleError
     naming the first source without a closed-form mean, and FloatRangeError
     naming the first whose mean leaves the float range."""
+    unique, index = distinct_sources(model.sources)
     means = []
-    for k, src in enumerate(model.sources):
+    for j, src in enumerate(unique):
+        k = index.index(j)  # the first position of this source
         try:
             m = src.mean()
         except ValueError:  # HermitianMatrix rejects non-finite entries
@@ -387,7 +390,7 @@ def source_means(model: SumModel) -> list[HermitianMatrix]:
                 f"(kind {src.kind!r}) has none"
             )
         means.append(m)
-    return means
+    return [means[j] for j in index]
 
 
 def _mean_of_sum(model: SumModel) -> HermitianMatrix:

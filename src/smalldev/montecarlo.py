@@ -7,6 +7,13 @@ every bound is checked against the same underlying measure.  Sampling is
 chunked; each fixed-size chunk owns a dedicated substream, so totals are
 bit-identical for any worker count.
 
+A draw S is scored in two steps.  First a diagonal certificate: since
+lambda_max(S) >= Re S_ii, a draw whose largest diagonal entry exceeds the
+largest eps by the relative margin _SCREEN_MARGIN is a miss at every eps.
+The draws it leaves open go to the batched np.linalg.eigvalsh.  The margin
+is far above the eigensolver's backward error (see _chunk_hits), so the
+hits equal those of scoring every draw by eigvalsh.
+
 The Clopper-Pearson limits (Clopper & Pearson 1934) are Beta quantiles with
 integer parameters, computed here without scipy: Newton's method inside a
 bisection bracket on the regularized incomplete beta function, which is
@@ -54,6 +61,10 @@ _CHUNK = 4096
 
 THREADS_ENV = "SMALLDEV_THREADS"
 
+# Relative margin by which a draw's largest diagonal entry must exceed the
+# largest eps for _chunk_hits to score it a miss without the eigensolver.
+_SCREEN_MARGIN = 1e-10
+
 
 @dataclass(frozen=True)
 class EmpiricalEstimate:
@@ -87,13 +98,18 @@ class DominationReport:
 
 def worker_count(threads: int | None = None) -> int:
     """Resolve the worker count: explicit argument, else the SMALLDEV_THREADS
-    environment cap, else a small default.  A SMALLDEV_THREADS that is not
-    an integer is a ConfigError naming the variable."""
+    environment cap, else the CPUs this process may run on (its affinity
+    mask where the platform has one), at most 4.  A SMALLDEV_THREADS that
+    is not an integer is a ConfigError naming the variable."""
     if threads is not None:
         return max(1, int(threads))
     env = os.environ.get(THREADS_ENV)
     if env is None:
-        return min(4, os.cpu_count() or 1)
+        try:
+            cpus = len(os.sched_getaffinity(0))
+        except AttributeError:  # no affinity call on this platform
+            cpus = os.cpu_count() or 1
+        return min(4, cpus)
     try:
         return max(1, int(env))
     except ValueError:
@@ -214,7 +230,28 @@ def clopper_pearson(hits: int, n: int, confidence: float) -> tuple[float, float]
 
 
 def _chunk_hits(model: SumModel, stream: RngStream, size: int, eps: np.ndarray) -> np.ndarray:
+    """Hits of one chunk of draws at every eps: the same counts as scoring
+    each draw by np.linalg.eigvalsh, with the eigensolver run only on the
+    draws the diagonal screen leaves open."""
     sums = sample_sum_batch(model, stream, size)
+    # Screen: eigvalsh reads the Hermitian matrix H whose diagonal is
+    # Re S_ii, so lambda_max(H) >= e_i* H e_i = Re S_ii (Rayleigh quotient),
+    # and a draw with Re S_ii > eps_max (1 + _SCREEN_MARGIN) is a miss at
+    # every eps.  eigvalsh would score it as a miss too: its computed
+    # eigenvalues are within c u ||H|| of the exact ones (backward
+    # stability; u = 1.1e-16, and LAPACK's c grows modestly with the
+    # dimension), and ||H|| = lambda_max(H) because the draws are psd up to
+    # rounding.  So its lambda_max is at least Re S_ii (1 - c u) > eps_max
+    # whenever c u < _SCREEN_MARGIN / (1 + _SCREEN_MARGIN), i.e. for c up
+    # to about 9e5.  An infinite diagonal (an overflowed sum) is settled,
+    # as eigvalsh's NaN was a miss; a NaN diagonal fails the comparison and
+    # stays open.  When every draw is open, eigvalsh gets the batch itself,
+    # not a copy.  float(): past the float range a Python product is inf,
+    # with no numpy overflow warning.
+    top = np.diagonal(sums, axis1=1, axis2=2).real.max(axis=1)
+    open_ = ~(top > float(eps[-1]) * (1.0 + _SCREEN_MARGIN))
+    if not open_.all():
+        sums = sums[open_]
     lam = np.linalg.eigvalsh(sums)[:, -1]
     return (lam[:, None] <= eps[None, :]).sum(axis=0)
 

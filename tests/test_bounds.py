@@ -615,6 +615,28 @@ def test_source_means_names_the_first_source_without_one():
     model = SumModel(sources=(bernoulli_diagonal(dim=1, p=0.5, scale=1.0), _NoMean(), _NoMean()))
     with pytest.raises(UnsupportedEnsembleError, match=r"source 1 \(kind 'no_mean'\) has none"):
         source_means(model)
+    # A repeated source without a mean is named at its first position.
+    ok, none = bernoulli_diagonal(dim=1, p=0.5, scale=1.0), _NoMean()
+    with pytest.raises(UnsupportedEnsembleError, match=r"source 2 \(kind 'no_mean'\) has none"):
+        source_means(SumModel(sources=(ok, ok, none, ok, none)))
+
+
+def test_source_means_computes_each_distinct_mean_once(monkeypatch):
+    a = bernoulli_diagonal(dim=2, p=0.5, scale=1.0)
+    b = bernoulli_diagonal(dim=2, p=0.25, scale=2.0)
+    calls = []
+    real = ScaledFixed.mean
+
+    def counting(self):
+        calls.append(self)
+        return real(self)
+
+    monkeypatch.setattr(ScaledFixed, "mean", counting)
+    means = source_means(SumModel(sources=(a, b, a, a, b)))
+    assert calls == [a, b]
+    assert means[0] is means[2] is means[3] and means[1] is means[4]
+    assert np.array_equal(means[0].entries, a.matrix.scaled(0.5).entries)
+    assert np.array_equal(means[1].entries, b.matrix.scaled(0.25).entries)
 
 
 # Each mean is finite, their sum is not.

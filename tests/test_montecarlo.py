@@ -1,23 +1,35 @@
 import math
+import warnings
 
 import mpmath
+import numpy as np
 import pytest
 from scipy.special import betaincinv
 
+from smalldev import cli, montecarlo
 from smalldev.bounds import BoundResult, chernoff_sum_bound, master_bound
 from smalldev.ensembles import (
+    BoundedRankOne,
     Exponential,
+    Gamma,
     MgfModel,
     ScaledFixed,
     SumModel,
+    Uniform,
+    Wishart,
     bernoulli_diagonal,
+    sample_sum_batch,
 )
 from smalldev.linalg import HermitianMatrix
 from smalldev.montecarlo import (
+    _SCREEN_MARGIN,
+    _chunk_hits,
     clopper_pearson,
     compare,
     estimate,
+    worker_count,
 )
+from smalldev.rng import RngStream
 
 TRUE_BINOMIAL = 2.0**-10
 
@@ -254,3 +266,163 @@ class TestCoverage:
             if est.ci_low <= TRUE_BINOMIAL <= est.ci_high:
                 covered += 1
         assert covered >= 95
+
+
+# The reference scorer: np.linalg.eigvalsh on every draw of the chunk, as
+# before the diagonal screen.  Bound at import, so the counting patch of
+# the solver_draws fixture does not see the reference's calls.
+_eigvalsh = np.linalg.eigvalsh
+
+
+def eigvalsh_only_hits(model, stream, size, eps):
+    lam = _eigvalsh(sample_sum_batch(model, stream, size))[:, -1]
+    return (lam[:, None] <= eps[None, :]).sum(axis=0)
+
+
+@pytest.fixture
+def solver_draws(monkeypatch):
+    """The draws each np.linalg.eigvalsh call receives, as the list of its
+    input arrays."""
+    seen = []
+
+    def recording(a, *args, **kwargs):
+        seen.append(a)
+        return _eigvalsh(a, *args, **kwargs)
+
+    monkeypatch.setattr(montecarlo.np.linalg, "eigvalsh", recording)
+    return seen
+
+
+_DENSE = HermitianMatrix(np.array([[2.0, 1j, 0.0], [-1j, 2.0, 0.5], [0.0, 0.5, 1.0]]))
+
+# One model per source kind and scalar law, d = 3, with eps_max near the
+# median of the largest diagonal entry, so that about half of each chunk
+# is settled by the screen and the other half goes to eigvalsh.
+SOURCE_KINDS = {
+    "scaled-fixed-exponential": (ScaledFixed(_DENSE, Exponential(rate=1.0)), 5.0),
+    "scaled-fixed-gamma": (
+        ScaledFixed(HermitianMatrix.diagonal([1.0, 2.0, 0.5]), Gamma(shape=2.0, rate=1.0)),
+        11.0,
+    ),
+    "scaled-fixed-uniform": (ScaledFixed(HermitianMatrix.identity(3), Uniform(high=2.0)), 3.0),
+    "bernoulli-diagonal": (bernoulli_diagonal(dim=3, p=0.5, scale=1.0), 1.5),
+    "bounded-rank-one": (BoundedRankOne(dim=3, bound=1.0), 0.75),
+    "wishart": (Wishart(dim=3, dof=4), 3.7),
+}
+
+
+def source_kind_case(name):
+    if name == "distinct-kinds":
+        sources = (
+            ScaledFixed(_DENSE, Exponential(rate=1.0)),
+            BoundedRankOne(dim=3, bound=1.0),
+            Wishart(dim=3, dof=4),
+        )
+        eps_max = 3.0
+    else:
+        src, eps_max = SOURCE_KINDS[name]
+        sources = (src,) * 3
+    return SumModel(sources=sources), np.linspace(eps_max / 4.0, eps_max, 5)
+
+
+def bundled_case(name):
+    cfg = cli.resolve_config(cli.load_config(cli.demo_config_path(name)))
+    return cli.build_model(cfg["ensemble"]), np.asarray(cfg["eps_grid"], dtype=float)
+
+
+class TestDiagonalScreen:
+    """_chunk_hits scores a draw whose largest diagonal entry exceeds the
+    largest eps as a miss without the eigensolver; its hits must equal
+    the eigvalsh-only count exactly."""
+
+    @pytest.mark.parametrize("name", [*SOURCE_KINDS, "distinct-kinds"])
+    def test_mixed_chunk_equals_eigvalsh_reference(self, name, solver_draws):
+        model, eps = source_kind_case(name)
+        for seed in range(3):
+            solver_draws.clear()
+            hits = _chunk_hits(model, RngStream(seed), 4096, eps)
+            assert hits.tolist() == eigvalsh_only_hits(model, RngStream(seed), 4096, eps).tolist()
+            # The chunk mixes settled and open draws; only the open go to eigvalsh.
+            assert len(solver_draws) == 1
+            assert 0 < len(solver_draws[0]) < 4096
+
+    @pytest.mark.parametrize("threads", [1, 4])
+    @pytest.mark.parametrize(
+        "name", [*SOURCE_KINDS, "distinct-kinds", *cli.demo_config_names()]
+    )
+    def test_estimate_equals_eigvalsh_reference(self, name, threads, monkeypatch):
+        if name in cli.demo_config_names():
+            model, eps = bundled_case(name)
+        else:
+            model, eps = source_kind_case(name)
+        # 10_000 draws: two full chunks and a partial one.
+        screened = estimate(model, eps, n=10_000, seed=7, threads=threads)
+        monkeypatch.setattr(montecarlo, "_chunk_hits", eigvalsh_only_hits)
+        reference = estimate(model, eps, n=10_000, seed=7, threads=threads)
+        assert screened == reference
+
+    @pytest.mark.parametrize(
+        "x, hit, settled",
+        [
+            (1.0, True, False),
+            (np.nextafter(1.0, 0.0), True, False),
+            (np.nextafter(1.0, 2.0), False, False),
+            (1.0 + _SCREEN_MARGIN / 2.0, False, False),
+            (1.0 + 2.0 * _SCREEN_MARGIN, False, True),
+        ],
+        ids=["eps-max", "ulp-below", "ulp-above", "inside-margin", "beyond-margin"],
+    )
+    def test_diagonal_equal_to_lambda_max_at_the_cutoff(self, x, hit, settled, solver_draws):
+        """S = x I has Re S_ii = lambda_max exactly: a draw at or within the
+        margin above eps_max goes to eigvalsh, one beyond it is settled."""
+        model = SumModel(sources=(bernoulli_diagonal(dim=3, p=1.0, scale=x),))
+        solver_draws.clear()  # the psd check of the source's matrix
+        eps = np.array([0.5, 1.0])
+        hits = _chunk_hits(model, RngStream(0), 64, eps)
+        assert hits.tolist() == [0, 64 if hit else 0]
+        assert hits.tolist() == eigvalsh_only_hits(model, RngStream(0), 64, eps).tolist()
+        assert sum(len(a) for a in solver_draws) == (0 if settled else 64)
+
+    def test_all_open_chunk_goes_to_eigvalsh_without_a_copy(self, monkeypatch, solver_draws):
+        drawn = []
+
+        def recording(*args):
+            drawn.append(sample_sum_batch(*args))
+            return drawn[-1]
+
+        monkeypatch.setattr(montecarlo, "sample_sum_batch", recording)
+        # lambda_max <= 1 = eps_max: no draw can be settled.
+        model = SumModel(sources=(ScaledFixed(HermitianMatrix.identity(2), Uniform(high=1.0)),))
+        solver_draws.clear()  # the psd check of the source's matrix
+        _chunk_hits(model, RngStream(0), 100, np.array([0.5, 1.0]))
+        assert len(drawn) == len(solver_draws) == 1
+        assert solver_draws[0] is drawn[0]
+
+    def test_overflowed_sum_scores_as_a_miss(self):
+        # Two 1e308 draws sum to inf: such a draw is a miss at every eps.
+        src = bernoulli_diagonal(dim=2, p=0.5, scale=1e308)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            ests = estimate(SumModel(sources=(src, src)), [0.5, 1e308], n=5000, seed=1)
+        assert [e.hits for e in ests] == [1242, 3764]
+
+
+class TestWorkerCount:
+    @pytest.mark.parametrize("cpus, workers", [({0}, 1), ({0, 1, 2}, 3), (set(range(16)), 4)])
+    def test_default_follows_cpu_affinity(self, monkeypatch, cpus, workers):
+        monkeypatch.delenv(montecarlo.THREADS_ENV, raising=False)
+        monkeypatch.setattr(montecarlo.os, "cpu_count", lambda: 64)
+        monkeypatch.setattr(montecarlo.os, "sched_getaffinity", lambda pid: cpus, raising=False)
+        assert worker_count() == workers
+
+    def test_default_without_affinity_uses_cpu_count(self, monkeypatch):
+        monkeypatch.delenv(montecarlo.THREADS_ENV, raising=False)
+        monkeypatch.delattr(montecarlo.os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(montecarlo.os, "cpu_count", lambda: 2)
+        assert worker_count() == 2
+
+    def test_argument_and_environment_come_first(self, monkeypatch):
+        monkeypatch.setattr(montecarlo.os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        monkeypatch.setenv(montecarlo.THREADS_ENV, "3")
+        assert worker_count() == 3
+        assert worker_count(2) == 2
