@@ -230,9 +230,6 @@ def clopper_pearson(hits: int, n: int, confidence: float) -> tuple[float, float]
 
 
 def _chunk_hits(model: SumModel, stream: RngStream, size: int, eps: np.ndarray) -> np.ndarray:
-    """Hits of one chunk of draws at every eps: the same counts as scoring
-    each draw by np.linalg.eigvalsh, with the eigensolver run only on the
-    draws the diagonal screen leaves open."""
     sums = sample_sum_batch(model, stream, size)
     # Screen: eigvalsh reads the Hermitian matrix H whose diagonal is
     # Re S_ii, so lambda_max(H) >= e_i* H e_i = Re S_ii (Rayleigh quotient),
