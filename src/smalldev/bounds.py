@@ -20,9 +20,13 @@ Two families live here:
   once per call, then the same expression at every eps.
 
 All evaluators are pure given (model, mgf snapshot, eps grid).  A source object
-repeated in a SumModel stands for i.i.d. copies: the mgf-based bounds
-evaluate its mgf, and product scans its single bound, once per distinct
-object (see ensembles.distinct_sources).
+repeated in a SumModel stands for i.i.d. copies (see
+ensembles.distinct_sources), so every per-source quantity is computed once
+per distinct object and shared by its positions: the mgfs, product's
+single scans, and the closed forms' means, almost-sure bounds, series
+envelopes, matrix powers and their extreme eigenvalues.  A sum over
+positions still adds one term per position, in position order, so the
+bits do not depend on how the positions share objects.
 """
 
 from __future__ import annotations
@@ -157,7 +161,8 @@ def _scan(
         for i, ts in list(asks.items()):
             eps = eps_grid[i]
             try:
-                asks[i] = searches[i].send([t * eps + memo[t] for t in ts])
+                # A float product overflows to inf without a numpy warning.
+                asks[i] = searches[i].send([float(t) * eps + memo[t] for t in ts])
             except StopIteration as done:
                 results[i] = done.value
                 del asks[i]
@@ -194,7 +199,8 @@ def _log_mgf_sum(mats: np.ndarray, index: list, thetas: Sequence[float]) -> np.n
             f"(min eigenvalue {float(w[i, j, 0]):.3e})"
         )
     logs = np.log(np.clip(w, _EIG_FLOOR, None))
-    return _source_sum(((u * logs[..., None, :]) @ u.conj().swapaxes(-1, -2))[:, index])
+    source_logs = (u * logs[..., None, :]) @ u.conj().swapaxes(-1, -2)
+    return _position_sum([source_logs[:, j] for j in index])
 
 
 def _stacked(mgf: MgfModel, sources, thetas: list) -> tuple[np.ndarray, list]:
@@ -204,13 +210,27 @@ def _stacked(mgf: MgfModel, sources, thetas: list) -> tuple[np.ndarray, list]:
     return np.stack([mgf.evaluate_many(src, thetas) for src in unique], axis=1), index
 
 
-def _source_sum(stack: np.ndarray) -> np.ndarray:
-    """Sum of an (m, K, d, d) stack over its K sources, in source order:
-    ndarray.sum may pair the terms differently (it does at d=1), which
-    moves the last bits of the bound."""
-    total = stack[:, 0]
-    for k in range(1, stack.shape[1]):
-        total = total + stack[:, k]
+def _per_source(model: SumModel, compute: Callable) -> list:
+    """compute(src, k) once per distinct source object of the model, listed
+    per position.  k is the object's first position, for error messages:
+    objects are visited in order of first appearance, so an error names
+    the first position that fails."""
+    unique, index = distinct_sources(model.sources)
+    values = [compute(src, index.index(j)) for j, src in enumerate(unique)]
+    return [values[j] for j in index]
+
+
+def _position_sum(terms: Sequence[np.ndarray], what: str = "") -> np.ndarray:
+    """terms[0] + terms[1] + ..., added in position order: ndarray.sum may
+    pair the terms differently (it does at d=1), which moves the last bits
+    of the bound.  Given `what`, raises FloatRangeError naming it when the
+    sum leaves the float range."""
+    total = terms[0]
+    with np.errstate(over="ignore", invalid="ignore"):
+        for term in terms[1:]:
+            total = total + term
+    if what and not np.isfinite(total).all():
+        raise FloatRangeError(f"{what} is outside the float range")
     return total
 
 
@@ -303,7 +323,8 @@ def g_theta_eta(gmodel: GThetaModel, cfg: OptimizerConfig = OptimizerConfig()) -
         raise InvalidDominatorsError(
             f"g declared {gmodel.sign} but is not strictly {gmodel.sign} on the grid"
         )
-    w = np.linalg.eigvalsh(sum(gmodel.dominators[1:], gmodel.dominators[0]).entries)
+    total = _position_sum([a.entries for a in gmodel.dominators], "the sum of the dominators")
+    w = np.linalg.eigvalsh(total)
     return float(w[-1] if positive else w[0])
 
 
@@ -333,7 +354,7 @@ def log_mean_bound(
 
     def h_many(thetas: list) -> list:
         mats, index = _stacked(mgf, model.sources, thetas)
-        total = _source_sum(mats[:, index])
+        total = _position_sum([mats[:, j] for j in index])
         lams = np.linalg.eigvalsh(total / k)[:, -1]
         return [k * math.log(max(float(lam), _EIG_FLOOR)) for lam in lams]
 
@@ -358,9 +379,8 @@ def product_bound(
     """Product of the sources' single_matrix_bound at every eps; valid for
     psd summands because the sum's largest eigenvalue dominates each
     term's.  One scan per distinct source object, taken once per position."""
-    unique, index = distinct_sources(model.sources)
-    scans = [single_matrix_bound(src, mgf, eps_grid, cfg) for src in unique]
-    return [_product(column) for column in zip(*(scans[j] for j in index))]
+    scans = _per_source(model, lambda src, _: single_matrix_bound(src, mgf, eps_grid, cfg))
+    return [_product(column) for column in zip(*scans)]
 
 
 # ---------------------------------------------------------------------------
@@ -368,41 +388,36 @@ def product_bound(
 # ---------------------------------------------------------------------------
 
 
+def _source_mean(src, k: int) -> HermitianMatrix:
+    """E X of the source at position k, or an error naming that position."""
+    try:
+        m = src.mean()
+    except ValueError:  # HermitianMatrix rejects non-finite entries
+        raise FloatRangeError(
+            f"the mean E X_k of source {k} (kind {src.kind!r}) is outside "
+            "the float range"
+        ) from None
+    if m is None:
+        raise UnsupportedEnsembleError(
+            f"a closed-form mean is needed, but source {k} "
+            f"(kind {src.kind!r}) has none"
+        )
+    return m
+
+
 def source_means(model: SumModel) -> list[HermitianMatrix]:
     """E X_k for every source, in order, computed once per distinct source
     object and shared by its positions; raises UnsupportedEnsembleError
     naming the first source without a closed-form mean, and FloatRangeError
     naming the first whose mean leaves the float range."""
-    unique, index = distinct_sources(model.sources)
-    means = []
-    for j, src in enumerate(unique):
-        k = index.index(j)  # the first position of this source
-        try:
-            m = src.mean()
-        except ValueError:  # HermitianMatrix rejects non-finite entries
-            raise FloatRangeError(
-                f"the mean E X_k of source {k} (kind {src.kind!r}) is outside "
-                "the float range"
-            ) from None
-        if m is None:
-            raise UnsupportedEnsembleError(
-                f"a closed-form mean is needed, but source {k} "
-                f"(kind {src.kind!r}) has none"
-            )
-        means.append(m)
-    return [means[j] for j in index]
+    return _per_source(model, _source_mean)
 
 
 def _mean_of_sum(model: SumModel) -> HermitianMatrix:
     """sum_k E X_k, from source_means; raises FloatRangeError when the sum
     leaves the float range."""
-    means = source_means(model)
-    try:
-        return sum(means[1:], means[0])
-    except ValueError:  # HermitianMatrix rejects non-finite entries
-        raise FloatRangeError(
-            "the mean of the sum, sum_k E X_k, is outside the float range"
-        ) from None
+    means = [m.entries for m in source_means(model)]
+    return HermitianMatrix(_position_sum(means, "the mean of the sum, sum_k E X_k,"))
 
 
 def admissible_cp(model: SumModel, p: float) -> float:
@@ -449,16 +464,16 @@ def negative_moment_bound(cp: float, p: float, eps_grid: Sequence[float]) -> lis
 
 
 def _uniform_bound(model: SumModel) -> float:
-    bounds = []
-    for k, src in enumerate(model.sources):
+    def bound(src, k: int) -> float:
         b = src.uniform_bound()
         if b is None:
             raise UnsupportedEnsembleError(
                 f"chernoff bounds need an almost-sure eigenvalue bound; "
                 f"source {k} (kind {src.kind!r}) has none"
             )
-        bounds.append(float(b))
-    return max(bounds)
+        return float(b)
+
+    return max(_per_source(model, bound))
 
 
 def _log_ratio(mu: float, eps: float) -> float:
@@ -467,8 +482,26 @@ def _log_ratio(mu: float, eps: float) -> float:
     return math.log(ratio) if ratio < math.inf else math.log(mu) - math.log(eps)
 
 
-def _chernoff_log_factor(mu: float, eps: float, big_l: float) -> float:
-    return (eps / big_l) * _log_ratio(mu, eps) + (eps - mu) / big_l
+def _chernoff(
+    mus: list[float], big_l: float, eps_grid: list[float], details: dict, sum_form: bool
+) -> list[BoundResult]:
+    """Product over the factors mu of (mu/eps)^(eps/L) exp((eps-mu)/L) at
+    every eps.  A factor mu = 0 is the vacuous 1; the bound is nontrivial
+    for eps below every positive mu.  The sum form has the one factor
+    mu = lambda_min(sum_k E X_k) and the optimal theta = log(mu/eps)/L."""
+    positive = [mu for mu in mus if mu > 0]
+    cutoff = min(positive, default=0.0)
+
+    def at(eps: float) -> BoundResult:
+        if eps < cutoff:
+            log_raw = sum(
+                (eps / big_l) * _log_ratio(mu, eps) + (eps - mu) / big_l for mu in positive
+            )
+            theta = _log_ratio(mus[0], eps) / big_l if sum_form else None
+            return _finish(math.exp(log_raw), theta, True, details)
+        return _finish(1.0, None, False, details)
+
+    return [at(eps) for eps in eps_grid]
 
 
 def chernoff_sum_bound(model: SumModel, eps_grid: Sequence[float]) -> list[BoundResult]:
@@ -478,16 +511,7 @@ def chernoff_sum_bound(model: SumModel, eps_grid: Sequence[float]) -> list[Bound
     eps_grid = _check_grid(eps_grid)
     big_l = _uniform_bound(model)
     mu = lambda_min(_mean_of_sum(model))
-    details = {"L": big_l, "mu": mu}
-
-    def at(eps: float) -> BoundResult:
-        if eps < mu:
-            theta = _log_ratio(mu, eps) / big_l
-            raw = math.exp(_chernoff_log_factor(mu, eps, big_l))
-            return _finish(raw, theta, True, details)
-        return _finish(1.0, None, False, details)
-
-    return [at(eps) for eps in eps_grid]
+    return _chernoff([mu], big_l, eps_grid, {"L": big_l, "mu": mu}, sum_form=True)
 
 
 def chernoff_product_bound(model: SumModel, eps_grid: Sequence[float]) -> list[BoundResult]:
@@ -497,18 +521,9 @@ def chernoff_product_bound(model: SumModel, eps_grid: Sequence[float]) -> list[B
     for eps below every positive mu_k."""
     eps_grid = _check_grid(eps_grid)
     big_l = _uniform_bound(model)
-    mus = [lambda_min(m) for m in source_means(model)]
+    mus = _per_source(model, lambda src, k: lambda_min(_source_mean(src, k)))
     details = {"L": big_l, **{f"mu_{k + 1}": mu for k, mu in enumerate(mus)}}
-    positive = [mu for mu in mus if mu > 0]
-    cutoff = min(positive, default=0.0)
-
-    def at(eps: float) -> BoundResult:
-        if eps < cutoff:
-            log_raw = sum(_chernoff_log_factor(mu, eps, big_l) for mu in positive)
-            return _finish(math.exp(log_raw), None, True, details)
-        return _finish(1.0, None, False, details)
-
-    return [at(eps) for eps in eps_grid]
+    return _chernoff(mus, big_l, eps_grid, details, sum_form=False)
 
 
 # ---------------------------------------------------------------------------
@@ -516,10 +531,11 @@ def chernoff_product_bound(model: SumModel, eps_grid: Sequence[float]) -> list[B
 # ---------------------------------------------------------------------------
 
 
-def _series_params(model: SumModel):
-    envelope = None
-    mats = []
-    for k, src in enumerate(model.sources):
+def _series_params(model: SumModel) -> tuple[float, float]:
+    """(C, alpha) of the power envelope C theta^(-alpha) that every
+    source's scalar law declares."""
+
+    def envelope(src, k: int) -> tuple[float, float]:
         if not isinstance(src, ScaledFixed):
             raise UnsupportedEnsembleError(
                 f"series bounds require scaled_fixed sources; "
@@ -531,15 +547,16 @@ def _series_params(model: SumModel):
                 f"series bounds need a power envelope on every scalar law; "
                 f"source {k} law {src.law.kind!r} declares none"
             )
-        if envelope is None:
-            envelope = env
-        elif env != envelope:
+        # Position 0 is visited first, so by now it has passed both checks.
+        expected = model.sources[0].law.envelope
+        if env != expected:
             raise UnsupportedEnsembleError(
                 f"series bounds require one shared envelope; source {k} "
-                f"declares {env}, expected {envelope}"
+                f"declares {env}, expected {expected}"
             )
-        mats.append(src.matrix)
-    return envelope[0], envelope[1], mats
+        return env
+
+    return _per_source(model, envelope)[0]
 
 
 def _cutoff(log_cutoff: float) -> float:
@@ -558,10 +575,10 @@ def series_sum_bound(model: SumModel, eps_grid: Sequence[float]) -> list[BoundRe
     eps < (K alpha / e) * (K / (C nu))^(1/alpha); the optimal theta is
     alpha K / eps."""
     eps_grid = _check_grid(eps_grid)
-    c, alpha, mats = _series_params(model)
+    c, alpha = _series_params(model)
     k = model.size
-    powers = [matrix_power(a, -alpha) for a in mats]
-    nu = float(np.linalg.eigvalsh(sum(powers[1:], powers[0]).entries)[-1])
+    powers = _per_source(model, lambda src, _: matrix_power(src.matrix, -alpha).entries)
+    nu = float(np.linalg.eigvalsh(_position_sum(powers, "the sum of the A_k^(-alpha)"))[-1])
     if not 0 < c * nu < math.inf:
         raise FloatRangeError(f"C * nu = {c!r} * {nu!r} is outside the float range")
     log_k_alpha = math.log(k * alpha)
@@ -584,11 +601,9 @@ def series_product_bound(model: SumModel, eps_grid: Sequence[float]) -> list[Bou
     eps < (alpha/e) * C^(-1/alpha) * (prod_k nu_k)^(-1/(alpha K)); every
     factor shares the optimal theta = alpha / eps."""
     eps_grid = _check_grid(eps_grid)
-    c, alpha, mats = _series_params(model)
+    c, alpha = _series_params(model)
     k = model.size
-    nus = [
-        float(np.linalg.eigvalsh(matrix_power(a, -alpha).entries)[-1]) for a in mats
-    ]
+    nus = _per_source(model, lambda src, _: lambda_max(matrix_power(src.matrix, -alpha)))
     log_nu_sum = sum(math.log(nu) for nu in nus)
     log_nu_c_term = log_nu_sum + k * math.log(c)
     log_alpha = math.log(alpha)

@@ -220,7 +220,11 @@ def trace(a: HermitianMatrix) -> float:
 
 
 def is_psd(a: HermitianMatrix, tol: float = 1e-10) -> bool:
-    return lambda_min(a) >= -tol
+    """lambda_min >= -tol * max(1, lambda_max): psd up to roundoff at the
+    matrix's own scale, where an eigensolver leaves the zero eigenvalues of
+    a singular psd matrix at about -1e-16 * lambda_max."""
+    w = np.linalg.eigvalsh(a.entries)
+    return float(w[0]) >= -tol * max(1.0, float(w[-1]))
 
 
 def hermitian_dilation(b) -> HermitianMatrix:

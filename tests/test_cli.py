@@ -7,6 +7,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 import yaml
 from hypothesis import HealthCheck, given, settings
@@ -23,6 +24,7 @@ from smalldev.cli import (
 )
 from smalldev.ensembles import DEFAULT_MGF_SAMPLES, BoundedRankOne
 from smalldev.errors import ConfigError
+from smalldev.linalg import HermitianMatrix
 from smalldev.optimizer import OptimizerConfig
 
 FAST_EXP_CONFIG = {
@@ -675,6 +677,17 @@ def test_mean_of_the_sum_past_the_float_range_exits_2_naming_it(tmp_path, capsys
     )
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_compare_at_eps_near_the_float_limit_exits_0(tmp_path, capsys):
+    # theta * eps leaves the float range in the theta-scans; a warning there
+    # would end compare with exit 1, the code of a domination violation.
+    g_theta = {"name": "g_theta", "g": {"builtin": "log_rate", "rate": 1.0},
+               "dominators": "identity"}
+    cfg = dict(FAST_EXP_CONFIG, bounds=["master", g_theta], eps_grid=[1.0e300, 1.0e308])
+    assert main(["compare", "--config", write_config(tmp_path, cfg), "--samples", "200"]) == 0
+    assert capsys.readouterr().err == ""
+
+
 class TestBoundCommand:
     def test_csv_schema_on_demo_config(self, tmp_path):
         out = tmp_path / "bounds.csv"
@@ -960,6 +973,15 @@ def test_malformed_matrix_exits_2(tmp_path, capsys, matrix, message):
     assert err == f"config error: ensemble.source: {message}\n"
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_singular_psd_matrix_at_large_scale_exits_0(tmp_path, capsys):
+    # Its lambda_min comes out near -4e-8: psd up to roundoff at scale 1e8.
+    matrix = {"dense": [[1.0e8] * 3 for _ in range(3)]}
+    cfg = dict(FAST_EXP_CONFIG, ensemble=_scaled_fixed(matrix), bounds=["master", "product"])
+    assert main(["bound", "--config", write_config(tmp_path, cfg)]) == 0
+    assert capsys.readouterr().out.count(",product,") == len(FAST_EXP_CONFIG["eps_grid"])
+
+
 @pytest.mark.parametrize(
     "matrix",
     [
@@ -1038,16 +1060,17 @@ def test_every_request_is_prepared_once(tmp_path, monkeypatch, command):
     [
         (_TEN_BERNOULLI, "negative_moment", "source_means", 1),
         (_TEN_BERNOULLI, "chernoff_sum", "source_means", 1),
-        (_TEN_BERNOULLI, "chernoff_product", "source_means", 1),
-        (FAST_EXP_CONFIG["ensemble"], "series_sum", "matrix_power", 2),
-        (FAST_EXP_CONFIG["ensemble"], "series_product", "matrix_power", 2),
+        (_TEN_BERNOULLI, "chernoff_product", "_source_mean", 1),
+        (FAST_EXP_CONFIG["ensemble"], "series_sum", "matrix_power", 1),
+        (FAST_EXP_CONFIG["ensemble"], "series_product", "matrix_power", 1),
     ],
 )
 def test_closed_form_computes_its_constants_once_per_grid(
     tmp_path, capsys, monkeypatch, ensemble, bound, function, calls
 ):
     """The eps-independent constants of a closed form (the means, or one
-    matrix power per source) are computed once for the whole grid."""
+    matrix power per distinct source) are computed once for the whole
+    grid."""
     counted = []
     real = getattr(cli.bd, function)
 
@@ -1061,6 +1084,60 @@ def test_closed_form_computes_its_constants_once_per_grid(
     assert main(["bound", "--config", write_config(tmp_path, cfg)]) == 0
     assert capsys.readouterr().out.count(f",{bound},") == 10
     assert len(counted) == calls
+
+
+@pytest.mark.parametrize("method", ["uniform_bound", "mean"])
+@pytest.mark.parametrize("bound", ["chernoff_sum", "chernoff_product"])
+def test_chernoff_asks_each_distinct_source_once(tmp_path, capsys, monkeypatch, bound, method):
+    """Ten positions of one Bernoulli source are one distinct object: its
+    almost-sure bound and its mean are computed once."""
+    calls = []
+    real = getattr(ensembles.ScaledFixed, method)
+
+    def counting(self):
+        calls.append(self)
+        return real(self)
+
+    monkeypatch.setattr(ensembles.ScaledFixed, method, counting)
+    cfg = dict(FAST_EXP_CONFIG, ensemble=_TEN_BERNOULLI, bounds=[bound])
+    assert main(["bound", "--config", write_config(tmp_path, cfg)]) == 0
+    assert capsys.readouterr().out.count(f",{bound},") == len(FAST_EXP_CONFIG["eps_grid"])
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize(
+    "name, hermitian, eigvalsh",
+    [("bernoulli_diagonal", 6, 6), ("bounded_rank_one", 10, 4), ("exponential_series", 5, 4)],
+)
+def test_validation_builds_per_distinct_source(capsys, monkeypatch, name, hermitian, eigvalsh):
+    """The closed forms take each per-source constant once per distinct
+    source and add sums over positions as arrays, not as HermitianMatrix
+    additions.  Adding one matrix per position, validation built 31, 29 and
+    9 matrices and called eigvalsh 33, 11 and 5 times."""
+    counts = {"validating": False, "hermitian": 0, "eigvalsh": 0}
+    init, solve, validate = HermitianMatrix.__init__, np.linalg.eigvalsh, cli.validate_requests
+
+    def counting_init(matrix, entries):
+        counts["hermitian"] += counts["validating"]
+        init(matrix, entries)
+
+    def counting_eigvalsh(*args, **kwargs):
+        counts["eigvalsh"] += counts["validating"]
+        return solve(*args, **kwargs)
+
+    def validating(*args):
+        counts["validating"] = True
+        try:
+            return validate(*args)
+        finally:
+            counts["validating"] = False
+
+    monkeypatch.setattr(HermitianMatrix, "__init__", counting_init)
+    monkeypatch.setattr(np.linalg, "eigvalsh", counting_eigvalsh)
+    monkeypatch.setattr(cli, "validate_requests", validating)
+    assert main(["bound", "--config", demo_config_path(name)]) == 0
+    capsys.readouterr()
+    assert (counts["hermitian"], counts["eigvalsh"]) == (hermitian, eigvalsh)
 
 
 def test_g_theta_eta_is_computed_once(capsys, monkeypatch):

@@ -105,6 +105,16 @@ def test_rejects_non_positive_or_non_finite_parameter(make, bad):
         make(bad)
 
 
+class TestScaledFixed:
+    def test_accepts_a_singular_psd_matrix_at_large_scale(self):
+        # lambda_min comes out near -4e-8 here, below an absolute 1e-10.
+        ScaledFixed(HermitianMatrix(np.full((3, 3), 1.0e8)), Exponential(rate=1.0))
+        gen = np.random.default_rng(0)
+        for _ in range(200):
+            v = gen.standard_normal((3, 2))
+            ScaledFixed(HermitianMatrix(1.0e8 * (v @ v.T)), Exponential(rate=1.0))
+
+
 class TestBernoulliDiagonal:
     @pytest.mark.parametrize("d", [1, 4])
     def test_is_scaled_fixed_with_scaled_identity(self, d):

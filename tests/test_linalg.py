@@ -159,6 +159,11 @@ class TestScalarReductions:
     def test_is_psd(self):
         assert is_psd(HermitianMatrix.diagonal([0.0, 1.0]))
         assert not is_psd(HermitianMatrix.diagonal([-1e-3, 1.0]))
+        # The tolerance is 1e-10 * max(1, lambda_max).
+        assert is_psd(HermitianMatrix.diagonal([-1e-11, 1.0]))
+        assert not is_psd(HermitianMatrix.diagonal([-1e-9, 1.0]))
+        assert is_psd(HermitianMatrix.diagonal([-1e-3, 1e8]))
+        assert not is_psd(HermitianMatrix.diagonal([-1e-1, 1e8]))
 
     def test_lambda_max_inertia_certificate(self):
         # Independent certificate via Sylvester inertia of A - x I computed
