@@ -3,10 +3,13 @@ evaluators.
 
 Sources and models are immutable descriptions; all sampling state lives in
 caller-owned RngStream nodes.  Every source draws matrices that are psd
-(up to roundoff) and supports batch sampling, which is what keeps the
-Monte Carlo harness fast.  The matrix mgf here is the decreasing-direction
-one, E exp(-theta X) for theta > 0, whose eigenvalues lie in (0, 1] for
-psd X.
+(up to roundoff) through one batch protocol, sample_batch(stream, size,
+out=None): it first draws all its random numbers, then builds its
+(size, d, d) matrices one block of draws at a time (_build), either into a
+fresh array or added into `out`.  A sum adds each position's draws into
+one running sum, so it never holds a full-size array per position.  The
+matrix mgf here is the decreasing-direction one, E exp(-theta X) for
+theta > 0, whose eigenvalues lie in (0, 1] for psd X.
 """
 
 from __future__ import annotations
@@ -48,10 +51,46 @@ DEFAULT_MGF_SAMPLES = 10_000
 
 def _complex_normal(gen: np.random.Generator, shape) -> np.ndarray:
     """Standard complex normal array: Re and Im i.i.d. N(0, 1/2), so that
-    E g g* = I for a vector g."""
-    re = gen.standard_normal(shape)
-    im = gen.standard_normal(shape)
-    return (re + 1j * im) * np.sqrt(0.5)
+    E g g* = I for a vector g.
+
+    One complex array is filled in place: its real view from the first
+    standard_normal call and its imaginary view from the second, each times
+    sqrt(0.5).  That is bit for bit (re + 1j*im) * sqrt(0.5), whose complex
+    product by a real scalar multiplies each part by it."""
+    z = np.empty(shape, dtype=np.complex128)
+    np.multiply(gen.standard_normal(shape), np.sqrt(0.5), out=z.real)
+    np.multiply(gen.standard_normal(shape), np.sqrt(0.5), out=z.imag)
+    return z
+
+
+# Work space of one block of draws, in bytes: _build builds the matrices of
+# a batch in blocks whose (rows, d, d) complex array stays within half of
+# it, and _Snapshot.evaluate_many keeps each of its two block arrays within
+# half of it, whatever n, d or the number of thetas.  Measured on 2 cores
+# at d = 4 and 16: smaller snapshot blocks cost more per call at d = 16,
+# and at 1 MiB the 200-theta call at d = 4 ran up to 20x slower with 2 BLAS
+# threads than with 1.
+_KERNEL_BYTES = 512 * 1024
+
+
+def _build(size: int, dim: int, block, out: np.ndarray | None) -> np.ndarray:
+    """The (size, dim, dim) complex draws of one source, built one block of
+    draws at a time: block(s) returns the matrices of the draws in slice s.
+    Written to a fresh array when out is None, else added into out[s];
+    returns the array written.  A draw or a sum past the float range is
+    inf, without a numpy warning, and a miss at every eps."""
+    rows = max(1, _KERNEL_BYTES // (32 * dim * dim))
+    fresh = out is None
+    if fresh:
+        out = np.empty((size, dim, dim), dtype=np.complex128)
+    with np.errstate(over="ignore"):
+        for i in range(0, size, rows):
+            s = slice(i, i + rows)
+            if fresh:
+                out[s] = block(s)
+            else:
+                out[s] += block(s)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -213,9 +252,10 @@ class ScaledFixed:
             return None
         return b * lambda_max(self.matrix)
 
-    def sample_batch(self, stream: RngStream, size: int) -> np.ndarray:
+    def sample_batch(self, stream: RngStream, size: int, out=None) -> np.ndarray:
         xs = self.law.sample(stream.generator, size)
-        return xs[:, None, None] * self.matrix.entries[None, :, :]
+        a = self.matrix.entries
+        return _build(size, self.dim, lambda s: xs[s, None, None] * a, out)
 
     def analytic_mgf(self, thetas) -> np.ndarray:
         """The (m, d, d) stack U diag(law.mgf(theta lambda)) U* at the m
@@ -262,13 +302,14 @@ class BoundedRankOne:
     def uniform_bound(self) -> float | None:
         return self.bound
 
-    def sample_batch(self, stream: RngStream, size: int) -> np.ndarray:
+    def sample_batch(self, stream: RngStream, size: int, out=None) -> np.ndarray:
         gen = stream.generator
         g = _complex_normal(gen, (size, self.dim))
         w = g / np.linalg.norm(g, axis=1, keepdims=True)
         u = gen.random(size)
         v = (self.bound * u)[:, None] * w
-        return v[:, :, None] * w.conj()[:, None, :]
+        wc = w.conj()
+        return _build(size, self.dim, lambda s: v[s, :, None] * wc[s, None, :], out)
 
 
 @dataclass(frozen=True)
@@ -293,9 +334,19 @@ class Wishart:
     def uniform_bound(self) -> float | None:
         return None
 
-    def sample_batch(self, stream: RngStream, size: int) -> np.ndarray:
+    def sample_batch(self, stream: RngStream, size: int, out=None) -> np.ndarray:
         g = _complex_normal(stream.generator, (size, self.dof, self.dim))
-        return (g.transpose(0, 2, 1) @ g.conj()) / self.dof
+        # numpy divides a complex number by a real one as a product with its
+        # reciprocal, so scaling the float view by 1/dof gives the bits of
+        # dividing by dof.
+        inv = 1.0 / self.dof
+
+        def block(s):
+            gram = g[s].transpose(0, 2, 1) @ g[s].conj()
+            gram.view(np.float64)[...] *= inv
+            return gram
+
+        return _build(size, self.dim, block, out)
 
 
 MatrixSource = ScaledFixed | BoundedRankOne | Wishart
@@ -340,8 +391,13 @@ class SumModel:
     def size(self) -> int:
         return len(self.sources)
 
-    def sample_batch(self, stream: RngStream, size: int) -> np.ndarray:
-        return sample_sum_batch(self, stream, size)
+    def sample_batch(self, stream: RngStream, size: int, out=None) -> np.ndarray:
+        """Draws of the sum: source k draws from substream k and adds its
+        batch into the running sum (position 0 starts it unless out is
+        given, in which case the sum is added into out)."""
+        for k, src in enumerate(self.sources):
+            out = src.sample_batch(stream.child(k), size, out=out)
+        return out
 
     @property
     def analytic_mgf(self):
@@ -364,13 +420,9 @@ def distinct_sources(sources) -> tuple[list, list[int]]:
 
 
 def sample_sum_batch(model: SumModel, stream: RngStream, size: int) -> np.ndarray:
-    """Batch of draws of the sum; source k draws from substream k."""
-    total = model.sources[0].sample_batch(stream.child(0), size)
-    for k, src in enumerate(model.sources[1:], start=1):
-        batch = src.sample_batch(stream.child(k), size)
-        with np.errstate(over="ignore"):  # a sum past the float range is inf
-            total += batch
-    return total
+    """Fresh (size, d, d) batch of draws of the sum; source k draws from
+    substream k."""
+    return model.sample_batch(stream, size)
 
 
 # ---------------------------------------------------------------------------
@@ -390,14 +442,6 @@ def empirical_mgf(source, theta: float, n: int, stream: RngStream) -> HermitianM
     if n < 1:
         raise ValueError("n must be at least 1")
     return HermitianMatrix(_Snapshot(source.sample_batch(stream, n)).evaluate_many([theta])[0])
-
-
-# Work space of one block of _Snapshot.evaluate_many, in bytes: each of its
-# two block arrays takes at most half of it, whatever n, d or the number of
-# thetas.  Measured on 2 cores at d = 4 and 16: smaller blocks cost more per
-# call at d = 16, and at 1 MiB the 200-theta call at d = 4 ran up to 20x
-# slower with 2 BLAS threads than with 1.
-_KERNEL_BYTES = 512 * 1024
 
 
 class _Snapshot:

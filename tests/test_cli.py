@@ -665,6 +665,26 @@ def test_simulate_at_the_float_limit_is_warning_free(tmp_path, capsys):
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_simulate_with_draws_past_the_float_range_is_warning_free(tmp_path, capsys):
+    # x * 1e308 overflows for x > 1.797: such a draw is inf, a miss at every
+    # eps, so the hits at eps = 1e308 count the draws with x <= 1, as the
+    # same draws of x * I do at eps = 1.
+    hits = []
+    for diagonal, eps in (([1.0e308, 1.0e308], [0.5, 1.0e308]), ([1.0, 1.0], [0.5e-308, 1.0])):
+        source = {"kind": "scaled_fixed", "matrix": {"diagonal": diagonal},
+                  "law": {"kind": "uniform", "high": 1.9}}
+        cfg = dict(FAST_EXP_CONFIG, ensemble={"repeat": 1, "source": source},
+                   bounds=["negative_moment"], eps_grid=eps)
+        path = write_config(tmp_path, cfg, f"{diagonal[0]}.yaml")
+        assert main(["simulate", "--config", path, "--samples", "1000"]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        hits.append([row.split(",")[2] for row in captured.out.strip().split("\n")[1:]])
+    assert hits[0] == hits[1]
+    assert hits[0][0] == "0" and 0 < int(hits[0][1]) < 1000
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_mean_of_the_sum_past_the_float_range_exits_2_naming_it(tmp_path, capsys):
     source = {"kind": "scaled_fixed", "matrix": {"diagonal": [1.0e308, 1.0]},
               "law": {"kind": "exponential", "rate": 1.0}}

@@ -225,6 +225,134 @@ class TestSamplingKernels:
         np.testing.assert_array_equal(got, want)
 
 
+# The batch expressions before draws were built in place, one block at a
+# time: every sample_batch and sample_sum_batch must give their bits.
+
+
+def reference_complex_normal(gen, shape):
+    re = gen.standard_normal(shape)
+    im = gen.standard_normal(shape)
+    return (re + 1j * im) * np.sqrt(0.5)
+
+
+def reference_batch(src, stream, size):
+    gen = stream.generator
+    if isinstance(src, ScaledFixed):
+        xs = src.law.sample(gen, size)
+        return xs[:, None, None] * src.matrix.entries[None, :, :]
+    if isinstance(src, BoundedRankOne):
+        g = reference_complex_normal(gen, (size, src.dim))
+        w = g / np.linalg.norm(g, axis=1, keepdims=True)
+        u = gen.random(size)
+        v = (src.bound * u)[:, None] * w
+        return v[:, :, None] * w.conj()[:, None, :]
+    if isinstance(src, Wishart):
+        g = reference_complex_normal(gen, (size, src.dof, src.dim))
+        return (g.transpose(0, 2, 1) @ g.conj()) / src.dof
+    total = reference_batch(src.sources[0], stream.child(0), size)
+    for k, s in enumerate(src.sources[1:], start=1):
+        total += reference_batch(s, stream.child(k), size)
+    return total
+
+
+def reference_added(src, stream, size, base):
+    """base plus the draws of src, added one position at a time for a sum."""
+    total = base.copy()
+    for k, s in enumerate(src.sources) if isinstance(src, SumModel) else [(None, src)]:
+        total += reference_batch(s, stream if k is None else stream.child(k), size)
+    return total
+
+
+def assert_same_bits(got, want):
+    assert got.dtype == want.dtype == np.complex128
+    np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+_D = 3
+# Draws per block of ensembles._build at d = 3.
+_ROWS = ensembles._KERNEL_BYTES // (32 * _D * _D)
+_SIZES = [1, _ROWS - 1, _ROWS + 1, 4096]
+
+BIT_SOURCES = {
+    "scaled-fixed-exponential": ScaledFixed(
+        HermitianMatrix(np.array([[2.0, 1j, 0.0], [-1j, 2.0, 0.5], [0.0, 0.5, 1.0]])),
+        Exponential(rate=1.5),
+    ),
+    "scaled-fixed-uniform": ScaledFixed(HermitianMatrix.diagonal([1.0, 0.5, 0.25]), Uniform(2.0)),
+    "bernoulli-diagonal": bernoulli_diagonal(dim=_D, p=0.4, scale=2.0),
+    "bounded-rank-one": BoundedRankOne(dim=_D, bound=2.5),
+    # 1/dof is inexact unless dof is a power of two.
+    **{f"wishart-dof{dof}": Wishart(dim=_D, dof=dof) for dof in (1, 3, 5, 8)},
+}
+BIT_SOURCES["sum-of-kinds"] = SumModel(
+    sources=(
+        BIT_SOURCES["scaled-fixed-exponential"],
+        BIT_SOURCES["wishart-dof3"],
+        BIT_SOURCES["bounded-rank-one"],
+        BIT_SOURCES["wishart-dof3"],
+        BIT_SOURCES["bernoulli-diagonal"],
+    )
+)
+
+
+class TestInPlaceBuild:
+    def test_complex_normal_has_the_bits_of_the_complex_expression(self):
+        got = ensembles._complex_normal(RngStream(3).generator, (500, 4, 3))
+        assert_same_bits(got, reference_complex_normal(RngStream(3).generator, (500, 4, 3)))
+
+    @pytest.mark.parametrize("size", _SIZES)
+    @pytest.mark.parametrize("name", list(BIT_SOURCES))
+    def test_fresh_batch_has_the_reference_bits(self, name, size):
+        src = BIT_SOURCES[name]
+        got = src.sample_batch(RngStream(21).child(2), size)
+        assert_same_bits(got, reference_batch(src, RngStream(21).child(2), size))
+
+    @pytest.mark.parametrize("size", _SIZES)
+    @pytest.mark.parametrize("name", list(BIT_SOURCES))
+    def test_batch_added_into_out_has_the_reference_bits(self, name, size):
+        src = BIT_SOURCES[name]
+        base = reference_batch(BIT_SOURCES["wishart-dof5"], RngStream(22), size)
+        out = base.copy()
+        assert src.sample_batch(RngStream(21).child(2), size, out=out) is out
+        assert_same_bits(out, reference_added(src, RngStream(21).child(2), size, base))
+
+    @pytest.mark.parametrize("size", _SIZES)
+    def test_sum_batch_has_the_reference_bits(self, size):
+        model = BIT_SOURCES["sum-of-kinds"]
+        got = sample_sum_batch(model, RngStream(23), size)
+        assert_same_bits(got, reference_batch(model, RngStream(23), size))
+
+    def test_small_blocks_keep_the_bits(self, monkeypatch):
+        # Five draws per block: many blocks and a ragged last one.
+        monkeypatch.setattr(ensembles, "_KERNEL_BYTES", 32 * _D * _D * 5)
+        model = BIT_SOURCES["sum-of-kinds"]
+        got = sample_sum_batch(model, RngStream(24), 103)
+        assert_same_bits(got, reference_batch(model, RngStream(24), 103))
+
+    @pytest.mark.parametrize("size", _SIZES)
+    def test_blocks_cover_the_batch_in_budgeted_slices(self, size):
+        slices = []
+
+        def block(s):
+            slices.append(s)
+            return np.ones((len(range(size)[s]), _D, _D))
+
+        out = ensembles._build(size, _D, block, None)
+        assert out.shape == (size, _D, _D) and (out == 1.0).all()
+        assert [s.start for s in slices] == list(range(0, size, _ROWS))
+        assert all(s.stop - s.start == _ROWS for s in slices)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_draw_past_the_float_range_is_inf_without_warning(self):
+        src = ScaledFixed(HermitianMatrix.diagonal([1.0e308, 1.0e308]), Uniform(high=1.9))
+        xs = Uniform(high=1.9).sample(RngStream(25).generator, 200)
+        diag = np.diagonal(src.sample_batch(RngStream(25), 200), axis1=1, axis2=2).real
+        over = xs > np.finfo(float).max / 1.0e308
+        assert 0 < over.sum() < 200
+        assert (diag[over] == math.inf).all()
+        np.testing.assert_array_equal(diag[~over], (xs[~over] * 1.0e308)[:, None] * [1.0, 1.0])
+
+
 class TestSumModel:
     def test_requires_equal_dims(self):
         with pytest.raises(ValueError):
