@@ -392,9 +392,9 @@ class SumModel:
         return len(self.sources)
 
     def sample_batch(self, stream: RngStream, size: int, out=None) -> np.ndarray:
-        """Draws of the sum: source k draws from substream k and adds its
-        batch into the running sum (position 0 starts it unless out is
-        given, in which case the sum is added into out)."""
+        """Draws of the sum: position k draws from substream k and adds its
+        draws into one running sum, which position 0 starts unless out is
+        given."""
         for k, src in enumerate(self.sources):
             out = src.sample_batch(stream.child(k), size, out=out)
         return out

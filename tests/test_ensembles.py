@@ -257,9 +257,11 @@ def reference_batch(src, stream, size):
 
 def reference_added(src, stream, size, base):
     """base plus the draws of src, added one position at a time for a sum."""
+    if not isinstance(src, SumModel):
+        return base + reference_batch(src, stream, size)
     total = base.copy()
-    for k, s in enumerate(src.sources) if isinstance(src, SumModel) else [(None, src)]:
-        total += reference_batch(s, stream if k is None else stream.child(k), size)
+    for k, s in enumerate(src.sources):
+        total += reference_batch(s, stream.child(k), size)
     return total
 
 
