@@ -31,21 +31,15 @@ from .ensembles import (
     Uniform,
     Wishart,
     bernoulli_diagonal,
-    empirical_mgf,
 )
 from .linalg import (
     HermitianMatrix,
     SpectralDecomposition,
-    expm,
-    hermitian_dilation,
     is_psd,
     lambda_max,
     lambda_min,
-    logm,
-    matrix_function,
     matrix_power,
     spectral_decompose,
-    trace,
 )
 from .montecarlo import (
     DominationReport,

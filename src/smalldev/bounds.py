@@ -49,8 +49,10 @@ from .errors import (
 from .linalg import HermitianMatrix, lambda_max, lambda_min, matrix_power
 from .optimizer import OptimizerConfig, minimize, search  # noqa: F401
 
-# minimize is imported for the benchmark's tracer (perfbench/spans.py), which
-# wraps bounds.minimize; the theta-scans here drive optimizer.search.
+# Nothing here calls minimize: the theta-scans drive optimizer.search.  The
+# import stays because the benchmark's tracer (perfbench/spans.py) reads and
+# wraps bounds.minimize when it installs its hooks, and a traced run fails
+# with AttributeError without it.
 
 __all__ = [
     "BoundResult",

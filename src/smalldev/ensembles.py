@@ -38,7 +38,6 @@ __all__ = [
     "distinct_sources",
     "MgfModel",
     "sample_sum_batch",
-    "empirical_mgf",
 ]
 
 # Substream purpose index for mgf snapshot sampling; Monte Carlo estimation
@@ -436,14 +435,6 @@ def _check_thetas(thetas) -> None:
         raise ValueError("theta must be positive and finite")
 
 
-def empirical_mgf(source, theta: float, n: int, stream: RngStream) -> HermitianMatrix:
-    """Monte Carlo estimate (1/n) sum_j exp(-theta X_j) over fresh draws."""
-    _check_thetas([theta])
-    if n < 1:
-        raise ValueError("n must be at least 1")
-    return HermitianMatrix(_Snapshot(source.sample_batch(stream, n)).evaluate_many([theta])[0])
-
-
 class _Snapshot:
     """Frozen sample set for one source, stored eigendecomposed so that the
     mgf can be re-evaluated cheaply at many theta values.
@@ -577,7 +568,11 @@ class MgfModel:
             )
 
     def evaluate(self, source, theta: float) -> HermitianMatrix:
-        """E exp(-theta X) of source."""
+        """E exp(-theta X) of source, the one-theta case of evaluate_many.
+
+        No bound calls it; it stays public because the benchmark's tracer
+        (perfbench/spans.py) wraps MgfModel.evaluate when it installs its
+        hooks, and a traced run fails with AttributeError without it."""
         return HermitianMatrix(self.evaluate_many(source, [theta])[0])
 
     def evaluate_many(self, source, thetas) -> np.ndarray:

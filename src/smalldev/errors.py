@@ -14,7 +14,9 @@ class EigenConvergenceError(SmallDevError):
 
 
 class MatrixDomainError(SmallDevError):
-    """A spectral function was applied to an eigenvalue outside its domain."""
+    """A matrix function met an eigenvalue outside its domain.  Nothing
+    raises it directly; it stays as the public base class that callers
+    catch for NotPositiveDefiniteError."""
 
 
 class NotPositiveDefiniteError(MatrixDomainError):

