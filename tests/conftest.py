@@ -8,6 +8,12 @@ def random_hermitian(d: int, rng: np.random.Generator, scale: float = 1.0) -> He
     return HermitianMatrix(scale * (a + a.conj().T) / 2.0)
 
 
+def random_pd(d: int, rng: np.random.Generator) -> HermitianMatrix:
+    """Random positive definite matrix with eigenvalues bounded away from 0."""
+    a = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+    return HermitianMatrix(a @ a.conj().T + 0.5 * d * np.eye(d))
+
+
 def frobenius(entries: np.ndarray) -> float:
     return float(np.linalg.norm(entries, "fro"))
 

@@ -4,6 +4,7 @@ import re
 import mpmath
 import numpy as np
 import pytest
+import scipy.linalg
 
 from smalldev import bounds as bounds_mod
 from smalldev.bounds import (
@@ -190,6 +191,31 @@ class TestMasterBound:
                 lm = (u * np.log(np.clip(w, bounds_mod._EIG_FLOOR, None))) @ u.conj().T
                 ref = lm if ref is None else ref + lm
             np.testing.assert_array_equal(got, ref)
+
+    def test_log_mgf_sum_inverts_expm_d8(self):
+        rng = np.random.default_rng(3)
+        a = rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8))
+        h = (a + a.conj().T) / 2.0
+        back = bounds_mod._log_mgf_sum(scipy.linalg.expm(h)[None, None], [0], [1.0])[0]
+        rel = np.linalg.norm(back - h) / max(1.0, np.linalg.norm(h))
+        assert rel <= 1e-9
+
+    def test_log_mgf_sum_of_two_sources_matches_scipy_logm(self):
+        rng = np.random.default_rng(4)
+        mats = []
+        for _ in range(2):
+            a = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+            mats.append(a @ a.conj().T + 2.0 * np.eye(4))
+        total = bounds_mod._log_mgf_sum(np.stack(mats)[None], [0, 1, 0], [1.0])[0]
+        ref = 2.0 * scipy.linalg.logm(mats[0]) + scipy.linalg.logm(mats[1])
+        assert np.linalg.norm(total - ref) <= 1e-12 * np.linalg.norm(ref)
+
+    def test_log_mgf_sum_clips_a_singular_mgf_upward(self):
+        # A zero eigenvalue (an underflowed mgf) is floored, not rejected.
+        mats = np.diag([1.0, 0.0]).astype(complex)[None, None]
+        total = bounds_mod._log_mgf_sum(mats, [0], [1.0])[0]
+        expected = np.diag([0.0, math.log(bounds_mod._EIG_FLOOR)])
+        assert np.abs(total - expected).max() <= 1e-12 * abs(math.log(bounds_mod._EIG_FLOOR))
 
     def test_eigh_sees_each_distinct_source_once(self, monkeypatch):
         # (m, J, d, d) with J distinct objects, however often each repeats.

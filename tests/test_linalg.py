@@ -6,6 +6,7 @@ import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from smalldev.ensembles import Bernoulli, ScaledFixed
 from smalldev.errors import NotPositiveDefiniteError
 from smalldev.linalg import (
     HermitianMatrix,
@@ -16,7 +17,7 @@ from smalldev.linalg import (
     spectral_decompose,
 )
 
-from conftest import frobenius, random_hermitian
+from conftest import frobenius, random_hermitian, random_pd
 
 
 class TestHermitianMatrix:
@@ -37,9 +38,18 @@ class TestHermitianMatrix:
         assert np.array_equal(h.entries, [[1.0e308, 1.6e308], [1.6e308, 1.6e308]])
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
-    def test_arithmetic_past_the_float_range_raises_without_warning(self):
+    @pytest.mark.parametrize(
+        "a, c",
+        [
+            (HermitianMatrix.diagonal([1.0e308, 1.0]), -10.0),
+            (HermitianMatrix(np.array([[0.0, 1.0e308j], [-1.0e308j, 0.0]])), 10.0),
+            (HermitianMatrix.diagonal([1.0e308, 1.0]), 10.0),
+        ],
+        ids=["negative", "complex", "scaled"],
+    )
+    def test_arithmetic_past_the_float_range_raises_without_warning(self, a, c):
         with pytest.raises(ValueError, match="finite"):
-            HermitianMatrix.diagonal([1.0e308, 1.0]).scaled(10.0)
+            a.scaled(c)
 
     def test_symmetrizes_normal_floats_to_the_bits_of_the_mean(self):
         rng = np.random.default_rng(5)
@@ -84,6 +94,35 @@ class TestSpectralDecompose:
 
 
 class TestSpectralFunctions:
+    def test_matrix_power_one_reproduces_input(self):
+        rng = np.random.default_rng(1)
+        a = random_hermitian(5, rng)
+        out = matrix_power(a, 1.0)
+        assert np.abs(out.entries - a.entries).max() <= 1e-12
+
+    def test_matrix_power_square_root_on_diagonal(self):
+        out = matrix_power(HermitianMatrix.diagonal([1.0, 4.0]), 0.5)
+        assert np.allclose(out.entries, np.diag([1.0, 2.0]), atol=1e-12)
+
+    def test_domain_error_names_eigenvalue(self):
+        a = HermitianMatrix.diagonal([-1.0, 1.0])
+        with pytest.raises(NotPositiveDefiniteError, match="-1"):
+            matrix_power(a, 0.5)
+
+    def test_fractional_power_matches_scipy_pd_d8(self):
+        rng = np.random.default_rng(2)
+        a = random_pd(8, rng)
+        ref = scipy.linalg.fractional_matrix_power(a.entries, 0.5)
+        rel = frobenius(matrix_power(a, 0.5).entries - ref) / frobenius(ref)
+        assert rel <= 1e-9
+
+    def test_negative_power_roundtrip_pd_d8(self):
+        rng = np.random.default_rng(3)
+        a = random_pd(8, rng)
+        back = matrix_power(matrix_power(a, -0.5), -2.0)
+        rel = frobenius(back.entries - a.entries) / frobenius(a.entries)
+        assert rel <= 1e-9
+
     def test_matrix_power_identity_inverse(self):
         out = matrix_power(HermitianMatrix.identity(3), -1.0)
         assert np.allclose(out.entries, np.eye(3), atol=1e-14)
@@ -165,7 +204,34 @@ def hermitian_matrices(draw, max_dim=6):
     return HermitianMatrix(np.array(re) + 1j * np.array(im))
 
 
+def exp_neg(a: HermitianMatrix, theta: float) -> np.ndarray:
+    """exp(-theta B) for B = A - lambda_min(A) I, through the analytic mgf
+    kernel the bounds run; the shift makes B psd, as ScaledFixed requires."""
+    b = HermitianMatrix(a.entries - lambda_min(a) * np.eye(a.dim))
+    return ScaledFixed(matrix=b, law=Bernoulli(1.0)).analytic_mgf([theta])[0]
+
+
 class TestSpectralProperties:
+    @given(hermitian_matrices())
+    @settings(max_examples=60, deadline=None)
+    def test_spectral_mapping_composition(self, a):
+        direct = exp_neg(a, 1.0)
+        composed = matrix_power(HermitianMatrix(exp_neg(a, 0.5)), 2.0).entries
+        scale = max(1.0, frobenius(direct))
+        assert frobenius(direct - composed) / scale <= 1e-9
+
+    @given(hermitian_matrices())
+    @settings(max_examples=60, deadline=None)
+    def test_exp_is_pd(self, a):
+        assert lambda_min(HermitianMatrix(exp_neg(a, 1.0))) > 0.0
+
+    @given(hermitian_matrices())
+    @settings(max_examples=60, deadline=None)
+    def test_trace_of_exp_matches_eigenvalue_sum(self, a):
+        w = spectral_decompose(a).eigenvalues
+        tr = np.trace(exp_neg(a, 1.0)).real
+        assert tr == pytest.approx(np.exp(w[0] - w).sum(), rel=1e-9, abs=1e-9)
+
     @given(hermitian_matrices())
     @settings(max_examples=60, deadline=None)
     def test_negation_swaps_extremes(self, a):
