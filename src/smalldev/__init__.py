@@ -4,7 +4,6 @@ Monte Carlo simulation with exact binomial confidence intervals."""
 
 from .bounds import (
     BoundResult,
-    GThetaModel,
     admissible_cp,
     chernoff_product_bound,
     chernoff_sum_bound,
@@ -23,7 +22,6 @@ from .bounds import (
 from .ensembles import (
     Bernoulli,
     BoundedRankOne,
-    Exponential,
     Gamma,
     MgfModel,
     ScaledFixed,

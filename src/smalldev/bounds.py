@@ -56,7 +56,6 @@ from .optimizer import OptimizerConfig, minimize, search  # noqa: F401
 
 __all__ = [
     "BoundResult",
-    "GThetaModel",
     "exp_envelope",
     "log_rate",
     "power_envelope",
@@ -271,24 +270,6 @@ def master_bound(
     return _scan(h_many, eps_grid, cfg, {"K": float(model.size)})
 
 
-@dataclass(frozen=True)
-class GThetaModel:
-    """Dominating-matrix construction: E exp(-theta X_k) <= exp(g(theta) A_k)
-    in the Loewner order for fixed Hermitian A_k and a scalar g of constant
-    declared sign on the search domain."""
-
-    g: Callable[[float], float]
-    sign: str
-    dominators: tuple
-
-    def __post_init__(self):
-        if self.sign not in ("positive", "negative"):
-            raise ValueError("sign must be 'positive' or 'negative'")
-        object.__setattr__(self, "dominators", tuple(self.dominators))
-        if len(self.dominators) < 1:
-            raise ValueError("need at least one dominating matrix")
-
-
 def exp_envelope(bound: float) -> Callable[[float], float]:
     """g(theta) = (exp(-theta*bound) - 1)/bound, the linear-envelope
     exponent for sources with lambda_max(X) <= bound a.s.; negative."""
@@ -306,40 +287,54 @@ def log_rate(rate: float) -> Callable[[float], float]:
 
 
 def power_envelope(c: float, alpha: float) -> Callable[[float], float]:
-    """g(theta) = log(C * theta^(-alpha)); sign depends on theta, so the
-    optimizer domain must be restricted to one side of C^(1/alpha)."""
+    """g(theta) = log(C * theta^(-alpha)); positive below C^(1/alpha) and
+    negative above it."""
     if not (0 < c < math.inf and 0 < alpha < math.inf):
         raise ValueError("C and alpha must be positive and finite")
     return lambda th: math.log(c) - alpha * math.log(th)
 
 
-def g_theta_eta(gmodel: GThetaModel, cfg: OptimizerConfig = OptimizerConfig()) -> float:
-    """Check that g is finite and of its declared sign on the coarse grid of
-    cfg, and return eta: lambda_max (g positive) or lambda_min (g negative)
-    of the summed dominators."""
-    positive = gmodel.sign == "positive"
-    gvals = np.array([gmodel.g(t) for t in cfg.coarse_grid()], dtype=float)
+def g_theta_eta(
+    g: Callable[[float], float],
+    dominators: Sequence[HermitianMatrix],
+    cfg: OptimizerConfig = OptimizerConfig(),
+) -> tuple[float, float, dict]:
+    """Check that there is a dominator and that g is finite on the coarse
+    grid of cfg.  Returns eta1 = lambda_max and eta2 = lambda_min of the
+    summed dominators, and the details of the bound: eta1 if g > 0
+    somewhere on the grid, eta2 if g < 0 somewhere."""
+    if len(dominators) < 1:
+        raise ValueError("need at least one dominating matrix")
+    gvals = np.array([g(t) for t in cfg.coarse_grid()], dtype=float)
     if not np.isfinite(gvals).all():
         raise InvalidDominatorsError("g is non-finite on the optimizer grid")
-    if not (gvals > 0 if positive else gvals < 0).all():
-        raise InvalidDominatorsError(
-            f"g declared {gmodel.sign} but is not strictly {gmodel.sign} on the grid"
-        )
-    total = _position_sum([a.entries for a in gmodel.dominators], "the sum of the dominators")
+    total = _position_sum([a.entries for a in dominators], "the sum of the dominators")
     w = np.linalg.eigvalsh(total)
-    return float(w[-1] if positive else w[0])
+    eta1, eta2 = float(w[-1]), float(w[0])
+    details = {}
+    if (gvals > 0).any():
+        details["eta1"] = eta1
+    if (gvals < 0).any():
+        details["eta2"] = eta2
+    return eta1, eta2, details
 
 
 def g_theta_bound(
-    gmodel: GThetaModel,
+    g: Callable[[float], float],
+    dominators: Sequence[HermitianMatrix],
     eps_grid: Sequence[float],
     cfg: OptimizerConfig = OptimizerConfig(),
 ) -> list[BoundResult]:
-    """Bound inf_theta exp(theta eps + g(theta) * eta), with eta from
-    g_theta_eta, at every eps."""
-    eta = g_theta_eta(gmodel, cfg)
-    details = {"eta1" if gmodel.sign == "positive" else "eta2": eta}
-    return _scan(lambda thetas: [gmodel.g(t) * eta for t in thetas], eps_grid, cfg, details)
+    """Dominating-matrix bound for E exp(-theta X_k) <= exp(g(theta) A_k)
+    in the Loewner order: inf_theta exp(theta eps + h(theta)) at every eps,
+    with h(theta) = g(theta) * (eta1 if g(theta) > 0 else eta2) and the eta
+    of g_theta_eta.  Each theta bounds on its own, so g may change sign."""
+    eta1, eta2, details = g_theta_eta(g, dominators, cfg)
+
+    def h_many(thetas: list) -> list:
+        return [x * (eta1 if x > 0 else eta2) for x in map(g, thetas)]
+
+    return _scan(h_many, eps_grid, cfg, details)
 
 
 def log_mean_bound(

@@ -35,7 +35,6 @@ from .ensembles import (
     DEFAULT_MGF_SAMPLES,
     Bernoulli,
     BoundedRankOne,
-    Exponential,
     Gamma,
     MgfModel,
     ScaledFixed,
@@ -254,7 +253,8 @@ def _matrix(spec: dict) -> HermitianMatrix:
 # table order.  A table in place of a cast is a nested spec built from it,
 # and a tuple of keys a mapping passed on as it is.
 _LAWS = {
-    "exponential": (Exponential, {"rate": float}),
+    # Gamma(1.0, rate) is the exponential law, bit for bit.
+    "exponential": (lambda rate: Gamma(1.0, rate), {"rate": float}),
     "gamma": (Gamma, {"shape": float, "rate": float}),
     "bernoulli": (Bernoulli, {"p": float}),
     "uniform": (Uniform, {"high": float}),
@@ -272,15 +272,10 @@ _SOURCES = {
     "wishart": (Wishart, {"dim": _integer, "dof": _integer}),
 }
 
-# Each g builtin gives (g, sign).  Only power_envelope changes sign with
-# theta, so only it takes the sign from the config.
 _G_BUILTINS = {
-    "exp_envelope": (lambda bound: (bd.exp_envelope(bound), "negative"), {"bound": float}),
-    "log_rate": (lambda rate: (bd.log_rate(rate), "negative"), {"rate": float}),
-    "power_envelope": (
-        lambda c, alpha, sign: (bd.power_envelope(c, alpha), sign),
-        {"C": float, "alpha": float, "sign": str},
-    ),
+    "exp_envelope": (bd.exp_envelope, {"bound": float}),
+    "log_rate": (bd.log_rate, {"rate": float}),
+    "power_envelope": (bd.power_envelope, {"C": float, "alpha": float}),
 }
 
 
@@ -395,7 +390,7 @@ def _computed(compute, keys=()):
 
 
 def _g_theta(req, model, eps_grid, opt_cfg):
-    g, sign = _build(_G_BUILTINS, _require(req, "g", "g_theta"), "g_theta.g", tag="builtin")
+    g = _build(_G_BUILTINS, _require(req, "g", "g_theta"), "g_theta.g", tag="builtin")
     dom = req.get("dominators", "mean")
     if dom == "mean":
         mats = bd.source_means(model)
@@ -403,8 +398,7 @@ def _g_theta(req, model, eps_grid, opt_cfg):
         mats = [HermitianMatrix.identity(model.dim)] * model.size
     else:
         raise ConfigError(f"unknown dominators spec {dom!r}")
-    gmodel = bd.GThetaModel(g=g, sign=sign, dominators=tuple(mats))
-    return bd.g_theta_bound(gmodel, eps_grid, opt_cfg)
+    return bd.g_theta_bound(g, mats, eps_grid, opt_cfg)
 
 
 def _negative_moment(req, model, eps_grid, opt_cfg):

@@ -26,7 +26,6 @@ from .linalg import HermitianMatrix, is_psd, lambda_max, spectral_decompose
 from .rng import RngStream
 
 __all__ = [
-    "Exponential",
     "Gamma",
     "Bernoulli",
     "Uniform",
@@ -98,36 +97,9 @@ def _build(size: int, dim: int, block, out: np.ndarray | None) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class Exponential:
-    """Exponential law with the given rate; mgf rate/(rate+theta)."""
-
-    rate: float
-    kind = "exponential"
-    upper_bound = None
-
-    def __post_init__(self):
-        if not 0 < self.rate < math.inf:
-            raise ValueError("exponential rate must be positive and finite")
-
-    @property
-    def mean(self) -> float:
-        return 1.0 / self.rate
-
-    @property
-    def envelope(self) -> tuple[float, float] | None:
-        # rate/(rate+theta) <= rate/theta
-        return (self.rate, 1.0)
-
-    def mgf(self, t):
-        return self.rate / (self.rate + np.asarray(t, dtype=float))
-
-    def sample(self, gen: np.random.Generator, size: int) -> np.ndarray:
-        return gen.exponential(scale=1.0 / self.rate, size=size)
-
-
-@dataclass(frozen=True)
 class Gamma:
-    """Gamma law with shape and rate; mgf (rate/(rate+theta))**shape."""
+    """Gamma law with shape and rate; mgf (rate/(rate+theta))**shape.
+    Shape 1 is the exponential law."""
 
     shape: float
     rate: float
@@ -214,7 +186,7 @@ class Uniform:
         return gen.random(size) * self.high
 
 
-ScalarLaw = Exponential | Gamma | Bernoulli | Uniform
+ScalarLaw = Gamma | Bernoulli | Uniform
 
 
 # ---------------------------------------------------------------------------
@@ -346,9 +318,6 @@ class Wishart:
             return gram
 
         return _build(size, self.dim, block, out)
-
-
-MatrixSource = ScaledFixed | BoundedRankOne | Wishart
 
 
 # ---------------------------------------------------------------------------

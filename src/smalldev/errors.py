@@ -44,8 +44,8 @@ class FloatRangeError(SmallDevError):
 
 
 class InvalidDominatorsError(SmallDevError):
-    """The supplied dominating-matrix construction violates its declared
-    sign on the optimizer grid."""
+    """The g of a dominating-matrix construction is not finite on the
+    optimizer grid."""
 
 
 class NoFiniteValueError(SmallDevError):

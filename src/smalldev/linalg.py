@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import EigenConvergenceError, NotPositiveDefiniteError
+from .errors import EigenConvergenceError, FloatRangeError, NotPositiveDefiniteError
 
 __all__ = [
     "HermitianMatrix",
@@ -107,30 +107,32 @@ def matrix_power(a: HermitianMatrix, s: float) -> HermitianMatrix:
     Negative s requires a positive definite A: eigenvalues above the floor
     1e-12 * max(1, lambda_max), which guards against roundoff-negative
     eigenvalues.  Fractional nonnegative s tolerates roundoff-negative
-    eigenvalues within the floor by clipping them to zero.
+    eigenvalues within the floor by clipping them to zero.  Raises
+    FloatRangeError when A^s leaves the float range.
     """
     dec = spectral_decompose(a)
     w = dec.eigenvalues
     floor = 1e-12 * max(1.0, float(w[-1]))
     s = float(s)
-    if s < 0:
-        if float(w[0]) <= floor:
-            raise NotPositiveDefiniteError(
-                f"matrix_power with s={s} requires eigenvalues > {floor:.3e}, "
-                f"found {float(w[0]):.6e}"
-            )
-        vals = w**s
-    elif s != int(s):
+    if s < 0 and float(w[0]) <= floor:
+        raise NotPositiveDefiniteError(
+            f"matrix_power with s={s} requires eigenvalues > {floor:.3e}, "
+            f"found {float(w[0]):.6e}"
+        )
+    if s != int(s):
         if float(w[0]) < -floor:
             raise NotPositiveDefiniteError(
                 f"matrix_power with fractional s={s} requires psd input, "
                 f"found eigenvalue {float(w[0]):.6e}"
             )
-        vals = np.clip(w, 0.0, None) ** s
-    else:
-        vals = w**s
+        w = np.clip(w, 0.0, None)
     u = dec.eigenvectors
-    return HermitianMatrix((u * vals) @ u.conj().T)
+    # A power past the float range is inf, and the reassembly inf or nan.
+    with np.errstate(over="ignore", invalid="ignore"):
+        entries = (u * w**s) @ u.conj().T
+    if not np.isfinite(entries).all():
+        raise FloatRangeError(f"the matrix power A^s with s={s} is outside the float range")
+    return HermitianMatrix(entries)
 
 
 def lambda_max(a: HermitianMatrix) -> float:

@@ -1,6 +1,15 @@
-import numpy as np
+import os
 
-from smalldev.linalg import HermitianMatrix
+# Set before numpy loads OpenBLAS.  With its default of one thread per core,
+# scipy's expm and logm on the 64x64 complex matrices of the reference
+# checks ran several times slower on 2 cores than with one thread, and
+# these small matrices gain nothing from more.  A value set in the
+# environment still wins.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
+import numpy as np  # noqa: E402
+
+from smalldev.linalg import HermitianMatrix  # noqa: E402
 
 
 def random_hermitian(d: int, rng: np.random.Generator, scale: float = 1.0) -> HermitianMatrix:

@@ -28,7 +28,6 @@ from smalldev.cli import demo_config_names, demo_config_path, main
 from smalldev.ensembles import (
     Bernoulli,
     BoundedRankOne,
-    Exponential,
     Gamma,
     MgfModel,
     ScaledFixed,
@@ -53,7 +52,7 @@ def bernoulli_model(k=10):
 def exp_series_model(k, d=2):
     return SumModel(
         sources=tuple(
-            ScaledFixed(matrix=HermitianMatrix.identity(d), law=Exponential(rate=1.0))
+            ScaledFixed(matrix=HermitianMatrix.identity(d), law=Gamma(1.0, 1.0))
             for _ in range(k)
         )
     )
@@ -278,8 +277,8 @@ def test_criterion_6_ordering_properties():
 
     hetero = SumModel(
         sources=(
-            ScaledFixed(matrix=HermitianMatrix.identity(2), law=Exponential(rate=1.0)),
-            ScaledFixed(matrix=HermitianMatrix.identity(2), law=Exponential(rate=2.0)),
+            ScaledFixed(matrix=HermitianMatrix.identity(2), law=Gamma(1.0, 1.0)),
+            ScaledFixed(matrix=HermitianMatrix.identity(2), law=Gamma(1.0, 2.0)),
             ScaledFixed(
                 matrix=HermitianMatrix.diagonal([1.0, 0.5]),
                 law=Gamma(shape=2.0, rate=2.0),

@@ -9,7 +9,6 @@ import scipy.linalg
 from smalldev import bounds as bounds_mod
 from smalldev.bounds import (
     BoundResult,
-    GThetaModel,
     admissible_cp,
     chernoff_product_bound,
     chernoff_sum_bound,
@@ -30,7 +29,6 @@ from smalldev.bounds import (
 from smalldev.ensembles import (
     Bernoulli,
     BoundedRankOne,
-    Exponential,
     Gamma,
     MgfModel,
     ScaledFixed,
@@ -60,7 +58,7 @@ def bernoulli_model(k=10, d=1, p=0.5, s=1.0):
 def exp_series_model(k, d=2, rate=1.0):
     return SumModel(
         sources=tuple(
-            ScaledFixed(matrix=HermitianMatrix.identity(d), law=Exponential(rate=rate))
+            ScaledFixed(matrix=HermitianMatrix.identity(d), law=Gamma(1.0, rate))
             for _ in range(k)
         )
     )
@@ -96,7 +94,7 @@ class TestSingleMatrixBound:
 
     def test_matches_dense_grid_oracle(self):
         # Y = x * [1], x ~ exp(1): objective exp(theta*eps)/(1+theta)
-        src = ScaledFixed(matrix=HermitianMatrix.identity(1), law=Exponential(rate=1.0))
+        src = ScaledFixed(matrix=HermitianMatrix.identity(1), law=Gamma(1.0, 1.0))
         res = single_matrix_bound(src, ANALYTIC, [0.1])[0]
         thetas = np.geomspace(1e-6, 1e6, 400_001)
         with np.errstate(over="ignore"):
@@ -106,7 +104,7 @@ class TestSingleMatrixBound:
 
     @pytest.mark.parametrize("eps", [0.05, 0.1, 0.2])
     def test_dominates_exponential_cdf(self, eps):
-        src = ScaledFixed(matrix=HermitianMatrix.identity(1), law=Exponential(rate=1.0))
+        src = ScaledFixed(matrix=HermitianMatrix.identity(1), law=Gamma(1.0, 1.0))
         res = single_matrix_bound(src, ANALYTIC, [eps])[0]
         assert res.value >= 1.0 - math.exp(-eps)
 
@@ -243,23 +241,15 @@ class TestGThetaBound:
         model = SumModel(
             sources=tuple(bernoulli_diagonal(dim=2, p=1.0, scale=1.0) for _ in range(3))
         )
-        gmodel = GThetaModel(
-            g=lambda t: -t,
-            sign="negative",
-            dominators=tuple(s.mean() for s in model.sources),
-        )
-        res = g_theta_bound(gmodel, [0.5])[0]
+        dominators = tuple(s.mean() for s in model.sources)
+        res = g_theta_bound(lambda t: -t, dominators, [0.5])[0]
         assert res.value < 1e-50
         assert res.details["eta2"] == pytest.approx(3.0)
 
     def test_exponential_series_matches_dense_grid(self):
         # g(theta) = log(1/(1+theta)), A_k = I (2x2), K = 3: eta2 = 3.
-        gmodel = GThetaModel(
-            g=log_rate(1.0),
-            sign="negative",
-            dominators=tuple(HermitianMatrix.identity(2) for _ in range(3)),
-        )
-        res = g_theta_bound(gmodel, [0.2])[0]
+        dominators = tuple(HermitianMatrix.identity(2) for _ in range(3))
+        res = g_theta_bound(log_rate(1.0), dominators, [0.2])[0]
         thetas = np.geomspace(1e-6, 1e6, 400_001)
         with np.errstate(over="ignore"):
             oracle = np.exp(0.2 * thetas + 3.0 * np.log(1.0 / (1.0 + thetas))).min()
@@ -267,24 +257,28 @@ class TestGThetaBound:
         assert res.details["eta2"] == pytest.approx(3.0)
 
     def test_trivial_when_eps_exceeds_achievable_decrease(self):
-        gmodel = GThetaModel(
-            g=log_rate(1.0), sign="negative", dominators=(HermitianMatrix.identity(1),)
-        )
-        res = g_theta_bound(gmodel, [2.0])[0]
+        res = g_theta_bound(log_rate(1.0), (HermitianMatrix.identity(1),), [2.0])[0]
         assert res.trivial
         assert res.value == 1.0
         assert res.valid
         # the objective only rises, so theta* sits at theta_min
         assert res.details["at_boundary"]
 
-    def test_sign_violation_detected(self):
-        gmodel = GThetaModel(
-            g=power_envelope(1.0, 1.0),
-            sign="negative",
-            dominators=(HermitianMatrix.identity(1),),
-        )
-        with pytest.raises(InvalidDominatorsError):
-            g_theta_bound(gmodel, [0.1])
+    def test_g_changing_sign_matches_dense_grid(self):
+        # g(theta) = -log(theta) is positive below theta = 1 and negative
+        # above it; with the dominator diag(1, 3), each theta takes
+        # eta1 = 3 where g > 0 and eta2 = 1 where g < 0.
+        g = power_envelope(1.0, 1.0)
+        eps = [0.05, 0.1, 0.5]
+        results = g_theta_bound(g, (HermitianMatrix.diagonal([1.0, 3.0]),), eps)
+        thetas = np.geomspace(1e-6, 1e6, 400_001)
+        gvals = -np.log(thetas)
+        h = gvals * np.where(gvals > 0, 3.0, 1.0)
+        for e, res in zip(eps, results):
+            oracle = math.exp((e * thetas + h).min())
+            assert res.raw_value == pytest.approx(oracle, rel=1e-6)
+            assert res.details == {"eta1": 3.0, "eta2": 1.0, "at_boundary": False}
+            assert_result_invariants(res)
 
     def test_eta_checks_the_grid_without_a_theta_scan(self, monkeypatch):
         def search(*args, **kwargs):
@@ -292,21 +286,37 @@ class TestGThetaBound:
 
         monkeypatch.setattr(bounds_mod, "search", search)
         dominators = (HermitianMatrix.diagonal([1.0, 3.0]), HermitianMatrix.identity(2))
-        negative = GThetaModel(g=log_rate(1.0), sign="negative", dominators=dominators)
-        assert g_theta_eta(negative) == pytest.approx(2.0)
-        positive = GThetaModel(g=power_envelope(1.0, 1.0), sign="positive", dominators=dominators)
-        with pytest.raises(InvalidDominatorsError, match="declared positive"):
-            g_theta_eta(positive)
+        assert g_theta_eta(log_rate(1.0), dominators) == (4.0, 2.0, {"eta2": 2.0})
+        assert g_theta_eta(power_envelope(1.0, 1.0), dominators) == (
+            4.0,
+            2.0,
+            {"eta1": 4.0, "eta2": 2.0},
+        )
+        with pytest.raises(InvalidDominatorsError, match="non-finite"):
+            g_theta_eta(lambda t: math.inf if t > 1.0 else -t, dominators)
+        with pytest.raises(ValueError, match="at least one dominating matrix"):
+            g_theta_eta(log_rate(1.0), ())
 
     def test_positive_sign_uses_eta1(self):
-        gmodel = GThetaModel(
-            g=power_envelope(2.0, 1.0),
-            sign="positive",
-            dominators=(HermitianMatrix.diagonal([1.0, 3.0]),),
-        )
         cfg = OptimizerConfig(theta_min=1e-6, theta_max=1.0)
-        res = g_theta_bound(gmodel, [0.05], cfg)[0]
+        dominators = (HermitianMatrix.diagonal([1.0, 3.0]),)
+        res = g_theta_bound(power_envelope(2.0, 1.0), dominators, [0.05], cfg)[0]
+        # theta*eps + 3 log(2/theta) falls on [1e-6, 1]: the minimum is at 1.
+        assert res.raw_value == pytest.approx(math.exp(0.05 + 3.0 * math.log(2.0)), rel=1e-12)
         assert res.details["eta1"] == pytest.approx(3.0)
+        assert "eta2" not in res.details
+        assert_result_invariants(res)
+
+    def test_both_signs_on_the_grid_record_both_eta(self):
+        cfg = OptimizerConfig(theta_min=0.5, theta_max=2.0, coarse_points=3)
+        dominators = (HermitianMatrix.diagonal([1.0, 3.0]),)
+        res = g_theta_bound(power_envelope(1.0, 1.0), dominators, [0.05], cfg)[0]
+        assert (res.details["eta1"], res.details["eta2"]) == (3.0, 1.0)
+        # One grid point lies on g = 0 and the two others on either side.
+        cfg = OptimizerConfig(theta_min=1.0, theta_max=2.0, coarse_points=3)
+        res = g_theta_bound(power_envelope(1.0, 1.0), dominators, [0.05], cfg)[0]
+        assert "eta1" not in res.details
+        assert res.details["eta2"] == 1.0
         assert_result_invariants(res)
 
 
@@ -339,17 +349,13 @@ class TestGridScan:
         # Each eps of a grid gets what it gets alone: the theta-scans run in
         # lockstep, and the closed forms share only eps-free constants.
         model = exp_series_model(3)
-        gmodel = GThetaModel(
-            g=log_rate(1.0),
-            sign="negative",
-            dominators=tuple(HermitianMatrix.identity(2) for _ in range(3)),
-        )
+        dominators = tuple(HermitianMatrix.identity(2) for _ in range(3))
         src = model.sources[0]
         cases = [
             (single_matrix_bound, (src, ANALYTIC)),
             (master_bound, (model, ANALYTIC)),
             (log_mean_bound, (model, ANALYTIC)),
-            (g_theta_bound, (gmodel,)),
+            (g_theta_bound, (log_rate(1.0), dominators)),
             (product_bound, (model, ANALYTIC)),
             (negative_moment_bound, (0.2, 1.0)),
             (chernoff_sum_bound, (bernoulli_model(),)),
@@ -362,7 +368,7 @@ class TestGridScan:
             assert grid == [bound(*args, [e])[0] for e in self.EPS]
 
     def test_h_evaluated_once_per_distinct_theta(self):
-        src = ScaledFixed(matrix=HermitianMatrix.identity(2), law=Exponential(rate=1.0))
+        src = ScaledFixed(matrix=HermitianMatrix.identity(2), law=Gamma(1.0, 1.0))
         cfg = OptimizerConfig()
         grid = CountingMgf(ANALYTIC)
         single_matrix_bound(src, grid, self.EPS, cfg)
@@ -391,7 +397,7 @@ class TestGridScan:
                 return ANALYTIC.evaluate_many(source, thetas)
 
         cfg = OptimizerConfig()
-        src = ScaledFixed(matrix=HermitianMatrix.identity(2), law=Exponential(rate=1.0))
+        src = ScaledFixed(matrix=HermitianMatrix.identity(2), law=Gamma(1.0, 1.0))
         single_matrix_bound(src, BatchMgf(), self.EPS, cfg)
         assert batches[0] == cfg.coarse_points
         assert len(batches) > 1
@@ -406,17 +412,19 @@ class TestGridScan:
                     matrix=HermitianMatrix([[2.0, 1j], [-1j, 1.0]]), law=Gamma(2.0, 1.5)
                 ),
                 bernoulli_diagonal(dim=2, p=0.3, scale=1.5),
-                ScaledFixed(matrix=HermitianMatrix.diagonal([0.5, 3.0]), law=Exponential(2.0)),
+                ScaledFixed(matrix=HermitianMatrix.diagonal([0.5, 3.0]), law=Gamma(1.0, 2.0)),
             )
         )
         floor = bounds_mod._EIG_FLOOR
         cfg = OptimizerConfig()
         for model in (exp_series_model(3), mixed):
             k, d = model.size, model.dim
-            gmodel = GThetaModel(
-                g=log_rate(1.0), sign="negative", dominators=source_means(model)
-            )
-            eta = g_theta_eta(gmodel, cfg)
+            g = log_rate(1.0)
+            eta1, eta2, _ = g_theta_eta(g, source_means(model), cfg)
+
+            def g_theta(th):
+                gth = g(th)
+                return gth * (eta1 if gth > 0 else eta2)
 
             def single(th, src=model.sources[0]):
                 tr = float(np.trace(ANALYTIC.evaluate(src, th).entries).real)
@@ -439,7 +447,7 @@ class TestGridScan:
                 (single_matrix_bound(model.sources[0], ANALYTIC, self.EPS, cfg), single),
                 (master_bound(model, ANALYTIC, self.EPS, cfg), master),
                 (log_mean_bound(model, ANALYTIC, self.EPS, cfg), log_mean),
-                (g_theta_bound(gmodel, self.EPS, cfg), lambda th: gmodel.g(th) * eta),
+                (g_theta_bound(g, source_means(model), self.EPS, cfg), g_theta),
             ]
             for grid, h in cases:
                 for eps, res in zip(self.EPS, grid):
@@ -465,8 +473,8 @@ class TestLogMeanBound:
     def test_heterogeneous_weaker_than_master(self):
         model = SumModel(
             sources=(
-                ScaledFixed(matrix=HermitianMatrix.identity(1), law=Exponential(rate=1.0)),
-                ScaledFixed(matrix=HermitianMatrix.identity(1), law=Exponential(rate=2.0)),
+                ScaledFixed(matrix=HermitianMatrix.identity(1), law=Gamma(1.0, 1.0)),
+                ScaledFixed(matrix=HermitianMatrix.identity(1), law=Gamma(1.0, 2.0)),
             )
         )
         a = master_bound(model, ANALYTIC, [0.2])[0]
@@ -588,7 +596,7 @@ class TestNegativeMomentBound:
     def test_degenerate_zero_mean(self):
         model = SumModel(
             sources=(
-                ScaledFixed(matrix=HermitianMatrix(np.zeros((2, 2))), law=Exponential(rate=1.0)),
+                ScaledFixed(matrix=HermitianMatrix(np.zeros((2, 2))), law=Gamma(1.0, 1.0)),
             )
         )
         with pytest.raises(DegenerateModelError):
@@ -668,17 +676,17 @@ def test_source_means_computes_each_distinct_mean_once(monkeypatch):
 # Each mean is finite, their sum is not.
 _HUGE_MEAN_SUM = SumModel(
     sources=(
-        ScaledFixed(matrix=HermitianMatrix.diagonal([1e308, 1.0]), law=Exponential(rate=1.0)),
+        ScaledFixed(matrix=HermitianMatrix.diagonal([1e308, 1.0]), law=Gamma(1.0, 1.0)),
     )
     * 2
 )
 # The one source's mean, 2e308, is not finite.
 _HUGE_MEAN_SOURCE = SumModel(
-    sources=(ScaledFixed(matrix=HermitianMatrix.diagonal([1e308]), law=Exponential(rate=0.5)),)
+    sources=(ScaledFixed(matrix=HermitianMatrix.diagonal([1e308]), law=Gamma(1.0, 0.5)),)
 )
 
 _HUGE_SCALED_FIXED = SumModel(
-    sources=(ScaledFixed(matrix=HermitianMatrix.diagonal([1e300]), law=Exponential(rate=1e-300)),)
+    sources=(ScaledFixed(matrix=HermitianMatrix.diagonal([1e300]), law=Gamma(1.0, 1e-300)),)
     * 2
 )
 
@@ -829,7 +837,7 @@ class TestSeriesSumBound:
             sources=(
                 ScaledFixed(
                     matrix=HermitianMatrix.diagonal([1.0, 0.0]),
-                    law=Exponential(rate=1.0),
+                    law=Gamma(1.0, 1.0),
                 ),
             )
         )
@@ -839,8 +847,8 @@ class TestSeriesSumBound:
     def test_mismatched_envelopes_rejected(self):
         model = SumModel(
             sources=(
-                ScaledFixed(matrix=HermitianMatrix.identity(2), law=Exponential(rate=1.0)),
-                ScaledFixed(matrix=HermitianMatrix.identity(2), law=Exponential(rate=2.0)),
+                ScaledFixed(matrix=HermitianMatrix.identity(2), law=Gamma(1.0, 1.0)),
+                ScaledFixed(matrix=HermitianMatrix.identity(2), law=Gamma(1.0, 2.0)),
             )
         )
         with pytest.raises(UnsupportedEnsembleError, match="shared envelope"):
@@ -879,7 +887,7 @@ class TestSeriesProductBound:
             sources=(
                 ScaledFixed(
                     matrix=HermitianMatrix.diagonal([1.0, 4.0]),
-                    law=Exponential(rate=1.0),
+                    law=Gamma(1.0, 1.0),
                 ),
             )
         )
@@ -921,16 +929,12 @@ class TestInfimumConsistency:
         def g_theta_log_objective(t):
             return t * eps + math.expm1(-t) * 5.0
 
-        gmodel = GThetaModel(
-            g=exp_envelope(1.0),
-            sign="negative",
-            dominators=tuple(s.mean() for s in model.sources),
-        )
+        dominators = tuple(s.mean() for s in model.sources)
         cases = [
             (single_matrix_bound(model.sources[0], ANALYTIC, [eps])[0], single_log_objective),
             (master_bound(model, ANALYTIC, [eps])[0], sum_log_objective),
             (log_mean_bound(model, ANALYTIC, [eps])[0], sum_log_objective),
-            (g_theta_bound(gmodel, [eps])[0], g_theta_log_objective),
+            (g_theta_bound(exp_envelope(1.0), dominators, [eps])[0], g_theta_log_objective),
         ]
         for res, log_objective in cases:
             log_raw = math.log(res.raw_value)
@@ -974,13 +978,9 @@ class TestCrossFamilyConsistency:
 
     def test_g_theta_envelope_matches_chernoff_closed_form(self):
         model = bernoulli_model()
-        gmodel = GThetaModel(
-            g=exp_envelope(1.0),
-            sign="negative",
-            dominators=tuple(s.mean() for s in model.sources),
-        )
+        dominators = tuple(s.mean() for s in model.sources)
         for eps in (0.1, 0.25, 0.45):
-            numeric = g_theta_bound(gmodel, [eps])[0]
+            numeric = g_theta_bound(exp_envelope(1.0), dominators, [eps])[0]
             closed = chernoff_sum_bound(model, [eps])[0]
             assert numeric.raw_value == pytest.approx(closed.raw_value, rel=1e-6)
 

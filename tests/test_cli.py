@@ -211,11 +211,11 @@ class TestConfigValidation:
             {"name": "g_theta", "g": {"builtin": "log_rate", "rate": float("nan")}},
             {"name": "g_theta", "g": {"builtin": [1]}},
             {"name": "g_theta",
-             "g": {"builtin": "power_envelope", "C": 1.0, "alpha": 1.0, "sign": "maybe"}},
+             "g": {"builtin": "power_envelope", "C": 1.0, "alpha": 1.0, "sign": "negative"}},
             {"name": ["master"]},
         ],
         ids=["p-negative", "p-nan", "Cp-abc", "Cp-nan", "g-bound-negative", "g-bound-x",
-             "g-bound-null", "g-rate-nan", "g-builtin-unhashable", "g-sign-maybe",
+             "g-bound-null", "g-rate-nan", "g-builtin-unhashable", "g-sign-is-unknown-key",
              "name-unhashable"],
     )
     def test_malformed_bound_parameters_exit_2(self, tmp_path, capsys, request_):
@@ -456,9 +456,8 @@ def test_every_bound_rejects_an_inapplicable_model(tmp_path, capsys, monkeypatch
     )
 
 
-# Configs whose bound set-up leaves the float range, or whose g changes
-# sign on the optimizer grid: validation used to pass them, and bound then
-# failed after it had done work.
+# Configs whose bound set-up leaves the float range: validation used to
+# pass them, and bound then failed after it had done work.
 _TINY_MEAN = {
     "sources": [{"kind": "bernoulli_diagonal", "dim": 1, "p": 1.0e-300, "scale": 1.0}] * 2
 }
@@ -470,10 +469,18 @@ _HUGE_SCALED_FIXED = {
         "law": {"kind": "exponential", "rate": 1.0e-300},
     },
 }
-_SIGN_CHANGING_G = {"builtin": "power_envelope", "C": 1.0, "alpha": 1.0, "sign": "positive"}
+# A^(-alpha) with alpha = 50 has the entry 1e500, past the float range.
+_HUGE_MATRIX_POWER = {
+    "repeat": 2,
+    "source": {
+        "kind": "scaled_fixed",
+        "matrix": {"diagonal": [1.0e-10, 1.0]},
+        "law": {"kind": "gamma", "shape": 50, "rate": 1},
+    },
+}
 # g(theta) * eta overflows at every theta: g is about 700 and eta is 1e308.
 _HUGE_MEAN = {"source": {"kind": "bernoulli_diagonal", "dim": 1, "p": 1.0, "scale": 1.0e308}}
-_HUGE_G = {"builtin": "power_envelope", "C": 1.0e300, "alpha": 1.0, "sign": "positive"}
+_HUGE_G = {"builtin": "power_envelope", "C": 1.0e300, "alpha": 1.0}
 
 
 @pytest.mark.parametrize(
@@ -482,16 +489,49 @@ _HUGE_G = {"builtin": "power_envelope", "C": 1.0e300, "alpha": 1.0, "sign": "pos
         (_TINY_MEAN, [{"name": "negative_moment", "p": 2.0}]),
         (_HUGE_SCALED_FIXED, ["series_product"]),
         (_HUGE_SCALED_FIXED, ["series_sum"]),
-        (FAST_EXP_CONFIG["ensemble"], ["master", {"name": "g_theta", "g": _SIGN_CHANGING_G}]),
+        (_HUGE_MATRIX_POWER, ["series_sum"]),
+        (_HUGE_MATRIX_POWER, ["series_product"]),
         (_HUGE_MEAN, ["master", {"name": "g_theta", "g": _HUGE_G}]),
     ],
     ids=["cp-overflow", "series-product-cutoff-overflow", "series-sum-c-nu-underflow",
-         "g-changes-sign-on-grid", "g-theta-objective-overflows"],
+         "series-sum-matrix-power-overflow", "series-product-matrix-power-overflow",
+         "g-theta-objective-overflows"],
 )
 def test_validation_rejects_what_evaluation_would(
     tmp_path, capsys, monkeypatch, ensemble, bounds
 ):
     _assert_rejected_by_validation(tmp_path, capsys, monkeypatch, ensemble, bounds)
+
+
+# g = -log(theta) is positive below theta = 1 and negative above it.
+_SIGN_CHANGING_G = {"builtin": "power_envelope", "C": 1.0, "alpha": 1.0}
+
+
+def test_g_theta_with_g_changing_sign_on_the_grid_runs(tmp_path):
+    # Each theta is bounded with the eta of g's sign there: eta1 = 3 and
+    # eta2 = 1 for the summed means diag(1, 3).  For eps < eta2 the minimum
+    # lies where g < 0, so the run matches one whose range starts above
+    # theta = 1, and its details record both eta.
+    ensemble = copy.deepcopy(FAST_EXP_CONFIG["ensemble"])
+    ensemble["source"]["matrix"] = {"diagonal": [0.5, 1.5]}
+    rows = []
+    for optimizer in ({}, {"theta_min": 1.000001}):
+        cfg = dict(
+            FAST_EXP_CONFIG,
+            ensemble=ensemble,
+            bounds=[{"name": "g_theta", "g": _SIGN_CHANGING_G}],
+            optimizer=optimizer,
+        )
+        out = tmp_path / "b.json"
+        assert main(["bound", "--config", write_config(tmp_path, cfg), "--json", str(out)]) == 0
+        rows.append(json.loads(out.read_text())["rows"])
+    full, negative = rows
+    assert [(r["details"]["eta1"], r["details"]["eta2"]) for r in full] == [(3.0, 1.0)] * 3
+    assert all("eta1" not in r["details"] for r in negative)
+    for a, b in zip(full, negative):
+        assert 0 < a["value"] < 1
+        assert a["value"] == pytest.approx(b["value"], rel=1e-12)
+        assert a["theta_star"] == pytest.approx(b["theta_star"], rel=1e-6)
 
 
 _MUTATIONS = [None, "abc", -1, 0, 2.5, float("nan"), float("inf"), [1], {}]
@@ -1175,7 +1215,7 @@ def test_g_theta_eta_is_computed_once(capsys, monkeypatch):
     monkeypatch.setattr(cli.bd, "g_theta_eta", counting)
     assert main(["bound", "--config", demo_config_path("bernoulli_diagonal")]) == 0
     assert capsys.readouterr().out.count(",g_theta,") == 10
-    assert etas == [5.0]
+    assert etas == [(5.0, 5.0, {"eta2": 5.0})]
 
 
 class TestOptimizerOverrides:

@@ -7,11 +7,10 @@ import pytest
 import scipy.linalg
 import scipy.stats
 
-from smalldev import ensembles
+from smalldev import cli, ensembles
 from smalldev.ensembles import (
     Bernoulli,
     BoundedRankOne,
-    Exponential,
     Gamma,
     MgfModel,
     ScaledFixed,
@@ -33,7 +32,7 @@ def iid_model(source_factory, k):
 
 ALL_SOURCES = [
     lambda: ScaledFixed(
-        matrix=HermitianMatrix.diagonal([1.0, 0.5]), law=Exponential(rate=1.5)
+        matrix=HermitianMatrix.diagonal([1.0, 0.5]), law=Gamma(1.0, 1.5)
     ),
     lambda: ScaledFixed(
         matrix=HermitianMatrix.identity(2), law=Gamma(shape=2.0, rate=1.0)
@@ -51,7 +50,7 @@ ALL_SOURCES = [
 class TestScalarLaws:
     @pytest.mark.parametrize(
         "law",
-        [Exponential(rate=1.3), Gamma(shape=2.0, rate=1.5), Uniform(high=0.7)],
+        [Gamma(1.0, 1.3), Gamma(shape=2.0, rate=1.5), Uniform(high=0.7)],
         ids=["exponential", "gamma", "uniform"],
     )
     def test_power_envelope_holds_on_log_grid(self, law):
@@ -65,7 +64,7 @@ class TestScalarLaws:
     @pytest.mark.parametrize(
         "law",
         [
-            Exponential(rate=2.0),
+            Gamma(1.0, 2.0),
             Gamma(shape=1.5, rate=2.0),
             Bernoulli(p=0.4),
             Uniform(high=2.0),
@@ -77,7 +76,7 @@ class TestScalarLaws:
 
     def test_law_parameter_validation(self):
         with pytest.raises(ValueError):
-            Exponential(rate=0.0)
+            Gamma(1.0, 0.0)
         with pytest.raises(ValueError):
             Gamma(shape=-1.0, rate=1.0)
         with pytest.raises(ValueError):
@@ -90,7 +89,8 @@ class TestScalarLaws:
 @pytest.mark.parametrize(
     "make",
     [
-        lambda x: Exponential(rate=x),
+        # The law that the config kind exponential builds.
+        lambda x: cli._LAWS["exponential"][0](x),
         lambda x: Gamma(shape=x, rate=1.0),
         lambda x: Gamma(shape=1.0, rate=x),
         lambda x: Uniform(high=x),
@@ -108,11 +108,11 @@ def test_rejects_non_positive_or_non_finite_parameter(make, bad):
 class TestScaledFixed:
     def test_accepts_a_singular_psd_matrix_at_large_scale(self):
         # lambda_min comes out near -4e-8 here, below an absolute 1e-10.
-        ScaledFixed(HermitianMatrix(np.full((3, 3), 1.0e8)), Exponential(rate=1.0))
+        ScaledFixed(HermitianMatrix(np.full((3, 3), 1.0e8)), Gamma(1.0, 1.0))
         gen = np.random.default_rng(0)
         for _ in range(200):
             v = gen.standard_normal((3, 2))
-            ScaledFixed(HermitianMatrix(1.0e8 * (v @ v.T)), Exponential(rate=1.0))
+            ScaledFixed(HermitianMatrix(1.0e8 * (v @ v.T)), Gamma(1.0, 1.0))
 
 
 class TestBernoulliDiagonal:
@@ -177,7 +177,7 @@ class TestSourceSampling:
             assert np.allclose(src.sample_batch(RngStream(8), 1)[0], [[2.0]])
 
     def test_zero_matrix_source_samples_zero(self):
-        src = ScaledFixed(matrix=HermitianMatrix(np.zeros((2, 2))), law=Exponential(rate=1.0))
+        src = ScaledFixed(matrix=HermitianMatrix(np.zeros((2, 2))), law=Gamma(1.0, 1.0))
         batch = src.sample_batch(RngStream(9), 100)
         assert np.abs(batch).max() == 0.0
 
@@ -278,7 +278,7 @@ _SIZES = [1, _ROWS - 1, _ROWS + 1, 4096]
 BIT_SOURCES = {
     "scaled-fixed-exponential": ScaledFixed(
         HermitianMatrix(np.array([[2.0, 1j, 0.0], [-1j, 2.0, 0.5], [0.0, 0.5, 1.0]])),
-        Exponential(rate=1.5),
+        Gamma(1.0, 1.5),
     ),
     "scaled-fixed-uniform": ScaledFixed(HermitianMatrix.diagonal([1.0, 0.5, 0.25]), Uniform(2.0)),
     "bernoulli-diagonal": bernoulli_diagonal(dim=_D, p=0.4, scale=2.0),
@@ -367,7 +367,7 @@ class TestSumModel:
     def test_sum_of_zero_sources_is_zero(self):
         model = iid_model(
             lambda: ScaledFixed(
-                matrix=HermitianMatrix(np.zeros((2, 2))), law=Exponential(rate=1.0)
+                matrix=HermitianMatrix(np.zeros((2, 2))), law=Gamma(1.0, 1.0)
             ),
             3,
         )
@@ -395,7 +395,7 @@ class TestSumModel:
         # a Gamma(2, 1) variable; Kolmogorov-Smirnov against its exact CDF.
         model = iid_model(
             lambda: ScaledFixed(
-                matrix=HermitianMatrix.identity(2), law=Exponential(rate=1.0)
+                matrix=HermitianMatrix.identity(2), law=Gamma(1.0, 1.0)
             ),
             2,
         )
@@ -409,7 +409,7 @@ class TestSumModel:
 
 class TestAnalyticMgf:
     def test_exponential_identity(self):
-        src = ScaledFixed(matrix=HermitianMatrix.identity(2), law=Exponential(rate=1.0))
+        src = ScaledFixed(matrix=HermitianMatrix.identity(2), law=Gamma(1.0, 1.0))
         out = src.analytic_mgf([1.0])[0]
         assert np.allclose(out, 0.5 * np.eye(2), atol=1e-14)
 
@@ -486,7 +486,7 @@ class TestEmpiricalMgf:
             MgfModel(mode=mode, n_samples=10).evaluate_many(src, [theta])
 
     def test_converges_to_analytic(self):
-        src = ScaledFixed(matrix=HermitianMatrix.identity(2), law=Exponential(rate=1.0))
+        src = ScaledFixed(matrix=HermitianMatrix.identity(2), law=Gamma(1.0, 1.0))
         n = 100_000
         out = MgfModel(mode="empirical", n_samples=n, seed=17).evaluate(src, 1.0)
         # entries are means of exp(-x) draws: var = 1/3 - 1/4 = 1/12
@@ -580,7 +580,7 @@ class TestSnapshotKernel:
             assert np.array_equal(model.evaluate(src, theta).entries, m)
 
     def test_analytic_batch_stacks_the_closed_forms(self):
-        src = ScaledFixed(matrix=HermitianMatrix.diagonal([1.0, 0.5]), law=Exponential(rate=1.5))
+        src = ScaledFixed(matrix=HermitianMatrix.diagonal([1.0, 0.5]), law=Gamma(1.0, 1.5))
         thetas = [1e-3, 1.0, 1.0, 50.0]
         batch = MgfModel(mode="analytic").evaluate_many(src, thetas)
         for theta, m in zip(thetas, batch):

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -7,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from smalldev.ensembles import Bernoulli, ScaledFixed
-from smalldev.errors import NotPositiveDefiniteError
+from smalldev.errors import FloatRangeError, NotPositiveDefiniteError
 from smalldev.linalg import (
     HermitianMatrix,
     is_psd,
@@ -134,6 +135,15 @@ class TestSpectralFunctions:
     def test_negative_power_rejects_singular(self):
         with pytest.raises(NotPositiveDefiniteError):
             matrix_power(HermitianMatrix.diagonal([1.0, 0.0]), -1.0)
+
+    @pytest.mark.parametrize(
+        "diagonal, s", [([1e308, 1.0], 2.0), ([1e-10, 1.0], -50.0)], ids=["square", "inverse"]
+    )
+    def test_power_past_the_float_range_raises_without_warning(self, diagonal, s):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(FloatRangeError, match=r"A\^s with s="):
+                matrix_power(HermitianMatrix.diagonal(diagonal), s)
 
     def test_fractional_power_clips_roundoff_negatives(self):
         a = HermitianMatrix.diagonal([1.0, -1e-14])

@@ -11,7 +11,6 @@ from smalldev import cli, montecarlo
 from smalldev.bounds import BoundResult, chernoff_sum_bound, master_bound
 from smalldev.ensembles import (
     BoundedRankOne,
-    Exponential,
     Gamma,
     MgfModel,
     ScaledFixed,
@@ -178,7 +177,7 @@ class TestEstimate:
         model = SumModel(
             sources=tuple(
                 ScaledFixed(
-                    matrix=HermitianMatrix.identity(2), law=Exponential(rate=1.0)
+                    matrix=HermitianMatrix.identity(2), law=Gamma(1.0, 1.0)
                 )
                 for _ in range(2)
             )
@@ -300,7 +299,7 @@ _DENSE = HermitianMatrix(np.array([[2.0, 1j, 0.0], [-1j, 2.0, 0.5], [0.0, 0.5, 1
 # median of the largest diagonal entry, so that about half of each chunk
 # is settled by the screen and the other half goes to eigvalsh.
 SOURCE_KINDS = {
-    "scaled-fixed-exponential": (ScaledFixed(_DENSE, Exponential(rate=1.0)), 5.0),
+    "scaled-fixed-exponential": (ScaledFixed(_DENSE, Gamma(1.0, 1.0)), 5.0),
     "scaled-fixed-gamma": (
         ScaledFixed(HermitianMatrix.diagonal([1.0, 2.0, 0.5]), Gamma(shape=2.0, rate=1.0)),
         11.0,
@@ -315,7 +314,7 @@ SOURCE_KINDS = {
 def source_kind_case(name):
     if name == "distinct-kinds":
         sources = (
-            ScaledFixed(_DENSE, Exponential(rate=1.0)),
+            ScaledFixed(_DENSE, Gamma(1.0, 1.0)),
             BoundedRankOne(dim=3, bound=1.0),
             Wishart(dim=3, dof=4),
         )
