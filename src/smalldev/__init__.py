@@ -30,15 +30,7 @@ from .ensembles import (
     Wishart,
     bernoulli_diagonal,
 )
-from .linalg import (
-    HermitianMatrix,
-    SpectralDecomposition,
-    is_psd,
-    lambda_max,
-    lambda_min,
-    matrix_power,
-    spectral_decompose,
-)
+from .linalg import HermitianMatrix, lambda_max, lambda_min, spectral_decompose
 from .montecarlo import (
     DominationReport,
     DominationRow,

@@ -46,7 +46,7 @@ from .errors import (
     NotPositiveDefiniteError,
     UnsupportedEnsembleError,
 )
-from .linalg import HermitianMatrix, lambda_max, lambda_min, matrix_power
+from .linalg import HermitianMatrix, lambda_max, lambda_min
 from .optimizer import OptimizerConfig, minimize, search  # noqa: F401
 
 # Nothing here calls minimize: the theta-scans drive optimizer.search.  The
@@ -556,6 +556,27 @@ def _series_params(model: SumModel) -> tuple[float, float]:
     return _per_source(model, envelope)[0]
 
 
+def _inverse_power(src: ScaledFixed, k: int, alpha: float) -> HermitianMatrix:
+    """A^(-alpha) for the matrix A of the source at position k, from its
+    cached spectrum.  A must be positive definite: eigenvalues above the
+    floor 1e-12 * max(1, lambda_max), which guards against roundoff-negative
+    eigenvalues.  Raises FloatRangeError when A^(-alpha) leaves the float
+    range."""
+    w, u = src.spectrum
+    floor = 1e-12 * max(1.0, float(w[-1]))
+    what = f"source {k}: the matrix power A^(-alpha) with alpha={alpha}"
+    if float(w[0]) <= floor:
+        raise NotPositiveDefiniteError(
+            f"{what} requires eigenvalues > {floor:.3e}, found {float(w[0]):.6e}"
+        )
+    # A power past the float range is inf, and the reassembly inf or nan.
+    with np.errstate(over="ignore", invalid="ignore"):
+        entries = (u * w ** -float(alpha)) @ u.conj().T
+    if not np.isfinite(entries).all():
+        raise FloatRangeError(f"{what} is outside the float range")
+    return HermitianMatrix(entries)
+
+
 def _cutoff(log_cutoff: float) -> float:
     """exp(log_cutoff), the eps below which a series bound is valid."""
     try:
@@ -574,7 +595,7 @@ def series_sum_bound(model: SumModel, eps_grid: Sequence[float]) -> list[BoundRe
     eps_grid = _check_grid(eps_grid)
     c, alpha = _series_params(model)
     k = model.size
-    powers = _per_source(model, lambda src, _: matrix_power(src.matrix, -alpha).entries)
+    powers = _per_source(model, lambda src, k: _inverse_power(src, k, alpha).entries)
     nu = float(np.linalg.eigvalsh(_position_sum(powers, "the sum of the A_k^(-alpha)"))[-1])
     if not 0 < c * nu < math.inf:
         raise FloatRangeError(f"C * nu = {c!r} * {nu!r} is outside the float range")
@@ -600,7 +621,7 @@ def series_product_bound(model: SumModel, eps_grid: Sequence[float]) -> list[Bou
     eps_grid = _check_grid(eps_grid)
     c, alpha = _series_params(model)
     k = model.size
-    nus = _per_source(model, lambda src, _: lambda_max(matrix_power(src.matrix, -alpha)))
+    nus = _per_source(model, lambda src, k: lambda_max(_inverse_power(src, k, alpha)))
     log_nu_sum = sum(math.log(nu) for nu in nus)
     log_nu_c_term = log_nu_sum + k * math.log(c)
     log_alpha = math.log(alpha)

@@ -95,10 +95,23 @@ def _mapping(value, keys, where: str) -> dict:
     return value
 
 
+def _real(value) -> float:
+    """float() that refuses a YAML boolean, which would read as 1 or 0."""
+    if isinstance(value, bool):
+        raise TypeError(f"{value!r} is not a number")
+    return float(value)
+
+
+def _reals(value) -> np.ndarray:
+    """The float array of a nested list, refusing a boolean entry as _real does."""
+    return np.vectorize(_real, otypes=[float])(np.asarray(value, dtype=object))
+
+
 def _integer(value) -> int:
-    """int() that refuses to truncate: 4000 and 4000.0 pass, 100.9 raises."""
-    if isinstance(value, float) and not value.is_integer():
-        raise ValueError(f"{value!r} is not integral")
+    """int() that refuses a boolean and refuses to truncate: 4000 and 4000.0
+    pass, true and 100.9 raise."""
+    if isinstance(value, bool) or isinstance(value, float) and not value.is_integer():
+        raise ValueError(f"{value!r} is not an integer")
     return int(value)
 
 
@@ -132,7 +145,7 @@ _OPTIMIZER = OptimizerConfig()
 _SCHEMA = {
     "simulation": {
         "n": (_integer, 100_000, "--samples"),
-        "confidence": (float, 0.99, "--confidence"),
+        "confidence": (_real, 0.99, "--confidence"),
         "seed": (_integer, 0, "--seed"),
     },
     "mgf": {
@@ -140,10 +153,10 @@ _SCHEMA = {
         "n_samples": (_integer, DEFAULT_MGF_SAMPLES, None),
     },
     "optimizer": {
-        "theta_min": (float, _OPTIMIZER.theta_min, "--theta-min"),
-        "theta_max": (float, _OPTIMIZER.theta_max, "--theta-max"),
+        "theta_min": (_real, _OPTIMIZER.theta_min, "--theta-min"),
+        "theta_max": (_real, _OPTIMIZER.theta_max, "--theta-max"),
         "coarse_points": (_integer, _OPTIMIZER.coarse_points, "--coarse-points"),
-        "refine_tol": (float, _OPTIMIZER.refine_tol, None),
+        "refine_tol": (_real, _OPTIMIZER.refine_tol, None),
         "max_refine_iters": (_integer, _OPTIMIZER.max_refine_iters, None),
     },
     "output": {
@@ -182,24 +195,24 @@ def resolve_config(raw: dict, args: argparse.Namespace | None = None) -> dict:
 def _resolve_eps_grid(spec) -> list:
     if isinstance(spec, (list, tuple)):
         try:
-            grid = [float(x) for x in spec]
+            grid = [_real(x) for x in spec]
         except (TypeError, ValueError) as exc:
             raise ConfigError(f"eps_grid values must be numbers: {exc}") from exc
     elif isinstance(spec, dict):
         _mapping(spec, ("start", "stop", "count", "spacing"), "eps_grid")
-        start = _field(spec, "eps_grid", "start", float, None)
-        stop = _field(spec, "eps_grid", "stop", float, None)
+        start = _field(spec, "eps_grid", "start", _real, None)
+        stop = _field(spec, "eps_grid", "stop", _real, None)
         count = _field(spec, "eps_grid", "count", _integer, None)
         spacing = spec.get("spacing", "linear")
         if count < 1:
             raise ConfigError("eps_grid count must be at least 1")
-        if not (math.isfinite(start) and math.isfinite(stop)):
-            raise ConfigError("eps_grid values must be positive and finite")
+        # Checked before numpy builds the grid, which warns or raises on
+        # endpoints that are not positive and finite.
+        if not (0 < start < math.inf and 0 < stop < math.inf):
+            raise ConfigError("eps_grid start and stop must be positive and finite")
         if spacing == "linear":
             grid = np.linspace(start, stop, count).tolist()
         elif spacing == "log":
-            if start <= 0:
-                raise ConfigError("log-spaced eps_grid needs start > 0")
             grid = np.geomspace(start, stop, count).tolist()
         else:
             raise ConfigError(f"unknown eps_grid spacing {spacing!r}")
@@ -233,9 +246,9 @@ def _matrix(spec: dict) -> HermitianMatrix:
     if "identity" in spec:
         return HermitianMatrix.identity(_integer(spec["identity"]))
     if "diagonal" in spec:
-        return HermitianMatrix.diagonal([float(x) for x in spec["diagonal"]])
-    entries = np.asarray(spec["dense"], dtype=float)
-    imag = np.asarray(spec.get("imag", np.zeros_like(entries)), dtype=float)
+        return HermitianMatrix.diagonal([_real(x) for x in spec["diagonal"]])
+    entries = _reals(spec["dense"])
+    imag = _reals(spec.get("imag", np.zeros_like(entries)))
     if imag.shape != entries.shape:
         raise ValueError(f"matrix imag has shape {imag.shape}, dense {entries.shape}")
     # Set, not multiplied by 1j, so that an infinite imag warns of nothing.
@@ -254,10 +267,10 @@ def _matrix(spec: dict) -> HermitianMatrix:
 # and a tuple of keys a mapping passed on as it is.
 _LAWS = {
     # Gamma(1.0, rate) is the exponential law, bit for bit.
-    "exponential": (lambda rate: Gamma(1.0, rate), {"rate": float}),
-    "gamma": (Gamma, {"shape": float, "rate": float}),
-    "bernoulli": (Bernoulli, {"p": float}),
-    "uniform": (Uniform, {"high": float}),
+    "exponential": (lambda rate: Gamma(1.0, rate), {"rate": _real}),
+    "gamma": (Gamma, {"shape": _real, "rate": _real}),
+    "bernoulli": (Bernoulli, {"p": _real}),
+    "uniform": (Uniform, {"high": _real}),
 }
 
 _SOURCES = {
@@ -267,15 +280,15 @@ _SOURCES = {
         lambda matrix, law: ScaledFixed(_matrix(matrix), law),
         {"matrix": _MATRIX_KEYS, "law": _LAWS},
     ),
-    "bernoulli_diagonal": (bernoulli_diagonal, {"dim": _integer, "p": float, "scale": float}),
-    "bounded_rank_one": (BoundedRankOne, {"dim": _integer, "bound": float}),
+    "bernoulli_diagonal": (bernoulli_diagonal, {"dim": _integer, "p": _real, "scale": _real}),
+    "bounded_rank_one": (BoundedRankOne, {"dim": _integer, "bound": _real}),
     "wishart": (Wishart, {"dim": _integer, "dof": _integer}),
 }
 
 _G_BUILTINS = {
-    "exp_envelope": (bd.exp_envelope, {"bound": float}),
-    "log_rate": (bd.log_rate, {"rate": float}),
-    "power_envelope": (bd.power_envelope, {"C": float, "alpha": float}),
+    "exp_envelope": (bd.exp_envelope, {"bound": _real}),
+    "log_rate": (bd.log_rate, {"rate": _real}),
+    "power_envelope": (bd.power_envelope, {"C": _real, "alpha": _real}),
 }
 
 
@@ -402,9 +415,9 @@ def _g_theta(req, model, eps_grid, opt_cfg):
 
 
 def _negative_moment(req, model, eps_grid, opt_cfg):
-    p = _field(req, "negative_moment", "p", float, 1.0)
+    p = _field(req, "negative_moment", "p", _real, 1.0)
     if "Cp" in req:
-        cp = _cast(req["Cp"], "negative_moment", "Cp", float)
+        cp = _cast(req["Cp"], "negative_moment", "Cp", _real)
     else:
         cp = bd.admissible_cp(model, p)
     return bd.negative_moment_bound(cp, p, eps_grid)
@@ -660,7 +673,7 @@ def _add_common(parser: argparse.ArgumentParser, with_config: bool = True) -> No
     for section, fields in _SCHEMA.items():
         for key, (cast, _default, flag) in fields.items():
             if flag is not None and (with_config or section != "output"):
-                arg_type = int if cast is _integer else cast
+                arg_type = {_integer: int, _real: float}.get(cast, cast)
                 parser.add_argument(flag, type=arg_type, help=f"override {section}.{key}")
 
 

@@ -21,8 +21,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import MgfUnavailableError
-from .linalg import HermitianMatrix, is_psd, lambda_max, spectral_decompose
+from .errors import FloatRangeError, MgfUnavailableError
+from .linalg import HermitianMatrix, lambda_max, spectral_decompose
 from .rng import RngStream
 
 __all__ = [
@@ -117,7 +117,16 @@ class Gamma:
     @property
     def envelope(self) -> tuple[float, float] | None:
         # (rate/(rate+theta))**shape <= (rate/theta)**shape
-        return (self.rate**self.shape, self.shape)
+        try:
+            c = self.rate**self.shape
+        except OverflowError:
+            c = math.inf
+        if not 0 < c < math.inf:  # the power underflows to 0 or overflows
+            raise FloatRangeError(
+                f"the envelope constant C = rate**shape = {self.rate!r}**{self.shape!r} "
+                "is outside the float range"
+            )
+        return (c, self.shape)
 
     def mgf(self, t):
         return (self.rate / (self.rate + np.asarray(t, dtype=float))) ** self.shape
@@ -203,7 +212,13 @@ class ScaledFixed:
     kind = "scaled_fixed"
 
     def __post_init__(self):
-        if not is_psd(self.matrix, tol=1e-10):
+        # psd up to roundoff at the matrix's own scale, lambda_min >=
+        # -1e-10 * max(1, lambda_max): an eigensolver leaves the zero
+        # eigenvalues of a singular psd matrix at about -1e-16 * lambda_max.
+        # eigvalsh, not the eigh of spectrum, which costs about 3 times more
+        # and which a source without an analytic mgf or series bound never needs.
+        w = np.linalg.eigvalsh(self.matrix.entries)
+        if not float(w[0]) >= -1e-10 * max(1.0, float(w[-1])):
             raise ValueError("scaled_fixed requires a psd matrix")
 
     @property
@@ -211,7 +226,10 @@ class ScaledFixed:
         return self.matrix.dim
 
     @cached_property
-    def _decomposition(self):
+    def spectrum(self) -> tuple[np.ndarray, np.ndarray]:
+        """The read-only pair (w, U) of spectral_decompose(matrix), the one
+        eigendecomposition of A: the analytic mgf and the series bounds
+        read it, and it is computed on first use."""
         return spectral_decompose(self.matrix)
 
     def mean(self) -> HermitianMatrix | None:
@@ -231,10 +249,9 @@ class ScaledFixed:
     def analytic_mgf(self, thetas) -> np.ndarray:
         """The (m, d, d) stack U diag(law.mgf(theta lambda)) U* at the m
         thetas, symmetrized as A/2 + A*/2 as HermitianMatrix does."""
-        dec = self._decomposition
+        w, u = self.spectrum
         with np.errstate(over="ignore"):  # theta * lambda = inf has mgf 0
-            t = np.multiply.outer(np.asarray(thetas, dtype=float), dec.eigenvalues)
-        u = dec.eigenvectors
+            t = np.multiply.outer(np.asarray(thetas, dtype=float), w)
         half = (u * self.law.mgf(t)[:, None, :]) @ u.conj().T / 2.0
         return half + half.conj().swapaxes(1, 2)
 

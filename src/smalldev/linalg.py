@@ -1,5 +1,5 @@
 """Dense Hermitian linear algebra: the immutable HermitianMatrix, its
-spectral decomposition, real matrix powers and extreme eigenvalues.
+spectral decomposition and its extreme eigenvalues.
 
 Every matrix here is a complex Hermitian d x d matrix of modest size, so
 everything is dense and eigendecomposition based, through the
@@ -10,20 +10,15 @@ whole theta batches by the kernels in ensembles and bounds, not here.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .errors import EigenConvergenceError, FloatRangeError, NotPositiveDefiniteError
+from .errors import EigenConvergenceError
 
 __all__ = [
     "HermitianMatrix",
-    "SpectralDecomposition",
     "spectral_decompose",
-    "matrix_power",
     "lambda_max",
     "lambda_min",
-    "is_psd",
 ]
 
 
@@ -78,17 +73,10 @@ class HermitianMatrix:
         return f"HermitianMatrix(dim={self.dim})"
 
 
-@dataclass(frozen=True)
-class SpectralDecomposition:
-    """Eigendecomposition A = U diag(eigenvalues) U* with eigenvalues
-    sorted ascending and eigenvectors as the columns of a unitary U."""
-
-    eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
-
-
-def spectral_decompose(a: HermitianMatrix) -> SpectralDecomposition:
-    """Eigendecompose a Hermitian matrix; eigenvalues ascending."""
+def spectral_decompose(a: HermitianMatrix) -> tuple[np.ndarray, np.ndarray]:
+    """Eigendecompose a Hermitian matrix: the read-only pair (w, U) with
+    A = U diag(w) U*, the eigenvalues w ascending and the eigenvectors the
+    columns of the unitary U."""
     try:
         w, u = np.linalg.eigh(a.entries)
     except np.linalg.LinAlgError as exc:
@@ -98,41 +86,7 @@ def spectral_decompose(a: HermitianMatrix) -> SpectralDecomposition:
     w = np.asarray(w, dtype=float)
     w.setflags(write=False)
     u.setflags(write=False)
-    return SpectralDecomposition(eigenvalues=w, eigenvectors=u)
-
-
-def matrix_power(a: HermitianMatrix, s: float) -> HermitianMatrix:
-    """Real matrix power A^s via spectral mapping.
-
-    Negative s requires a positive definite A: eigenvalues above the floor
-    1e-12 * max(1, lambda_max), which guards against roundoff-negative
-    eigenvalues.  Fractional nonnegative s tolerates roundoff-negative
-    eigenvalues within the floor by clipping them to zero.  Raises
-    FloatRangeError when A^s leaves the float range.
-    """
-    dec = spectral_decompose(a)
-    w = dec.eigenvalues
-    floor = 1e-12 * max(1.0, float(w[-1]))
-    s = float(s)
-    if s < 0 and float(w[0]) <= floor:
-        raise NotPositiveDefiniteError(
-            f"matrix_power with s={s} requires eigenvalues > {floor:.3e}, "
-            f"found {float(w[0]):.6e}"
-        )
-    if s != int(s):
-        if float(w[0]) < -floor:
-            raise NotPositiveDefiniteError(
-                f"matrix_power with fractional s={s} requires psd input, "
-                f"found eigenvalue {float(w[0]):.6e}"
-            )
-        w = np.clip(w, 0.0, None)
-    u = dec.eigenvectors
-    # A power past the float range is inf, and the reassembly inf or nan.
-    with np.errstate(over="ignore", invalid="ignore"):
-        entries = (u * w**s) @ u.conj().T
-    if not np.isfinite(entries).all():
-        raise FloatRangeError(f"the matrix power A^s with s={s} is outside the float range")
-    return HermitianMatrix(entries)
+    return w, u
 
 
 def lambda_max(a: HermitianMatrix) -> float:
@@ -141,11 +95,3 @@ def lambda_max(a: HermitianMatrix) -> float:
 
 def lambda_min(a: HermitianMatrix) -> float:
     return float(np.linalg.eigvalsh(a.entries)[0])
-
-
-def is_psd(a: HermitianMatrix, tol: float = 1e-10) -> bool:
-    """lambda_min >= -tol * max(1, lambda_max): psd up to roundoff at the
-    matrix's own scale, where an eigensolver leaves the zero eigenvalues of
-    a singular psd matrix at about -1e-16 * lambda_max."""
-    w = np.linalg.eigvalsh(a.entries)
-    return float(w[0]) >= -tol * max(1.0, float(w[-1]))

@@ -1,5 +1,6 @@
 import math
 import re
+import warnings
 
 import mpmath
 import numpy as np
@@ -46,6 +47,8 @@ from smalldev.errors import (
 )
 from smalldev.linalg import HermitianMatrix
 from smalldev.optimizer import OptimizerConfig, minimize
+
+from conftest import frobenius, random_pd
 
 ANALYTIC = MgfModel(mode="analytic")
 TRUE_BINOMIAL = 2.0**-10
@@ -797,6 +800,57 @@ def test_chernoff_stays_finite_when_mu_over_eps_overflows(bound):
     assert math.isfinite(tiny.raw_value)
     assert tiny.theta_star is None or math.isfinite(tiny.theta_star)
     assert tiny.value <= one.value < 1.0
+
+
+def inverse_power(a: HermitianMatrix, alpha: float) -> HermitianMatrix:
+    """A^(-alpha) as the series bounds build it, from the cached spectrum of
+    a scaled_fixed source of A."""
+    return bounds_mod._inverse_power(ScaledFixed(a, Gamma(1.0, 1.0)), 0, alpha)
+
+
+class TestInversePower:
+    def test_identity_inverse(self):
+        out = inverse_power(HermitianMatrix.identity(3), 1.0)
+        assert np.allclose(out.entries, np.eye(3), atol=1e-14)
+
+    def test_negative_half(self):
+        out = inverse_power(HermitianMatrix.diagonal([4.0, 9.0]), 0.5)
+        assert np.allclose(out.entries, np.diag([0.5, 1.0 / 3.0]), atol=1e-14)
+
+    def test_negative_half_matches_scipy_pd_d8(self):
+        rng = np.random.default_rng(2)
+        a = random_pd(8, rng)
+        ref = scipy.linalg.fractional_matrix_power(a.entries, -0.5)
+        rel = frobenius(inverse_power(a, 0.5).entries - ref) / frobenius(ref)
+        assert rel <= 1e-9
+
+    def test_roundtrip_pd_d8(self):
+        rng = np.random.default_rng(3)
+        a = random_pd(8, rng)
+        back = inverse_power(inverse_power(a, 0.5), 2.0)
+        rel = frobenius(back.entries - a.entries) / frobenius(a.entries)
+        assert rel <= 1e-9
+
+    def test_rejects_singular_naming_the_eigenvalue(self):
+        with pytest.raises(NotPositiveDefiniteError, match=r"source 0: .*found 0\.0"):
+            inverse_power(HermitianMatrix.diagonal([1.0, 0.0]), 1.0)
+
+    def test_power_past_the_float_range_raises_without_warning(self):
+        # The entry (1e-10)^(-50) = 1e500.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(FloatRangeError, match=r"A\^\(-alpha\) with alpha=50"):
+                inverse_power(HermitianMatrix.diagonal([1e-10, 1.0]), 50.0)
+
+    def test_bits_of_the_series_constants_are_those_of_the_spectrum(self):
+        # nu = lambda_max(A^(-alpha)) = lambda_min(A)^(-alpha) up to roundoff.
+        a = random_pd(4, np.random.default_rng(4))
+        src = ScaledFixed(a, Gamma(2.0, 1.0))
+        w, u = src.spectrum
+        nu = series_product_bound(SumModel(sources=(src,)), [0.1])[0].details["nu_1"]
+        expected = np.linalg.eigvalsh(HermitianMatrix((u * w**-2.0) @ u.conj().T).entries)[-1]
+        assert nu == float(expected)
+        assert nu == pytest.approx(float(w[0]) ** -2.0, rel=1e-12)
 
 
 class TestSeriesSumBound:

@@ -13,7 +13,7 @@ import yaml
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from smalldev import cli, ensembles
+from smalldev import cli, ensembles, linalg
 from smalldev.cli import (
     BOUNDS,
     build_model,
@@ -118,6 +118,27 @@ class TestConfigValidation:
             {"ensemble": {"source": {"kind": "scaled_fixed", "matrix": {"identity": 2},
                                      "law": {"kind": "gamma", "shape": None, "rate": 1.0}}}},
             {"output": {"csv": [1]}},
+            {"eps_grid": {"start": 0.1, "stop": 0, "count": 3, "spacing": "log"}},
+            {"eps_grid": {"start": 0.1, "stop": -1, "count": 3, "spacing": "log"}},
+            {"eps_grid": {"start": -1.0e308, "stop": 1.0e308, "count": 3}},
+            {"eps_grid": {"start": 0.1, "stop": 0, "count": 1}},
+            {"eps_grid": [0.1, True]},
+            {"ensemble": dict(FAST_EXP_CONFIG["ensemble"], repeat=True)},
+            {"ensemble": {"source": {"kind": "scaled_fixed", "matrix": {"identity": True},
+                                     "law": {"kind": "exponential", "rate": 1.0}}}},
+            {"ensemble": {"source": {"kind": "scaled_fixed", "matrix": {"diagonal": [True]},
+                                     "law": {"kind": "exponential", "rate": 1.0}}}},
+            {"ensemble": {"source": {"kind": "scaled_fixed",
+                                     "matrix": {"dense": [[True, 0], [0, 1]]},
+                                     "law": {"kind": "exponential", "rate": 1.0}}}},
+            {"ensemble": {"source": {"kind": "scaled_fixed",
+                                     "matrix": {"dense": [[1, 0], [0, 1]],
+                                                "imag": [[0, False], [0, 0]]},
+                                     "law": {"kind": "exponential", "rate": 1.0}}}},
+            {"ensemble": {"source": {"kind": "scaled_fixed", "matrix": {"identity": 2},
+                                     "law": {"kind": "exponential", "rate": True}}}},
+            {"simulation": {"n": True}},
+            {"optimizer": {"theta_min": True}},
         ],
         ids=[
             "simulation-list",
@@ -136,8 +157,22 @@ class TestConfigValidation:
             "non-numeric-diagonal",
             "null-law-field",
             "csv-not-a-path",
+            "log-grid-stop-zero",
+            "log-grid-stop-negative",
+            "linear-grid-past-the-float-range",
+            "one-point-grid-stop-zero",
+            "bool-eps",
+            "bool-repeat",
+            "bool-identity",
+            "bool-diagonal",
+            "bool-dense",
+            "bool-imag",
+            "bool-rate",
+            "bool-n",
+            "bool-theta-min",
         ],
     )
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_malformed_section_exits_2_with_one_line(self, tmp_path, capsys, override):
         cfg = dict(FAST_EXP_CONFIG, **override)
         assert main(["bound", "--config", write_config(tmp_path, cfg)]) == 2
@@ -478,6 +513,15 @@ _HUGE_MATRIX_POWER = {
         "law": {"kind": "gamma", "shape": 50, "rate": 1},
     },
 }
+# The gamma law's envelope constant rate**shape is 1e500000.
+_HUGE_ENVELOPE = {
+    "repeat": 2,
+    "source": {
+        "kind": "scaled_fixed",
+        "matrix": {"identity": 2},
+        "law": {"kind": "gamma", "shape": 1.0e5, "rate": 1.0e5},
+    },
+}
 # g(theta) * eta overflows at every theta: g is about 700 and eta is 1e308.
 _HUGE_MEAN = {"source": {"kind": "bernoulli_diagonal", "dim": 1, "p": 1.0, "scale": 1.0e308}}
 _HUGE_G = {"builtin": "power_envelope", "C": 1.0e300, "alpha": 1.0}
@@ -491,10 +535,13 @@ _HUGE_G = {"builtin": "power_envelope", "C": 1.0e300, "alpha": 1.0}
         (_HUGE_SCALED_FIXED, ["series_sum"]),
         (_HUGE_MATRIX_POWER, ["series_sum"]),
         (_HUGE_MATRIX_POWER, ["series_product"]),
+        (_HUGE_ENVELOPE, ["series_sum"]),
+        (_HUGE_ENVELOPE, ["series_product"]),
         (_HUGE_MEAN, ["master", {"name": "g_theta", "g": _HUGE_G}]),
     ],
     ids=["cp-overflow", "series-product-cutoff-overflow", "series-sum-c-nu-underflow",
          "series-sum-matrix-power-overflow", "series-product-matrix-power-overflow",
+         "series-sum-envelope-overflow", "series-product-envelope-overflow",
          "g-theta-objective-overflows"],
 )
 def test_validation_rejects_what_evaluation_would(
@@ -1125,8 +1172,8 @@ def test_every_request_is_prepared_once(tmp_path, monkeypatch, command):
         (_TEN_BERNOULLI, "negative_moment", "source_means", 1),
         (_TEN_BERNOULLI, "chernoff_sum", "source_means", 1),
         (_TEN_BERNOULLI, "chernoff_product", "_source_mean", 1),
-        (FAST_EXP_CONFIG["ensemble"], "series_sum", "matrix_power", 1),
-        (FAST_EXP_CONFIG["ensemble"], "series_product", "matrix_power", 1),
+        (FAST_EXP_CONFIG["ensemble"], "series_sum", "_inverse_power", 1),
+        (FAST_EXP_CONFIG["ensemble"], "series_product", "_inverse_power", 1),
     ],
 )
 def test_closed_form_computes_its_constants_once_per_grid(
@@ -1216,6 +1263,23 @@ def test_g_theta_eta_is_computed_once(capsys, monkeypatch):
     assert main(["bound", "--config", demo_config_path("bernoulli_diagonal")]) == 0
     assert capsys.readouterr().out.count(",g_theta,") == 10
     assert etas == [(5.0, 5.0, {"eta2": 5.0})]
+
+
+def test_bound_decomposes_each_scaled_fixed_matrix_once(capsys, monkeypatch):
+    """master's analytic mgf and both series bounds read the one cached
+    spectrum of the exponential_series matrix, which is decomposed once."""
+    calls = []
+    real = linalg.spectral_decompose
+
+    def counting(a):
+        calls.append(a)
+        return real(a)
+
+    for mod in (cli.bd, ensembles, linalg):
+        monkeypatch.setattr(mod, "spectral_decompose", counting, raising=False)
+    assert main(["bound", "--config", demo_config_path("exponential_series")]) == 0
+    assert capsys.readouterr().out.count(",series_product,") == 10
+    assert len(calls) == 1
 
 
 class TestOptimizerOverrides:

@@ -21,7 +21,7 @@ from smalldev.ensembles import (
     sample_sum_batch,
 )
 from smalldev.ensembles import _Snapshot
-from smalldev.errors import MgfUnavailableError
+from smalldev.errors import FloatRangeError, MgfUnavailableError
 from smalldev.linalg import HermitianMatrix, lambda_max, lambda_min
 from smalldev.rng import RngStream
 
@@ -60,6 +60,13 @@ class TestScalarLaws:
 
     def test_bernoulli_has_no_envelope(self):
         assert Bernoulli(p=0.5).envelope is None
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("rate", [1.0e5, 1.0e-5], ids=["overflow", "underflow"])
+    def test_envelope_constant_outside_the_float_range_is_named(self, rate):
+        # rate**shape = 1e500000 overflows and 1e-500000 underflows to 0.
+        with pytest.raises(FloatRangeError, match=r"envelope constant C = rate\*\*shape"):
+            Gamma(shape=1.0e5, rate=rate).envelope
 
     @pytest.mark.parametrize(
         "law",
@@ -106,6 +113,45 @@ def test_rejects_non_positive_or_non_finite_parameter(make, bad):
 
 
 class TestScaledFixed:
+    @pytest.mark.parametrize(
+        "diagonal, psd",
+        [
+            ([0.0, 1.0], True),
+            ([-1e-3, 1.0], False),
+            # The tolerance is 1e-10 * max(1, lambda_max).
+            ([-1e-11, 1.0], True),
+            ([-1e-9, 1.0], False),
+            ([-1e-3, 1e8], True),
+            ([-1e-1, 1e8], False),
+        ],
+    )
+    def test_psd_up_to_roundoff_at_the_matrix_scale(self, diagonal, psd):
+        matrix = HermitianMatrix.diagonal(diagonal)
+        if psd:
+            ScaledFixed(matrix, Gamma(1.0, 1.0))
+        else:
+            with pytest.raises(ValueError, match="requires a psd matrix"):
+                ScaledFixed(matrix, Gamma(1.0, 1.0))
+
+    def test_spectrum_is_one_cached_decomposition(self, monkeypatch):
+        calls = []
+        real = ensembles.spectral_decompose
+
+        def counting(a):
+            calls.append(a)
+            return real(a)
+
+        monkeypatch.setattr(ensembles, "spectral_decompose", counting)
+        src = ScaledFixed(HermitianMatrix.diagonal([2.0, 1.0]), Gamma(1.0, 1.0))
+        # Construction checks psd with eigvalsh and decomposes nothing.
+        assert calls == []
+        w, u = src.spectrum
+        src.analytic_mgf([0.5, 2.0])
+        assert src.spectrum[0] is w and src.spectrum[1] is u
+        assert calls == [src.matrix]
+        assert np.array_equal(w, [1.0, 2.0])
+        assert not w.flags.writeable and not u.flags.writeable
+
     def test_accepts_a_singular_psd_matrix_at_large_scale(self):
         # lambda_min comes out near -4e-8 here, below an absolute 1e-10.
         ScaledFixed(HermitianMatrix(np.full((3, 3), 1.0e8)), Gamma(1.0, 1.0))
