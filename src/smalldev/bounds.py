@@ -17,7 +17,8 @@ Two families live here:
 * Closed-form bounds with analytic minimizers (negative_moment_bound,
   chernoff_sum_bound, chernoff_product_bound, series_sum_bound,
   series_product_bound).  Each computes its eps-independent constants
-  once per call, then the same expression at every eps.
+  once per call and hands _closed the log of its expression, the eps
+  below which it is valid and its optimal theta there.
 
 All evaluators are pure given (model, mgf snapshot, eps grid).  A source object
 repeated in a SumModel stands for i.i.d. copies (see
@@ -176,6 +177,22 @@ def _scan(
         )
         for res in results
     ]
+
+
+def _closed(
+    eps_grid: Sequence[float], log_raw: Callable, details: Mapping, cutoff=math.inf, theta=None
+) -> list[BoundResult]:
+    """The closed-form counterpart of _scan: exp(log_raw(eps)), capped at
+    e^_EXP_CAP, at every eps of the grid, valid for eps < cutoff and with
+    the optimal theta(eps) there.  Summing logs keeps a tiny constant times
+    a huge power of eps (or the reverse) from leaving the float range before
+    their product does."""
+    results = []
+    for eps in _check_grid(eps_grid):
+        valid = eps < cutoff
+        theta_star = theta(eps) if valid and theta is not None else None
+        results.append(_finish(math.exp(min(log_raw(eps), _EXP_CAP)), theta_star, valid, details))
+    return results
 
 
 def _log_mgf_sum(mats: np.ndarray, index: list, thetas: Sequence[float]) -> np.ndarray:
@@ -361,8 +378,6 @@ def log_mean_bound(
 def _product(per_source: Sequence[BoundResult]) -> BoundResult:
     """Product of per-source bounds at one shared eps.  Since every factor
     is <= 1, the product never exceeds the smallest."""
-    if len(per_source) == 0:
-        raise ValueError("product_bound needs at least one per-source result")
     values = [r.value for r in per_source]
     return _finish(math.prod(values), None, True, {"min_single": min([1.0, *values])})
 
@@ -440,19 +455,10 @@ def admissible_cp(model: SumModel, p: float) -> float:
 def negative_moment_bound(cp: float, p: float, eps_grid: Sequence[float]) -> list[BoundResult]:
     """Bound Cp * eps^p at every eps, valid for every eps > 0 (trivial once
     it reaches 1)."""
-    eps_grid = _check_grid(eps_grid)
     if not (0 < cp < math.inf and 0 < p < math.inf):
         raise ValueError("Cp and p must be positive and finite")
-    details = {"Cp": cp, "p": p}
-
-    def at(eps: float) -> BoundResult:
-        try:
-            raw = cp * eps**p
-        except OverflowError:  # eps^p alone leaves the float range; cp may be tiny
-            raw = math.exp(min(math.log(cp) + p * math.log(eps), _EXP_CAP))
-        return _finish(raw, None, True, details)
-
-    return [at(eps) for eps in eps_grid]
+    log_cp = math.log(cp)
+    return _closed(eps_grid, lambda eps: log_cp + p * math.log(eps), {"Cp": cp, "p": p})
 
 
 # ---------------------------------------------------------------------------
@@ -480,35 +486,33 @@ def _log_ratio(mu: float, eps: float) -> float:
 
 
 def _chernoff(
-    mus: list[float], big_l: float, eps_grid: list[float], details: dict, sum_form: bool
+    mus: list[float], big_l: float, eps_grid: Sequence[float], details: dict, theta=None
 ) -> list[BoundResult]:
     """Product over the factors mu of (mu/eps)^(eps/L) exp((eps-mu)/L) at
-    every eps.  A factor mu = 0 is the vacuous 1; the bound is nontrivial
-    for eps below every positive mu.  The sum form has the one factor
-    mu = lambda_min(sum_k E X_k) and the optimal theta = log(mu/eps)/L."""
+    every eps.  A factor mu = 0 is the vacuous 1; the bound is valid, with
+    the optimal theta(eps), for eps below every positive mu."""
     positive = [mu for mu in mus if mu > 0]
     cutoff = min(positive, default=0.0)
 
-    def at(eps: float) -> BoundResult:
-        if eps < cutoff:
-            log_raw = sum(
-                (eps / big_l) * _log_ratio(mu, eps) + (eps - mu) / big_l for mu in positive
-            )
-            theta = _log_ratio(mus[0], eps) / big_l if sum_form else None
-            return _finish(math.exp(log_raw), theta, True, details)
-        return _finish(1.0, None, False, details)
+    def log_raw(eps: float) -> float:
+        # Every factor is at most 1, so an invalid row's raw value is exactly
+        # 1 without evaluating them; there mu / eps may underflow to 0.
+        if eps >= cutoff:
+            return 0.0
+        return sum((eps / big_l) * _log_ratio(mu, eps) + (eps - mu) / big_l for mu in positive)
 
-    return [at(eps) for eps in eps_grid]
+    return _closed(eps_grid, log_raw, details, cutoff, theta)
 
 
 def chernoff_sum_bound(model: SumModel, eps_grid: Sequence[float]) -> list[BoundResult]:
     """Closed-form bound (mu/eps)^(eps/L) * exp((eps-mu)/L) with
     mu = lambda_min(sum_k E X_k) at every eps, valid for eps < mu where the
     optimal theta = log(mu/eps)/L is positive."""
-    eps_grid = _check_grid(eps_grid)
     big_l = _uniform_bound(model)
     mu = lambda_min(_mean_of_sum(model))
-    return _chernoff([mu], big_l, eps_grid, {"L": big_l, "mu": mu}, sum_form=True)
+    return _chernoff(
+        [mu], big_l, eps_grid, {"L": big_l, "mu": mu}, lambda eps: _log_ratio(mu, eps) / big_l
+    )
 
 
 def chernoff_product_bound(model: SumModel, eps_grid: Sequence[float]) -> list[BoundResult]:
@@ -516,11 +520,10 @@ def chernoff_product_bound(model: SumModel, eps_grid: Sequence[float]) -> list[B
     exp((eps-mu_k)/L) with mu_k = lambda_min(E X_k), at every eps.  Sources
     with mu_k = 0 contribute the vacuous factor 1; the bound is nontrivial
     for eps below every positive mu_k."""
-    eps_grid = _check_grid(eps_grid)
     big_l = _uniform_bound(model)
     mus = _per_source(model, lambda src, k: lambda_min(_source_mean(src, k)))
     details = {"L": big_l, **{f"mu_{k + 1}": mu for k, mu in enumerate(mus)}}
-    return _chernoff(mus, big_l, eps_grid, details, sum_form=False)
+    return _chernoff(mus, big_l, eps_grid, details)
 
 
 # ---------------------------------------------------------------------------
@@ -592,7 +595,6 @@ def series_sum_bound(model: SumModel, eps_grid: Sequence[float]) -> list[BoundRe
     nu = lambda_max(sum_k A_k^(-alpha)) at every eps, valid for
     eps < (K alpha / e) * (K / (C nu))^(1/alpha); the optimal theta is
     alpha K / eps."""
-    eps_grid = _check_grid(eps_grid)
     c, alpha = _series_params(model)
     k = model.size
     powers = _per_source(model, lambda src, k: _inverse_power(src, k, alpha).entries)
@@ -602,15 +604,13 @@ def series_sum_bound(model: SumModel, eps_grid: Sequence[float]) -> list[BoundRe
     log_k_alpha = math.log(k * alpha)
     log_c_nu_term = k * (math.log(c * nu) - math.log(k))
     cutoff = _cutoff(log_k_alpha - 1.0 + (math.log(k) - math.log(c * nu)) / alpha)
-    details = {"C": c, "alpha": alpha, "nu": nu, "K": float(k)}
-
-    def at(eps: float) -> BoundResult:
-        log_raw = alpha * k * (1.0 + math.log(eps) - log_k_alpha) + log_c_nu_term
-        valid = eps < cutoff
-        theta = alpha * k / eps if valid else None
-        return _finish(math.exp(min(log_raw, _EXP_CAP)), theta, valid, details)
-
-    return [at(eps) for eps in eps_grid]
+    return _closed(
+        eps_grid,
+        lambda eps: alpha * k * (1.0 + math.log(eps) - log_k_alpha) + log_c_nu_term,
+        {"C": c, "alpha": alpha, "nu": nu, "K": float(k)},
+        cutoff,
+        lambda eps: alpha * k / eps,
+    )
 
 
 def series_product_bound(model: SumModel, eps_grid: Sequence[float]) -> list[BoundResult]:
@@ -618,7 +618,6 @@ def series_product_bound(model: SumModel, eps_grid: Sequence[float]) -> list[Bou
     nu_k = lambda_max(A_k^(-alpha)) at every eps, valid for
     eps < (alpha/e) * C^(-1/alpha) * (prod_k nu_k)^(-1/(alpha K)); every
     factor shares the optimal theta = alpha / eps."""
-    eps_grid = _check_grid(eps_grid)
     c, alpha = _series_params(model)
     k = model.size
     nus = _per_source(model, lambda src, k: lambda_max(_inverse_power(src, k, alpha)))
@@ -626,12 +625,10 @@ def series_product_bound(model: SumModel, eps_grid: Sequence[float]) -> list[Bou
     log_nu_c_term = log_nu_sum + k * math.log(c)
     log_alpha = math.log(alpha)
     cutoff = _cutoff(log_alpha - 1.0 - math.log(c) / alpha - log_nu_sum / (alpha * k))
-    details = {"C": c, "alpha": alpha, **{f"nu_{i + 1}": nu for i, nu in enumerate(nus)}}
-
-    def at(eps: float) -> BoundResult:
-        log_raw = log_nu_c_term + k * alpha * (1.0 + math.log(eps) - log_alpha)
-        valid = eps < cutoff
-        theta = alpha / eps if valid else None
-        return _finish(math.exp(min(log_raw, _EXP_CAP)), theta, valid, details)
-
-    return [at(eps) for eps in eps_grid]
+    return _closed(
+        eps_grid,
+        lambda eps: log_nu_c_term + k * alpha * (1.0 + math.log(eps) - log_alpha),
+        {"C": c, "alpha": alpha, **{f"nu_{i + 1}": nu for i, nu in enumerate(nus)}},
+        cutoff,
+        lambda eps: alpha / eps,
+    )

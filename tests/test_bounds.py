@@ -6,6 +6,7 @@ import mpmath
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.special
 
 from smalldev import bounds as bounds_mod
 from smalldev.bounds import (
@@ -560,10 +561,6 @@ class TestProductBound:
             res = combine([fixed_result(float(v)) for v in vals])
             assert res.value <= vals.min()
 
-    def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            combine([])
-
 
 class TestNegativeMomentBound:
     def test_admissible_constant_from_mean(self):
@@ -595,6 +592,12 @@ class TestNegativeMomentBound:
         expected = math.exp(math.log(5e-324) + 310.0 * math.log(10.0))
         assert res.value == pytest.approx(expected, rel=1e-9)
         assert res.value < 1e-12
+
+    def test_underflowing_eps_power_is_taken_in_log_space(self):
+        # eps^p = 1e-400 is below the float range, Cp * eps^p = 1e-100 is not.
+        res = negative_moment_bound(1e300, 2.0, [1e-200])[0]
+        assert math.isclose(res.raw_value, 1e-100, rel_tol=1e-12)
+        assert res.value == res.raw_value and res.valid
 
     def test_degenerate_zero_mean(self):
         model = SumModel(
@@ -716,11 +719,16 @@ def test_quantity_outside_the_float_range_is_named(call, quantity):
 
 
 class TestChernoffSumBound:
-    def test_boundary_is_exactly_one(self):
-        res = chernoff_sum_bound(bernoulli_model(), [5.0])[0]
+    # At the cutoff mu = 5, and far above a tiny mu, where mu / eps underflows
+    # to 0 and its log is undefined: the row is the trivial 1 without it.
+    @pytest.mark.parametrize(
+        "model, eps", [(bernoulli_model(), 5.0), (bernoulli_model(k=2, s=1e-300), 1e308)]
+    )
+    def test_boundary_is_exactly_one(self, model, eps):
+        res = chernoff_sum_bound(model, [eps])[0]
         assert res.raw_value == 1.0
         assert res.value == 1.0
-        assert not res.valid
+        assert not res.valid and res.theta_star is None
 
     def test_binomial_closed_form_extended_precision(self):
         res = chernoff_sum_bound(bernoulli_model(), [0.5])[0]
@@ -1061,3 +1069,27 @@ class TestCrossFamilyConsistency:
         ]
         for res in results:
             assert_result_invariants(res)
+
+
+@pytest.mark.parametrize("d", [1, 4, 16, 64])
+def test_truncation_ladder_bounds_dominate_the_gamma_cdf(d):
+    # X_k = xi_k diag(j^-2) with xi_k ~ Exp(1) and K = 4: lambda_max of the
+    # sum is xi_1 + ... + xi_4, at j = 1, so P{lambda_max <= eps} is the
+    # Gamma(4, 1) CDF at every d.  Each bound the model admits must lie at
+    # or above it, however many smaller eigenvalues ride along.
+    a = HermitianMatrix.diagonal([j**-2.0 for j in range(1, d + 1)])
+    model = SumModel(sources=(ScaledFixed(matrix=a, law=Gamma(1.0, 1.0)),) * 4)
+    eps = np.linspace(0.05, 3.0, 60).tolist()
+    bounds = {
+        "master": master_bound(model, ANALYTIC, eps),
+        "log_mean": log_mean_bound(model, ANALYTIC, eps),
+        "product": product_bound(model, ANALYTIC, eps),
+        "g_theta": g_theta_bound(log_rate(1.0), source_means(model), eps),
+        "negative_moment": negative_moment_bound(admissible_cp(model, 1.0), 1.0, eps),
+        "series_sum": series_sum_bound(model, eps),
+        "series_product": series_product_bound(model, eps),
+    }
+    truth = scipy.special.gammainc(4, eps)
+    for name, results in bounds.items():
+        for e, t, res in zip(eps, truth, results):
+            assert res.value >= t, (name, e, res.value, t)

@@ -799,6 +799,64 @@ def test_compare_at_eps_near_the_float_limit_exits_0(tmp_path, capsys):
     assert capsys.readouterr().err == ""
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_negative_moment_below_the_float_range_of_eps_power(tmp_path, capsys):
+    # Cp = 1e300 * (1 + 1e-6) and eps^2 = 1e-400 or 1e-320: the power alone
+    # underflows to 0 or to a subnormal with few digits, Cp * eps^2 does not.
+    ensemble = {"repeat": 2, "source": {"kind": "bernoulli_diagonal", "dim": 1, "p": 0.5,
+                                        "scale": 1.0e-150}}
+    cfg = dict(FAST_EXP_CONFIG, ensemble=ensemble, bounds=[{"name": "negative_moment", "p": 2}],
+               eps_grid=[1.0e-200, 1.0e-160])
+    assert main(["bound", "--config", write_config(tmp_path, cfg)]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    rows = [row.split(",") for row in captured.out.strip().split("\n")[1:]]
+    for row, expected in zip(rows, [1.000001e-100, 1.000001e-20], strict=True):
+        assert math.isclose(float(row[2]), expected, rel_tol=1e-12)
+        assert row[3] == row[2] and row[5] == "true"
+
+
+def _edited_exponential_series(case: str) -> dict:
+    with open(demo_config_path("exponential_series"), encoding="utf-8") as fh:
+        cfg = yaml.safe_load(fh)
+    source = cfg["ensemble"]["source"]
+    if case == "eps-near-the-float-limit":
+        cfg["eps_grid"] = [1.0e300, 1.0e308]
+    elif case == "singular-psd-at-scale-1e8":
+        # psd up to roundoff, so the series bounds, which need A > 0, go.
+        source["matrix"] = {"dense": [[1.0e8] * 3 for _ in range(3)]}
+        cfg["bounds"] = [b for b in cfg["bounds"] if not b["name"].startswith("series_")]
+    elif case == "draws-past-the-float-range":
+        # x * A overflows for x > 1.797: such a draw is inf, a miss at every eps.
+        source.update(matrix={"diagonal": [1.0e308, 1.0e308]}, law={"kind": "uniform", "high": 1.9})
+        cfg["ensemble"]["repeat"] = 1
+        cfg["eps_grid"] = [0.5, 1.0e308]
+    else:  # g changing sign at theta = 1
+        g_theta = next(b for b in cfg["bounds"] if b["name"] == "g_theta")
+        g_theta["g"] = _SIGN_CHANGING_G
+    return cfg
+
+
+# The command each edit of the bundled exponential_series runs.
+_BUNDLED_LIMITS = {
+    "eps-near-the-float-limit": ["compare", "--samples", "100"],
+    "singular-psd-at-scale-1e8": ["bound"],
+    "draws-past-the-float-range": ["simulate", "--samples", "1000"],
+    "g-changing-sign": ["bound"],
+}
+
+
+@pytest.mark.parametrize("case", list(_BUNDLED_LIMITS))
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_bundled_config_at_its_limits_exits_0(tmp_path, capsys, case):
+    # Every bound the bundled exponential_series requests, not only the ones
+    # a narrower test above singles out.
+    command, *flags = _BUNDLED_LIMITS[case]
+    path = write_config(tmp_path, _edited_exponential_series(case))
+    assert main([command, "--config", path, *flags]) == 0
+    assert capsys.readouterr().err == ""
+
+
 class TestBoundCommand:
     def test_csv_schema_on_demo_config(self, tmp_path):
         out = tmp_path / "bounds.csv"
