@@ -263,7 +263,7 @@ def single_matrix_bound(
     d = source.dim
 
     def h_many(thetas: list) -> list:
-        traces = np.trace(mgf.evaluate_many(source, thetas), axis1=1, axis2=2).real
+        traces = mgf.trace_many(source, thetas)
         return [math.log(max(float(tr) / d, _EIG_FLOOR)) for tr in traces]
 
     return _scan(h_many, eps_grid, cfg, {"d": float(d)})

@@ -501,6 +501,10 @@ def _fmt(x) -> str:
     return f"{x:.17g}"
 
 
+def _finite(x: float | None) -> bool:
+    return x is not None and math.isfinite(x)
+
+
 def _emit(text: str, path: str | None) -> None:
     if path is None:
         sys.stdout.write(text)
@@ -516,7 +520,12 @@ def _csv(header: str, rows) -> str:
 
 
 def _json_text(payload: dict) -> str:
-    return json.dumps(payload, sort_keys=True, indent=2) + "\n"
+    """Strict JSON: a non-finite number would be the bare token Infinity or
+    NaN, which strict parsers reject, so it is an error here instead."""
+    try:
+        return json.dumps(payload, sort_keys=True, indent=2, allow_nan=False) + "\n"
+    except ValueError as exc:
+        raise SmallDevError(f"the JSON report holds a non-finite number: {exc}") from exc
 
 
 def _write_report(cfg: dict, csv_text: str, rows: list) -> None:
@@ -524,11 +533,14 @@ def _write_report(cfg: dict, csv_text: str, rows: list) -> None:
     report of rows to output.json, and the CSV to stdout when neither path
     is set."""
     out = cfg["output"]
-    if out["csv"] is not None or out["json"] is None:
-        _emit(csv_text, out["csv"])
+    json_text = None
     if out["json"] is not None:
         payload = {"experiment": cfg["experiment"], "rows": rows, "config_echo": cfg}
-        _emit(_json_text(payload), out["json"])
+        json_text = _json_text(payload)
+    if out["csv"] is not None or out["json"] is None:
+        _emit(csv_text, out["csv"])
+    if json_text is not None:
+        _emit(json_text, out["json"])
 
 
 # ---------------------------------------------------------------------------
@@ -587,10 +599,16 @@ def cmd_bound(args) -> int:
         "epsilon,bound,value,raw_value,theta_star,valid",
         [(eps, name, r.value, r.raw_value, r.theta_star, r.valid) for eps, name, r in rows],
     )
+    # A theta* past the float range (a series bound's alpha K / eps at a
+    # subnormal eps) is written as null: JSON has no infinity.
     _write_report(
         cfg,
         csv_text,
-        [{"epsilon": eps, "bound": name, **dataclasses.asdict(r)} for eps, name, r in rows],
+        [
+            {"epsilon": eps, "bound": name, **dataclasses.asdict(r),
+             "theta_star": r.theta_star if _finite(r.theta_star) else None}
+            for eps, name, r in rows
+        ],
     )
     return 0
 
@@ -622,10 +640,11 @@ def cmd_compare(args) -> int:
         "config_echo": cfg,
     }
     out = cfg["output"]
+    json_text = _json_text(payload)
     if out["csv"] is not None:
         header = "epsilon,bound,bound_value,p_hat,ci_low,ci_high,dominated"
         _emit(_csv(header, map(dataclasses.astuple, report.rows)), out["csv"])
-    _emit(_json_text(payload), out["json"])
+    _emit(json_text, out["json"])
     return 0 if report.violations == 0 else 1
 
 

@@ -3,12 +3,23 @@ evaluators.
 
 Sources and models are immutable descriptions; all sampling state lives in
 caller-owned RngStream nodes.  Every source draws matrices that are psd
-(up to roundoff) through one batch protocol, sample_batch(stream, size,
-out=None): it first draws all its random numbers, then builds its
-(size, d, d) matrices one block of draws at a time (_build), either into a
-fresh array or added into `out`.  A sum adds each position's draws into
-one running sum, so it never holds a full-size array per position.  The
-matrix mgf here is the decreasing-direction one, E exp(-theta X) for
+(up to roundoff) in two steps: draw(stream, size) takes all the random
+numbers of a batch from the stream, in one fixed order, and build(draws,
+out=None) makes their (size, d, d) matrices one block of draws at a time
+(_build), either into a fresh array or added into `out`.
+sample_batch(stream, size, out=None) is the two in a row.  A sum adds each
+position's draws into one running sum, so it never holds a full-size array
+per position.
+
+For Monte Carlo, sample_sum_batch returns a SumDraws, which builds only
+the draws that a screen on the diagonal of the sum leaves open.
+bounded_rank_one and scaled_fixed give the diagonal of their draws without
+building a matrix, so a sum of them is drawn position by position, its
+diagonals added up as it goes, and only the random numbers of the draws
+still open are kept.  A wishart diagonal costs the Gram product that
+builds its matrix, so a sum with a wishart source is built whole first.
+
+The matrix mgf here is the decreasing-direction one, E exp(-theta X) for
 theta > 0, whose eigenvalues lie in (0, 1] for psd X.
 """
 
@@ -36,6 +47,7 @@ __all__ = [
     "SumModel",
     "distinct_sources",
     "MgfModel",
+    "SumDraws",
     "sample_sum_batch",
 ]
 
@@ -203,8 +215,29 @@ ScalarLaw = Gamma | Bernoulli | Uniform
 # ---------------------------------------------------------------------------
 
 
+class _Drawn:
+    """The sampling steps every source kind shares.  A source's
+    draw(stream, size) returns the random numbers of size draws as a tuple
+    of arrays indexed by draw, and matrices(draws) the matrices of such a
+    tuple.  Its diagonal(draws), where not None, is the real diagonal of
+    those matrices, bit for bit np.diagonal(...).real, built without them;
+    its entries are nonnegative."""
+
+    diagonal = None
+
+    def sample_batch(self, stream: RngStream, size: int, out=None) -> np.ndarray:
+        return self.build(self.draw(stream, size), out)
+
+    def build(self, draws: tuple, out=None) -> np.ndarray:
+        """The matrices of draws, built by _build into a fresh array or
+        added into out."""
+        return _build(
+            len(draws[0]), self.dim, lambda s: self.matrices(tuple(a[s] for a in draws)), out
+        )
+
+
 @dataclass(frozen=True)
-class ScaledFixed:
+class ScaledFixed(_Drawn):
     """X = x * A for a fixed psd matrix A and a nonnegative scalar law."""
 
     matrix: HermitianMatrix
@@ -241,10 +274,29 @@ class ScaledFixed:
             return None
         return b * lambda_max(self.matrix)
 
-    def sample_batch(self, stream: RngStream, size: int, out=None) -> np.ndarray:
-        xs = self.law.sample(stream.generator, size)
-        a = self.matrix.entries
-        return _build(size, self.dim, lambda s: xs[s, None, None] * a, out)
+    def draw(self, stream: RngStream, size: int) -> tuple:
+        return (self.law.sample(stream.generator, size),)
+
+    def matrices(self, draws: tuple) -> np.ndarray:
+        (xs,) = draws
+        return xs[:, None, None] * self.matrix.entries
+
+    @cached_property
+    def diagonal(self):
+        """x * a_ii per draw: the diagonal of A is real, so this is the real
+        part of the complex product x A.  None when A has a negative
+        diagonal entry (the roundoff of a psd matrix), which would make it
+        negative."""
+        a_ii = np.diagonal(self.matrix.entries).real
+        if (a_ii < 0).any():
+            return None
+
+        def diagonal(draws: tuple) -> np.ndarray:
+            (xs,) = draws
+            with np.errstate(over="ignore"):
+                return xs[:, None] * a_ii
+
+        return diagonal
 
     def analytic_mgf(self, thetas) -> np.ndarray:
         """The (m, d, d) stack U diag(law.mgf(theta lambda)) U* at the m
@@ -266,7 +318,7 @@ def bernoulli_diagonal(dim: int, p: float, scale: float) -> ScaledFixed:
 
 
 @dataclass(frozen=True)
-class BoundedRankOne:
+class BoundedRankOne(_Drawn):
     """X = bound * u * w w* with w uniform on the complex unit sphere and
     u ~ Uniform[0, 1], so that E X = (bound / 2 dim) * I and
     lambda_max(X) <= bound almost surely."""
@@ -290,18 +342,25 @@ class BoundedRankOne:
     def uniform_bound(self) -> float | None:
         return self.bound
 
-    def sample_batch(self, stream: RngStream, size: int, out=None) -> np.ndarray:
+    def draw(self, stream: RngStream, size: int) -> tuple:
+        """(bound * u, w): the scale and the unit vector of each draw."""
         gen = stream.generator
         g = _complex_normal(gen, (size, self.dim))
         w = g / np.linalg.norm(g, axis=1, keepdims=True)
-        u = gen.random(size)
-        v = (self.bound * u)[:, None] * w
-        wc = w.conj()
-        return _build(size, self.dim, lambda s: v[s, :, None] * wc[s, None, :], out)
+        return self.bound * gen.random(size), w
+
+    def matrices(self, draws: tuple) -> np.ndarray:
+        scale, w = draws
+        v = scale[:, None] * w
+        return v[:, :, None] * w.conj()[:, None, :]
+
+    def diagonal(self, draws: tuple) -> np.ndarray:
+        scale, w = draws
+        return (scale[:, None] * w * w.conj()).real
 
 
 @dataclass(frozen=True)
-class Wishart:
+class Wishart(_Drawn):
     """X = (1/dof) * sum_j g_j g_j* over dof standard complex Gaussian
     vectors, so that E X = I."""
 
@@ -322,19 +381,19 @@ class Wishart:
     def uniform_bound(self) -> float | None:
         return None
 
-    def sample_batch(self, stream: RngStream, size: int, out=None) -> np.ndarray:
-        g = _complex_normal(stream.generator, (size, self.dof, self.dim))
+    # No diagonal: it costs the Gram product that builds the matrix.
+
+    def draw(self, stream: RngStream, size: int) -> tuple:
+        return (_complex_normal(stream.generator, (size, self.dof, self.dim)),)
+
+    def matrices(self, draws: tuple) -> np.ndarray:
+        (g,) = draws
+        gram = g.transpose(0, 2, 1) @ g.conj()
         # numpy divides a complex number by a real one as a product with its
         # reciprocal, so scaling the float view by 1/dof gives the bits of
         # dividing by dof.
-        inv = 1.0 / self.dof
-
-        def block(s):
-            gram = g[s].transpose(0, 2, 1) @ g[s].conj()
-            gram.view(np.float64)[...] *= inv
-            return gram
-
-        return _build(size, self.dim, block, out)
+        gram.view(np.float64)[...] *= 1.0 / self.dof
+        return gram
 
 
 # ---------------------------------------------------------------------------
@@ -404,10 +463,76 @@ def distinct_sources(sources) -> tuple[list, list[int]]:
 # ---------------------------------------------------------------------------
 
 
-def sample_sum_batch(model: SumModel, stream: RngStream, size: int) -> np.ndarray:
-    """Fresh (size, d, d) batch of draws of the sum; source k draws from
-    substream k."""
-    return model.sample_batch(stream, size)
+class SumDraws:
+    """size draws of a sum, built only as far as they are read: what
+    sample_sum_batch returns.
+
+    screen(limit) finds the draws whose sum has no real diagonal entry
+    above limit: the open draws, since a diagonal entry is a Rayleigh
+    quotient and so at most lambda_max.  matrices() then builds the sums
+    of the open draws alone (every draw's without a screen), each with the
+    bits it has in model.sample_batch.
+
+    When every source has a diagonal, nothing is built or drawn before
+    screen: it draws position k from substream k, all of its random
+    numbers in order, adds the position's diagonals to a running sum, and
+    keeps the random numbers of the draws still open.  The diagonal terms
+    are nonnegative, so a running sum above limit stays above it and its
+    draw is dropped at once.  Otherwise (a wishart source, whose diagonal
+    costs the Gram product that builds its matrix) the constructor builds
+    the whole sum by model.sample_batch, and both read it."""
+
+    def __init__(self, model: SumModel, stream: RngStream, size: int) -> None:
+        self.shape = (size, model.dim, model.dim)
+        self._sources, self._stream = model.sources, stream
+        self._open = self._draws = self.diagonal = None
+        lazy = all(getattr(src, "diagonal", None) is not None for src in model.sources)
+        self._sum = None if lazy else model.sample_batch(stream, size)
+
+    def screen(self, limit: float) -> np.ndarray:
+        """The ascending indices of the open draws; self.diagonal is then
+        their (n_open, d) real diagonals, the bits of
+        np.diagonal(matrices()).real.  A sum past the float range has an
+        inf diagonal, without a numpy warning.  Call it once, first."""
+        if self._sum is not None:
+            diag = np.diagonal(self._sum, axis1=1, axis2=2).real
+            self._open = np.flatnonzero(~(diag.max(axis=1) > limit))
+            self.diagonal = diag[self._open]
+            return self._open
+        size = self.shape[0]
+        keep, diag, self._draws = np.arange(size), None, []
+        for k, src in enumerate(self._sources):
+            draws = src.draw(self._stream.child(k), size)
+            self._draws.append(draws if len(keep) == size else tuple(a[keep] for a in draws))
+            with np.errstate(over="ignore"):
+                term = src.diagonal(self._draws[-1])
+                diag = term if diag is None else diag + term
+            still = ~(diag.max(axis=1) > limit)
+            if not still.all():
+                keep, diag = keep[still], diag[still]
+                self._draws = [tuple(a[still] for a in drawn) for drawn in self._draws]
+        self._open, self.diagonal = keep, diag
+        return keep
+
+    def matrices(self) -> np.ndarray:
+        """The (n_open, d, d) sums of the open draws, in order.  The whole
+        sum, when every draw is open, comes back as it is, not copied."""
+        if self._sum is not None:
+            if self._open is None or len(self._open) == self.shape[0]:
+                return self._sum
+            return self._sum[self._open]
+        if self._draws is None:
+            self.screen(math.inf)
+        out = None
+        for src, draws in zip(self._sources, self._draws):
+            out = src.build(draws, out)
+        return out
+
+
+def sample_sum_batch(model: SumModel, stream: RngStream, size: int) -> SumDraws:
+    """size draws of the sum, not yet built; source k draws from substream
+    k."""
+    return SumDraws(model, stream, size)
 
 
 # ---------------------------------------------------------------------------
@@ -433,7 +558,7 @@ class _Snapshot:
     one real GEMM.  P is about n d^3 / 2 complex numbers, so it is never
     kept: evaluate_many builds it from V one block of rows at a time and
     multiplies each block by the matching block of E, both blocks within
-    _KERNEL_BYTES / 2.
+    _KERNEL_BYTES / 2.  trace_many needs neither V nor P: tr(v_j v_j*) = 1.
     """
 
     __slots__ = ("eigenvalues", "vectors", "n", "_memo")
@@ -457,6 +582,25 @@ class _Snapshot:
                 self._memo[t] = m
         d = self.vectors.shape[1]
         return np.array([self._memo[t] for t in thetas]).reshape(-1, d, d)
+
+    def trace_many(self, thetas) -> np.ndarray:
+        """The traces of the mgf estimates at the m thetas, (1/n) sum_j
+        exp(-theta w_j), as an (m,) array.  The exponentials are summed in
+        blocks within _KERNEL_BYTES / 2, and each theta's row over the same
+        blocks of eigenvalues whatever the other thetas, so a theta's trace
+        does not depend on the batch it comes in."""
+        w = self.eigenvalues
+        thetas = np.asarray(thetas, dtype=float)
+        nv = min(w.size, _KERNEL_BYTES // 16)
+        nt = max(1, _KERNEL_BYTES // (16 * nv))
+        acc = np.zeros(len(thetas))
+        for j in range(0, w.size, nv):
+            for i in range(0, len(thetas), nt):
+                with np.errstate(over="ignore"):  # theta * w = inf has weight 0
+                    e = np.multiply.outer(-thetas[i : i + nt], w[j : j + nv])
+                np.exp(e, out=e)
+                acc[i : i + nt] += e.sum(axis=1)
+        return acc / self.n
 
     def _mgf(self, thetas: np.ndarray) -> np.ndarray:
         v, w = self.vectors, self.eigenvalues
@@ -574,6 +718,17 @@ class MgfModel:
                 "use empirical mode"
             )
         return source.analytic_mgf(thetas)
+
+    def trace_many(self, source, thetas) -> np.ndarray:
+        """tr E exp(-theta X) of source at each of thetas, as an (m,) float
+        array, all that the one-matrix bound reads.  Empirical mode sums
+        exp(-theta w) over the snapshot's eigenvalues and builds no matrix;
+        analytic mode takes the trace of evaluate_many."""
+        if self.mode == "analytic":
+            return np.trace(self.evaluate_many(source, thetas), axis1=1, axis2=2).real
+        thetas = list(thetas)
+        _check_thetas(thetas)
+        return self._snapshot(source).trace_many(thetas)
 
     def _snapshot(self, source) -> _Snapshot:
         entry = self._snapshots.get(id(source))

@@ -12,7 +12,9 @@ lambda_max(S) >= Re S_ii, a draw whose largest diagonal entry exceeds the
 largest eps by the relative margin _SCREEN_MARGIN is a miss at every eps.
 The draws it leaves open go to the batched np.linalg.eigvalsh.  The margin
 is far above the eigensolver's backward error (see _chunk_hits), so the
-hits equal those of scoring every draw by eigvalsh.
+hits equal those of scoring every draw by eigvalsh.  The screen reads the
+diagonal before any matrix is built where the sources allow it
+(ensembles.SumDraws), so a settled draw of such a sum is never built.
 
 The Clopper-Pearson limits (Clopper & Pearson 1934) are Beta quantiles with
 integer parameters, computed here without scipy: Newton's method inside a
@@ -230,7 +232,7 @@ def clopper_pearson(hits: int, n: int, confidence: float) -> tuple[float, float]
 
 
 def _chunk_hits(model: SumModel, stream: RngStream, size: int, eps: np.ndarray) -> np.ndarray:
-    sums = sample_sum_batch(model, stream, size)
+    draws = sample_sum_batch(model, stream, size)
     # Screen: eigvalsh reads the Hermitian matrix H whose diagonal is
     # Re S_ii, so lambda_max(H) >= e_i* H e_i = Re S_ii (Rayleigh quotient),
     # and a draw with Re S_ii > eps_max (1 + _SCREEN_MARGIN) is a miss at
@@ -242,14 +244,12 @@ def _chunk_hits(model: SumModel, stream: RngStream, size: int, eps: np.ndarray) 
     # whenever c u < _SCREEN_MARGIN / (1 + _SCREEN_MARGIN), i.e. for c up
     # to about 9e5.  An infinite diagonal (an overflowed sum) is settled,
     # as eigvalsh's NaN was a miss; a NaN diagonal fails the comparison and
-    # stays open.  When every draw is open, eigvalsh gets the batch itself,
-    # not a copy.  float(): past the float range a Python product is inf,
-    # with no numpy overflow warning.
-    top = np.diagonal(sums, axis1=1, axis2=2).real.max(axis=1)
-    open_ = ~(top > float(eps[-1]) * (1.0 + _SCREEN_MARGIN))
-    if not open_.all():
-        sums = sums[open_]
-    lam = np.linalg.eigvalsh(sums)[:, -1]
+    # stays open.  The diagonal has the bits of the built sum's, and only the
+    # open draws are built; when every draw is open, eigvalsh gets the batch
+    # itself, not a copy.  float(): past the float range a Python product is
+    # inf, with no numpy overflow warning.
+    draws.screen(float(eps[-1]) * (1.0 + _SCREEN_MARGIN))
+    lam = np.linalg.eigvalsh(draws.matrices())[:, -1]
     return (lam[:, None] <= eps[None, :]).sum(axis=0)
 
 

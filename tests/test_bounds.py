@@ -35,6 +35,7 @@ from smalldev.ensembles import (
     MgfModel,
     ScaledFixed,
     SumModel,
+    Uniform,
     Wishart,
     bernoulli_diagonal,
     distinct_sources,
@@ -116,6 +117,57 @@ class TestSingleMatrixBound:
         src = bernoulli_diagonal(dim=1, p=0.5, scale=1.0)
         with pytest.raises(ValueError):
             single_matrix_bound(src, ANALYTIC, [0.0])
+
+    @staticmethod
+    def stack_trace_bound(source, mgf, eps_grid, cfg=OptimizerConfig()):
+        """The bound with h from the trace of the (m, d, d) mgf stack, as
+        single_matrix_bound computed it before MgfModel.trace_many."""
+        d = source.dim
+
+        def h_many(thetas):
+            traces = np.trace(mgf.evaluate_many(source, thetas), axis1=1, axis2=2).real
+            return [math.log(max(float(tr) / d, bounds_mod._EIG_FLOOR)) for tr in traces]
+
+        return bounds_mod._scan(h_many, eps_grid, cfg, {"d": float(d)})
+
+    @pytest.mark.parametrize(
+        "source",
+        [
+            ScaledFixed(HermitianMatrix([[2.0, 1j], [-1j, 1.0]]), Gamma(2.0, 1.5)),
+            bernoulli_diagonal(dim=3, p=0.3, scale=1.5),
+            SumModel(sources=(ScaledFixed(HermitianMatrix.diagonal([0.5, 3.0]), Uniform(2.0)),)),
+        ],
+        ids=["dense-gamma", "bernoulli-diagonal", "one-source-sum"],
+    )
+    def test_analytic_has_the_bits_of_the_stack_trace(self, source):
+        eps = np.geomspace(1e-3, 2.0, 12).tolist()
+        assert single_matrix_bound(source, ANALYTIC, eps) == self.stack_trace_bound(
+            source, ANALYTIC, eps
+        )
+
+    @pytest.mark.parametrize(
+        "source",
+        [
+            BoundedRankOne(dim=4, bound=1.0),
+            SumModel(sources=(BoundedRankOne(dim=4, bound=1.0),) * 8),
+            SumModel(sources=(Wishart(dim=3, dof=2),) * 2),
+        ],
+        ids=["bounded-rank-one", "bounded-rank-one-sum", "wishart-sum"],
+    )
+    def test_empirical_stays_within_1e_13_of_the_stack_trace(self, source):
+        eps = np.geomspace(1e-3, 2.0, 12).tolist()
+        got = single_matrix_bound(source, MgfModel("empirical", 2000, seed=5), eps)
+        ref = self.stack_trace_bound(source, MgfModel("empirical", 2000, seed=5), eps)
+        for g, r in zip(got, ref, strict=True):
+            assert g.value == pytest.approx(r.value, rel=1e-13, abs=0)
+            assert g.raw_value == pytest.approx(r.raw_value, rel=1e-13, abs=0)
+
+    def test_empirical_grid_bit_identical_to_per_eps_calls(self):
+        src = SumModel(sources=(BoundedRankOne(dim=4, bound=1.0),) * 8)
+        eps = [0.012, 0.06, 0.12]
+        grid = single_matrix_bound(src, MgfModel("empirical", 4000, seed=42), eps)
+        alone = [single_matrix_bound(src, MgfModel("empirical", 4000, seed=42), [e])[0] for e in eps]
+        assert grid == alone
 
 
 class TestMasterBound:
@@ -325,7 +377,8 @@ class TestGThetaBound:
 
 
 class CountingMgf:
-    """Mgf evaluator that records every theta it is asked for."""
+    """Mgf evaluator that records every theta it is asked for, through
+    either of its two calls."""
 
     def __init__(self, inner):
         self.inner = inner
@@ -334,6 +387,10 @@ class CountingMgf:
     def evaluate_many(self, source, thetas):
         self.thetas.extend(thetas)
         return self.inner.evaluate_many(source, thetas)
+
+    def trace_many(self, source, thetas):
+        self.thetas.extend(thetas)
+        return self.inner.trace_many(source, thetas)
 
 
 class TestGridScan:
@@ -399,6 +456,10 @@ class TestGridScan:
             def evaluate_many(self, source, thetas):
                 batches.append(len(thetas))
                 return ANALYTIC.evaluate_many(source, thetas)
+
+            def trace_many(self, source, thetas):
+                batches.append(len(thetas))
+                return ANALYTIC.trace_many(source, thetas)
 
         cfg = OptimizerConfig()
         src = ScaledFixed(matrix=HermitianMatrix.identity(2), law=Gamma(1.0, 1.0))

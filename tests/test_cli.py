@@ -23,7 +23,7 @@ from smalldev.cli import (
     resolve_config,
 )
 from smalldev.ensembles import DEFAULT_MGF_SAMPLES, BoundedRankOne
-from smalldev.errors import ConfigError
+from smalldev.errors import ConfigError, SmallDevError
 from smalldev.linalg import HermitianMatrix
 from smalldev.optimizer import OptimizerConfig
 
@@ -814,6 +814,53 @@ def test_negative_moment_below_the_float_range_of_eps_power(tmp_path, capsys):
     for row, expected in zip(rows, [1.000001e-100, 1.000001e-20], strict=True):
         assert math.isclose(float(row[2]), expected, rel_tol=1e-12)
         assert row[3] == row[2] and row[5] == "true"
+
+
+def _strict_json(text: str):
+    """json.loads that refuses the non-standard tokens Infinity and NaN."""
+
+    def refuse(token):
+        raise ValueError(f"non-standard JSON token {token}")
+
+    return json.loads(text, parse_constant=refuse)
+
+
+def test_bound_json_writes_an_overflowing_theta_star_as_null(tmp_path):
+    # alpha K / eps overflows at eps = 5e-324: the parent wrote the bare
+    # token Infinity for both series rows there.
+    with open(demo_config_path("exponential_series"), encoding="utf-8") as fh:
+        cfg = yaml.safe_load(fh)
+    cfg["eps_grid"] = [5.0e-324, 1.0e-300]
+    out, csv = tmp_path / "bounds.json", tmp_path / "bounds.csv"
+    args = ["bound", "--config", write_config(tmp_path, cfg), "--json", str(out), "--csv", str(csv)]
+    assert main(args) == 0
+    rows = _strict_json(out.read_text())["rows"]
+    series = {(r["epsilon"], r["bound"]): r["theta_star"] for r in rows if "series" in r["bound"]}
+    assert series == {
+        (5e-324, "series_sum"): None,
+        (5e-324, "series_product"): None,
+        (1e-300, "series_sum"): pytest.approx(2e300, rel=1e-15),
+        (1e-300, "series_product"): pytest.approx(1e300, rel=1e-15),
+    }
+    # The CSV keeps the number.
+    csv_rows = [line.split(",") for line in csv.read_text().splitlines()[1:]]
+    assert [r[4] for r in csv_rows if "series" in r[1] and float(r[0]) == 5e-324] == ["inf"] * 2
+
+
+@pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+def test_a_non_finite_number_in_a_json_report_is_a_numerical_error(value):
+    with pytest.raises(SmallDevError, match="non-finite"):
+        cli._json_text({"rows": [{"x": value}]})
+
+
+@pytest.mark.parametrize("command", ["bound", "simulate", "compare"])
+def test_json_reports_of_the_bundled_configs_are_strict(command, tmp_path):
+    for name in demo_config_names():
+        out = tmp_path / f"{command}-{name}.json"
+        code = main([command, "--config", demo_config_path(name), "--samples", "2000",
+                     "--json", str(out)])
+        assert code == 0
+        assert _strict_json(out.read_text())["experiment"]
 
 
 def _edited_exponential_series(case: str) -> dict:

@@ -26,6 +26,9 @@ from smalldev.linalg import HermitianMatrix, lambda_max, lambda_min
 from smalldev.rng import RngStream
 
 
+ANALYTIC_MGF = MgfModel(mode="analytic")
+
+
 def iid_model(source_factory, k):
     return SumModel(sources=tuple(source_factory() for _ in range(k)))
 
@@ -263,7 +266,7 @@ class TestSamplingKernels:
     def test_sum_accumulates_each_source_from_its_own_substream(self):
         sources = (Wishart(dim=3, dof=4), BoundedRankOne(dim=3, bound=1.0))
         model = SumModel(sources=sources * 2)
-        got = sample_sum_batch(model, RngStream(13), 50)
+        got = sample_sum_batch(model, RngStream(13), 50).matrices()
         want = sum(
             src.sample_batch(RngStream(13).child(k), 50)
             for k, src in enumerate(model.sources)
@@ -341,6 +344,18 @@ BIT_SOURCES["sum-of-kinds"] = SumModel(
         BIT_SOURCES["bernoulli-diagonal"],
     )
 )
+# Without a wishart source every position has a diagonal, so its draws are
+# built only when asked for (SumDraws); with one, the sum is built whole.
+BIT_SOURCES["sum-without-wishart"] = SumModel(
+    sources=(
+        BIT_SOURCES["scaled-fixed-exponential"],
+        BIT_SOURCES["bounded-rank-one"],
+        BIT_SOURCES["scaled-fixed-uniform"],
+        BIT_SOURCES["bounded-rank-one"],
+        BIT_SOURCES["bernoulli-diagonal"],
+    )
+)
+_SUMS = ["sum-of-kinds", "sum-without-wishart"]
 
 
 class TestInPlaceBuild:
@@ -365,16 +380,18 @@ class TestInPlaceBuild:
         assert_same_bits(out, reference_added(src, RngStream(21).child(2), size, base))
 
     @pytest.mark.parametrize("size", _SIZES)
-    def test_sum_batch_has_the_reference_bits(self, size):
-        model = BIT_SOURCES["sum-of-kinds"]
-        got = sample_sum_batch(model, RngStream(23), size)
+    @pytest.mark.parametrize("name", _SUMS)
+    def test_sum_batch_has_the_reference_bits(self, name, size):
+        model = BIT_SOURCES[name]
+        got = sample_sum_batch(model, RngStream(23), size).matrices()
         assert_same_bits(got, reference_batch(model, RngStream(23), size))
 
-    def test_small_blocks_keep_the_bits(self, monkeypatch):
+    @pytest.mark.parametrize("name", _SUMS)
+    def test_small_blocks_keep_the_bits(self, name, monkeypatch):
         # Five draws per block: many blocks and a ragged last one.
         monkeypatch.setattr(ensembles, "_KERNEL_BYTES", 32 * _D * _D * 5)
-        model = BIT_SOURCES["sum-of-kinds"]
-        got = sample_sum_batch(model, RngStream(24), 103)
+        model = BIT_SOURCES[name]
+        got = sample_sum_batch(model, RngStream(24), 103).matrices()
         assert_same_bits(got, reference_batch(model, RngStream(24), 103))
 
     @pytest.mark.parametrize("size", _SIZES)
@@ -401,6 +418,147 @@ class TestInPlaceBuild:
         np.testing.assert_array_equal(diag[~over], (xs[~over] * 1.0e308)[:, None] * [1.0, 1.0])
 
 
+# The sources whose diagonal the screen reads without building a matrix.
+DIAGONAL_SOURCES = {
+    "bounded-rank-one": BIT_SOURCES["bounded-rank-one"],
+    "bounded-rank-one-d16": BoundedRankOne(dim=16, bound=2.5),
+    "scaled-fixed-exponential": BIT_SOURCES["scaled-fixed-exponential"],
+    "scaled-fixed-gamma": ScaledFixed(
+        HermitianMatrix.diagonal([1.0, 2.0, 0.5]), Gamma(shape=2.0, rate=1.0)
+    ),
+    "scaled-fixed-uniform": BIT_SOURCES["scaled-fixed-uniform"],
+    "bernoulli-diagonal": BIT_SOURCES["bernoulli-diagonal"],
+}
+
+# Sums for the screen: built on request (every source has a diagonal) and
+# built whole (a wishart source, or a matrix with a negative diagonal entry).
+_NEGATIVE_DIAGONAL = ScaledFixed(
+    HermitianMatrix(np.array([[-1e-12, 0.0], [0.0, 1.0]])), Gamma(1.0, 1.0)
+)
+SCREEN_SUMS = {
+    "bounded-rank-one": SumModel(sources=(BIT_SOURCES["bounded-rank-one"],) * 8),
+    "bernoulli-diagonal": SumModel(sources=(BIT_SOURCES["bernoulli-diagonal"],) * 10),
+    "scaled-fixed-gamma": SumModel(sources=(DIAGONAL_SOURCES["scaled-fixed-gamma"],) * 3),
+    "sum-without-wishart": BIT_SOURCES["sum-without-wishart"],
+    "sum-of-kinds": BIT_SOURCES["sum-of-kinds"],
+    "negative-diagonal": SumModel(
+        sources=(_NEGATIVE_DIAGONAL, ScaledFixed(HermitianMatrix.identity(2), Uniform(1.0)))
+    ),
+}
+
+
+class TestDrawAndBuild:
+    """draw takes a batch's random numbers, build makes its matrices, and
+    diagonal gives their diagonal without building them."""
+
+    @pytest.mark.parametrize("name", [n for n in BIT_SOURCES if n not in _SUMS])
+    def test_sample_batch_is_draw_then_build(self, name):
+        src = BIT_SOURCES[name]
+        got = src.build(src.draw(RngStream(26), 500))
+        assert_same_bits(got, src.sample_batch(RngStream(26), 500))
+
+    @pytest.mark.parametrize("size", [1, 4096])
+    @pytest.mark.parametrize("name", list(DIAGONAL_SOURCES))
+    def test_diagonal_has_the_bits_of_the_built_matrices(self, name, size):
+        src = DIAGONAL_SOURCES[name]
+        for seed in range(5):
+            draws = src.draw(RngStream(seed), size)
+            diag = src.diagonal(draws)
+            built = np.diagonal(src.matrices(draws), axis1=1, axis2=2).real
+            assert diag.shape == (size, src.dim)
+            np.testing.assert_array_equal(diag.view(np.uint64), built.copy().view(np.uint64))
+            assert (diag >= 0).all()
+
+    def test_wishart_and_a_negative_diagonal_entry_have_no_diagonal(self):
+        assert Wishart(dim=3, dof=2).diagonal is None
+        assert _NEGATIVE_DIAGONAL.diagonal is None
+        assert DIAGONAL_SOURCES["scaled-fixed-gamma"].diagonal is not None
+
+
+class TestSumDraws:
+    """sample_sum_batch's SumDraws: the screen keeps exactly the draws whose
+    summed diagonal is not above the limit, with the bits of the whole sum,
+    and builds nothing else."""
+
+    @staticmethod
+    def whole(model, seed, size):
+        full = reference_batch(model, RngStream(seed), size)
+        return full, np.diagonal(full, axis1=1, axis2=2).real
+
+    @pytest.mark.parametrize("name", list(SCREEN_SUMS))
+    def test_unscreened_draws_are_the_whole_sum(self, name):
+        model = SCREEN_SUMS[name]
+        full, _diag = self.whole(model, 27, 1000)
+        draws = sample_sum_batch(model, RngStream(27), 1000)
+        assert draws.shape == (1000, model.dim, model.dim)
+        assert_same_bits(draws.matrices(), full)
+
+    @pytest.mark.parametrize("quantile", [None, 0.5, 0.0], ids=["none-settled", "half", "all"])
+    @pytest.mark.parametrize("name", list(SCREEN_SUMS))
+    def test_screen_keeps_the_open_draws_with_their_bits(self, name, quantile):
+        model = SCREEN_SUMS[name]
+        for seed in range(3):
+            full, diag = self.whole(model, seed, 4096)
+            top = diag.max(axis=1)
+            # A limit at the quantile of the largest diagonal entry, and
+            # below every draw for 0 (0.0 itself would keep the zero draws).
+            limit = (
+                math.inf if quantile is None
+                else float(np.quantile(top, quantile)) if quantile else -1.0
+            )
+            draws = sample_sum_batch(model, RngStream(seed), 4096)
+            keep = draws.screen(limit)
+            np.testing.assert_array_equal(keep, np.flatnonzero(~(top > limit)))
+            np.testing.assert_array_equal(
+                draws.diagonal.view(np.uint64), diag[keep].copy().view(np.uint64)
+            )
+            sums = draws.matrices()
+            assert sums.shape == (len(keep), model.dim, model.dim)
+            assert_same_bits(sums, full[keep])
+
+    @pytest.mark.parametrize("name", ["bounded-rank-one", "sum-without-wishart"])
+    def test_a_settled_draw_is_never_built(self, name, monkeypatch):
+        built = []
+        build = ensembles._build
+
+        def recording(size, dim, block, out):
+            built.append(size)
+            return build(size, dim, block, out)
+
+        monkeypatch.setattr(ensembles, "_build", recording)
+        model = SCREEN_SUMS[name]
+        draws = sample_sum_batch(model, RngStream(28), 4096)
+        assert built == []  # nothing is built before the screen
+        keep = draws.screen(float(np.quantile(self.whole(model, 28, 4096)[1].max(axis=1), 0.1)))
+        assert 0 < len(keep) < 4096 and built == []
+        draws.matrices()
+        assert built == [len(keep)] * model.size
+
+    def test_screened_chunk_holds_less_than_the_whole_sum(self):
+        # The bundled bounded_rank_one chunk, every draw settled: building
+        # its sum peaked at 2.7 MB, the screen at 1.4 MB.
+        model = SumModel(sources=(BoundedRankOne(dim=4, bound=1.0),) * 8)
+        sample_sum_batch(model, RngStream(0), 16).screen(0.12)  # first-call set-up
+        tracemalloc.start()
+        try:
+            draws = sample_sum_batch(model, RngStream(0), 4096)
+            assert len(draws.screen(0.12)) == 0
+            _current, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * (16 * 4096 * 4 * 4)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_diagonal_past_the_float_range_is_inf_without_warning(self):
+        src = ScaledFixed(HermitianMatrix.diagonal([1.0e308, 1.0e308]), Uniform(high=1.9))
+        model = SumModel(sources=(src, src))
+        draws = sample_sum_batch(model, RngStream(25), 200)
+        keep = draws.screen(math.inf)
+        full = model.sample_batch(RngStream(25), 200)
+        assert len(keep) == 200 and (draws.diagonal == math.inf).any()
+        np.testing.assert_array_equal(draws.diagonal, np.diagonal(full, axis1=1, axis2=2).real)
+
+
 class TestSumModel:
     def test_requires_equal_dims(self):
         with pytest.raises(ValueError):
@@ -417,12 +575,12 @@ class TestSumModel:
             ),
             3,
         )
-        assert np.abs(sample_sum_batch(model, RngStream(1), 1)).max() == 0.0
+        assert np.abs(sample_sum_batch(model, RngStream(1), 1).matrices()).max() == 0.0
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_sum_past_the_float_range_is_inf_without_warning(self):
         model = iid_model(lambda: bernoulli_diagonal(dim=1, p=0.5, scale=1e308), 2)
-        sums = sample_sum_batch(model, RngStream(1), 200).real.ravel()
+        sums = sample_sum_batch(model, RngStream(1), 200).matrices().real.ravel()
         assert set(sums.tolist()) == {0.0, 1e308, math.inf}
 
     def test_binomial_law_of_bernoulli_sum(self):
@@ -430,7 +588,7 @@ class TestSumModel:
         # successes, so it follows Binomial(10, 1/2) exactly.
         model = iid_model(lambda: bernoulli_diagonal(dim=1, p=0.5, scale=1.0), 10)
         n = 100_000
-        lam = np.linalg.eigvalsh(sample_sum_batch(model, RngStream(13), n))[:, -1]
+        lam = np.linalg.eigvalsh(sample_sum_batch(model, RngStream(13), n).matrices())[:, -1]
         counts = np.bincount(np.rint(lam).astype(int), minlength=11)
         expected = np.array([math.comb(10, k) * 0.5**10 * n for k in range(11)])
         chi2 = ((counts - expected) ** 2 / expected).sum()
@@ -446,7 +604,8 @@ class TestSumModel:
             2,
         )
         n = 100_000
-        lam = np.sort(np.linalg.eigvalsh(sample_sum_batch(model, RngStream(14), n))[:, -1])
+        draws = sample_sum_batch(model, RngStream(14), n)
+        lam = np.sort(np.linalg.eigvalsh(draws.matrices())[:, -1])
         cdf = 1.0 - np.exp(-lam) * (1.0 + lam)
         grid = np.arange(1, n + 1) / n
         ks = max(np.abs(cdf - grid).max(), np.abs(cdf - (grid - 1.0 / n)).max())
@@ -645,6 +804,86 @@ class TestSnapshotKernel:
         zeros = float(np.mean(snap.eigenvalues == 0.0))
         out = snap.evaluate_many([1e-6, 1.0, 1e6])
         assert np.array_equal(out.real.ravel(), [zeros] * 3)
+
+
+TRACE_FACTORIES = {
+    "bernoulli_diagonal": lambda d: bernoulli_diagonal(dim=d, p=0.5, scale=2.0),
+    "scaled_fixed_gamma": lambda d: ScaledFixed(
+        HermitianMatrix.diagonal(np.linspace(0.1, 2.0, d)), Gamma(shape=2.0, rate=1.0)
+    ),
+    "wishart": lambda d: Wishart(dim=d, dof=3),
+    "bounded_rank_one": lambda d: BoundedRankOne(dim=d, bound=1.0),
+    "sum": lambda d: SumModel(sources=(BoundedRankOne(dim=d, bound=1.0),) * 4),
+}
+TRACE_THETAS = np.geomspace(1e-3, 1e3, 31).tolist()
+
+
+class TestTraceMany:
+    """MgfModel.trace_many: tr E exp(-theta X), from the snapshot's
+    eigenvalues in empirical mode and from the closed form in analytic
+    mode."""
+
+    @pytest.mark.parametrize("d", [1, 4, 16])
+    @pytest.mark.parametrize("name", list(TRACE_FACTORIES))
+    def test_empirical_equals_the_trace_of_the_stack(self, name, d):
+        src = TRACE_FACTORIES[name](d)
+        model = MgfModel(mode="empirical", n_samples=500, seed=35)
+        got = model.trace_many(src, TRACE_THETAS)
+        ref = np.trace(model.evaluate_many(src, TRACE_THETAS), axis1=1, axis2=2).real
+        assert got.shape == (len(TRACE_THETAS),)
+        np.testing.assert_allclose(got, ref, rtol=1e-13, atol=0)
+
+    def test_empirical_sums_the_snapshot_exponentials(self):
+        src = Wishart(dim=3, dof=2)
+        model = MgfModel(mode="empirical", n_samples=200, seed=36)
+        w = np.linalg.eigvalsh(src.sample_batch(RngStream(36).child(1).child(0), 200))
+        for theta, got in zip([0.1, 2.0, 30.0], model.trace_many(src, [0.1, 2.0, 30.0])):
+            assert math.isclose(got, math.fsum(np.exp(-theta * w).ravel()) / 200, rel_tol=1e-13)
+
+    def test_a_theta_gets_the_same_bits_in_any_batch(self):
+        snap = _Snapshot(BoundedRankOne(dim=4, bound=1.0).sample_batch(RngStream(37), 4000))
+        batch = snap.trace_many(TRACE_THETAS)
+        alone = [snap.trace_many([t])[0] for t in TRACE_THETAS]
+        np.testing.assert_array_equal(batch, alone)
+        np.testing.assert_array_equal(snap.trace_many(TRACE_THETAS[::-1]), batch[::-1])
+
+    def test_blocks_cover_every_eigenvalue(self, monkeypatch):
+        snap = _Snapshot(Wishart(dim=3, dof=2).sample_batch(RngStream(38), 101))
+        whole = snap.trace_many(TRACE_THETAS)
+        monkeypatch.setattr(ensembles, "_KERNEL_BYTES", 1024)
+        np.testing.assert_allclose(snap.trace_many(TRACE_THETAS), whole, rtol=1e-14, atol=0)
+
+    def test_builds_no_matrix_stack(self):
+        # The (200, d, d) stack alone would be 819 kB at d = 16.
+        model = MgfModel(mode="empirical", n_samples=2000, seed=39)
+        src = BoundedRankOne(dim=16, bound=1.0)
+        thetas = np.geomspace(1e-3, 1e3, 200).tolist()
+        model.trace_many(src, [1.0])  # draws the snapshot
+        tracemalloc.start()
+        try:
+            model.trace_many(src, thetas)
+            _current, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < ensembles._KERNEL_BYTES
+
+    @pytest.mark.parametrize("name", ["bernoulli_diagonal", "scaled_fixed_gamma"])
+    def test_analytic_is_the_trace_of_evaluate_many(self, name):
+        src = TRACE_FACTORIES[name](4)
+        got = ANALYTIC_MGF.trace_many(src, TRACE_THETAS)
+        ref = np.trace(ANALYTIC_MGF.evaluate_many(src, TRACE_THETAS), axis1=1, axis2=2).real
+        np.testing.assert_array_equal(got, ref)
+
+    def test_analytic_needs_a_closed_form(self):
+        with pytest.raises(MgfUnavailableError, match="wishart"):
+            ANALYTIC_MGF.trace_many(Wishart(dim=2, dof=2), [1.0])
+
+    @pytest.mark.parametrize("theta", [math.nan, 0.0, math.inf])
+    @pytest.mark.parametrize("mode", ["analytic", "empirical"])
+    def test_rejects_theta_not_positive_and_finite(self, mode, theta):
+        src = bernoulli_diagonal(dim=1, p=0.5, scale=1.0)
+        with pytest.raises(ValueError, match="theta must be positive"):
+            MgfModel(mode=mode, n_samples=10).trace_many(src, [1.0, theta])
 
 
 class TestMgfModel:

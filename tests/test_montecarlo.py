@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from scipy.special import betaincinv
 
-from smalldev import cli, montecarlo
+from smalldev import cli, ensembles, montecarlo
 from smalldev.bounds import BoundResult, chernoff_sum_bound, master_bound
 from smalldev.ensembles import (
     BoundedRankOne,
@@ -275,7 +275,7 @@ _eigvalsh = np.linalg.eigvalsh
 
 
 def eigvalsh_only_hits(model, stream, size, eps):
-    lam = _eigvalsh(sample_sum_batch(model, stream, size))[:, -1]
+    lam = _eigvalsh(sample_sum_batch(model, stream, size).matrices())[:, -1]
     return (lam[:, None] <= eps[None, :]).sum(axis=0)
 
 
@@ -319,10 +319,21 @@ def source_kind_case(name):
             Wishart(dim=3, dof=4),
         )
         eps_max = 3.0
+    elif name == "distinct-kinds-with-diagonals":
+        # No wishart: every position is screened before it is built.
+        sources = (
+            ScaledFixed(_DENSE, Gamma(1.0, 1.0)),
+            BoundedRankOne(dim=3, bound=1.0),
+            bernoulli_diagonal(dim=3, p=0.5, scale=1.0),
+        )
+        eps_max = 2.5
     else:
         src, eps_max = SOURCE_KINDS[name]
         sources = (src,) * 3
     return SumModel(sources=sources), np.linspace(eps_max / 4.0, eps_max, 5)
+
+
+DISTINCT_KINDS = ["distinct-kinds", "distinct-kinds-with-diagonals"]
 
 
 def bundled_case(name):
@@ -335,7 +346,7 @@ class TestDiagonalScreen:
     largest eps as a miss without the eigensolver; its hits must equal
     the eigvalsh-only count exactly."""
 
-    @pytest.mark.parametrize("name", [*SOURCE_KINDS, "distinct-kinds"])
+    @pytest.mark.parametrize("name", [*SOURCE_KINDS, *DISTINCT_KINDS])
     def test_mixed_chunk_equals_eigvalsh_reference(self, name, solver_draws):
         model, eps = source_kind_case(name)
         for seed in range(3):
@@ -346,9 +357,24 @@ class TestDiagonalScreen:
             assert len(solver_draws) == 1
             assert 0 < len(solver_draws[0]) < 4096
 
+    @pytest.mark.parametrize("name", [*SOURCE_KINDS, *DISTINCT_KINDS])
+    def test_settled_chunk_equals_eigvalsh_reference(self, name, solver_draws):
+        # eps_max below the largest diagonal entry of every draw but a zero
+        # sum (three Bernoulli zeros), which is a hit at every eps: only
+        # zero sums go to eigvalsh, and none at all for the other kinds.
+        model, eps = source_kind_case(name)
+        eps = eps * 1e-9
+        for seed in range(3):
+            solver_draws.clear()
+            hits = _chunk_hits(model, RngStream(seed), 4096, eps)
+            assert hits.tolist() == eigvalsh_only_hits(model, RngStream(seed), 4096, eps).tolist()
+            zero_sums = hits[0] if name == "bernoulli-diagonal" else 0
+            assert hits.tolist() == [zero_sums] * len(eps)
+            assert [len(a) for a in solver_draws] == [zero_sums]
+
     @pytest.mark.parametrize("threads", [1, 4])
     @pytest.mark.parametrize(
-        "name", [*SOURCE_KINDS, "distinct-kinds", *cli.demo_config_names()]
+        "name", [*SOURCE_KINDS, *DISTINCT_KINDS, *cli.demo_config_names()]
     )
     def test_estimate_equals_eigvalsh_reference(self, name, threads, monkeypatch):
         if name in cli.demo_config_names():
@@ -383,20 +409,33 @@ class TestDiagonalScreen:
         assert hits.tolist() == eigvalsh_only_hits(model, RngStream(0), 64, eps).tolist()
         assert sum(len(a) for a in solver_draws) == (0 if settled else 64)
 
-    def test_all_open_chunk_goes_to_eigvalsh_without_a_copy(self, monkeypatch, solver_draws):
-        drawn = []
+    @pytest.mark.parametrize(
+        "source, eps_max",
+        [
+            # lambda_max <= 1 = eps_max: no draw can be settled.
+            (ScaledFixed(HermitianMatrix.identity(2), Uniform(high=1.0)), 1.0),
+            # Built whole, as a wishart sum is; far above every draw.
+            (Wishart(dim=2, dof=3), 1.0e6),
+        ],
+        ids=["built-on-request", "built-whole"],
+    )
+    def test_all_open_chunk_goes_to_eigvalsh_without_a_copy(
+        self, source, eps_max, monkeypatch, solver_draws
+    ):
+        built = []
+        matrices = ensembles.SumDraws.matrices
 
-        def recording(*args):
-            drawn.append(sample_sum_batch(*args))
-            return drawn[-1]
+        def recording(self):
+            built.append(matrices(self))
+            return built[-1]
 
-        monkeypatch.setattr(montecarlo, "sample_sum_batch", recording)
-        # lambda_max <= 1 = eps_max: no draw can be settled.
-        model = SumModel(sources=(ScaledFixed(HermitianMatrix.identity(2), Uniform(high=1.0)),))
+        monkeypatch.setattr(ensembles.SumDraws, "matrices", recording)
+        model = SumModel(sources=(source,))
         solver_draws.clear()  # the psd check of the source's matrix
-        _chunk_hits(model, RngStream(0), 100, np.array([0.5, 1.0]))
-        assert len(drawn) == len(solver_draws) == 1
-        assert solver_draws[0] is drawn[0]
+        _chunk_hits(model, RngStream(0), 100, np.array([0.5, eps_max]))
+        assert len(built) == len(solver_draws) == 1
+        assert len(built[0]) == 100
+        assert solver_draws[0] is built[0]
 
     def test_overflowed_sum_scores_as_a_miss(self):
         # Two 1e308 draws sum to inf: such a draw is a miss at every eps.
