@@ -480,12 +480,12 @@ class SumDraws:
     are nonnegative, so a running sum above limit stays above it and its
     draw is dropped at once.  Otherwise (a wishart source, whose diagonal
     costs the Gram product that builds its matrix) the constructor builds
-    the whole sum by model.sample_batch, and both read it."""
+    the whole sum by model.sample_batch, and screen keeps its open rows."""
 
     def __init__(self, model: SumModel, stream: RngStream, size: int) -> None:
         self.shape = (size, model.dim, model.dim)
         self._sources, self._stream = model.sources, stream
-        self._open = self._draws = self.diagonal = None
+        self._draws = self.diagonal = None
         lazy = all(getattr(src, "diagonal", None) is not None for src in model.sources)
         self._sum = None if lazy else model.sample_batch(stream, size)
 
@@ -495,10 +495,12 @@ class SumDraws:
         np.diagonal(matrices()).real.  A sum past the float range has an
         inf diagonal, without a numpy warning.  Call it once, first."""
         if self._sum is not None:
-            diag = np.diagonal(self._sum, axis1=1, axis2=2).real
-            self._open = np.flatnonzero(~(diag.max(axis=1) > limit))
-            self.diagonal = diag[self._open]
-            return self._open
+            top = np.diagonal(self._sum, axis1=1, axis2=2).real.max(axis=1)
+            keep = np.flatnonzero(~(top > limit))
+            if len(keep) < self.shape[0]:  # the whole sum is not kept
+                self._sum = self._sum[keep]
+            self.diagonal = np.diagonal(self._sum, axis1=1, axis2=2).real
+            return keep
         size = self.shape[0]
         keep, diag, self._draws = np.arange(size), None, []
         for k, src in enumerate(self._sources):
@@ -511,16 +513,14 @@ class SumDraws:
             if not still.all():
                 keep, diag = keep[still], diag[still]
                 self._draws = [tuple(a[still] for a in drawn) for drawn in self._draws]
-        self._open, self.diagonal = keep, diag
+        self.diagonal = diag
         return keep
 
     def matrices(self) -> np.ndarray:
         """The (n_open, d, d) sums of the open draws, in order.  The whole
         sum, when every draw is open, comes back as it is, not copied."""
         if self._sum is not None:
-            if self._open is None or len(self._open) == self.shape[0]:
-                return self._sum
-            return self._sum[self._open]
+            return self._sum
         if self._draws is None:
             self.screen(math.inf)
         out = None
