@@ -478,7 +478,8 @@ class SumDraws:
     numbers in order, adds the position's diagonals to a running sum, and
     keeps the random numbers of the draws still open.  The diagonal terms
     are nonnegative, so a running sum above limit stays above it and its
-    draw is dropped at once.  Otherwise (a wishart source, whose diagonal
+    draw is dropped at once.  Once no draw is open, the later positions
+    are not drawn: nothing else reads their substreams.  Otherwise (a wishart source, whose diagonal
     costs the Gram product that builds its matrix) the constructor builds
     the whole sum by model.sample_batch, and screen keeps its open rows."""
 
@@ -513,6 +514,8 @@ class SumDraws:
             if not still.all():
                 keep, diag = keep[still], diag[still]
                 self._draws = [tuple(a[still] for a in drawn) for drawn in self._draws]
+            if not len(keep):
+                break  # nothing reads the later positions' substreams
         self.diagonal = diag
         return keep
 

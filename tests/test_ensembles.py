@@ -534,6 +534,21 @@ class TestSumDraws:
         draws.matrices()
         assert built == [len(keep)] * model.size
 
+    def test_no_position_is_drawn_once_every_draw_is_settled(self, monkeypatch):
+        drawn = []
+        draw = BoundedRankOne.draw
+
+        def recording(self, stream, size):
+            drawn.append(stream.path)
+            return draw(self, stream, size)
+
+        monkeypatch.setattr(BoundedRankOne, "draw", recording)
+        model = SCREEN_SUMS["bounded-rank-one"]
+        draws = sample_sum_batch(model, RngStream(29), 4096)
+        assert len(draws.screen(-1.0)) == 0
+        assert drawn == [(0,)]  # position 0 settles every draw
+        assert draws.matrices().shape == (0, model.dim, model.dim)
+
     def test_screened_chunk_holds_less_than_the_whole_sum(self):
         # The bundled bounded_rank_one chunk, every draw settled: building
         # its sum peaked at 2.7 MB, the screen at 1.4 MB.
