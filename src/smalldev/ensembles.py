@@ -498,7 +498,7 @@ class SumDraws:
         if self._sum is not None:
             top = np.diagonal(self._sum, axis1=1, axis2=2).real.max(axis=1)
             keep = np.flatnonzero(~(top > limit))
-            if len(keep) < self.shape[0]:  # the whole sum is not kept
+            if len(keep) < self.shape[0]:  # hold the open rows alone
                 self._sum = self._sum[keep]
             self.diagonal = np.diagonal(self._sum, axis1=1, axis2=2).real
             return keep
