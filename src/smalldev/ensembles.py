@@ -75,21 +75,26 @@ def _complex_normal(gen: np.random.Generator, shape) -> np.ndarray:
 
 # Work space of one block of draws, in bytes: _build builds the matrices of
 # a batch in blocks whose (rows, d, d) complex array stays within half of
-# it, and _Snapshot.evaluate_many keeps each of its two block arrays within
-# half of it, whatever n, d or the number of thetas.  Measured on 2 cores
-# at d = 4 and 16: smaller snapshot blocks cost more per call at d = 16,
-# and at 1 MiB the 200-theta call at d = 4 ran up to 20x slower with 2 BLAS
-# threads than with 1.
+# it (a wishart block's Gaussian factor and Gram matrices within all of
+# it), and _Snapshot.evaluate_many keeps each of its two block arrays
+# within half of it, whatever n, d or the number of thetas.  Measured on 2
+# cores at d = 4 and 16: smaller snapshot blocks cost more per call at
+# d = 16, and at 1 MiB the 200-theta call at d = 4 ran up to 20x slower
+# with 2 BLAS threads than with 1.
 _KERNEL_BYTES = 512 * 1024
 
 
-def _build(size: int, dim: int, block, out: np.ndarray | None) -> np.ndarray:
+def _build(
+    size: int, dim: int, block, out: np.ndarray | None, draw_bytes: int | None = None
+) -> np.ndarray:
     """The (size, dim, dim) complex draws of one source, built one block of
     draws at a time: block(s) returns the matrices of the draws in slice s.
-    Written to a fresh array when out is None, else added into out[s];
-    returns the array written.  A draw or a sum past the float range is
-    inf, without a numpy warning, and a miss at every eps."""
-    rows = max(1, _KERNEL_BYTES // (32 * dim * dim))
+    A block has as many draws as fit _KERNEL_BYTES at draw_bytes each,
+    twice their matrices' 16 dim^2 bytes by default.  Written to a fresh
+    array when out is None, else added into out[s]; returns the array
+    written.  A draw or a sum past the float range is inf, without a numpy
+    warning, and a miss at every eps."""
+    rows = max(1, _KERNEL_BYTES // (draw_bytes or 32 * dim * dim))
     fresh = out is None
     if fresh:
         out = np.empty((size, dim, dim), dtype=np.complex128)
@@ -386,6 +391,26 @@ class Wishart(_Drawn):
     def draw(self, stream: RngStream, size: int) -> tuple:
         return (_complex_normal(stream.generator, (size, self.dof, self.dim)),)
 
+    def sample_batch(self, stream: RngStream, size: int, out=None) -> np.ndarray:
+        """build(draw(stream, size), out), bit for bit, without the whole
+        complex factor: the real parts of the batch come first in the
+        stream, so they are drawn whole, and each block's imaginary parts
+        are drawn just before its Gram matrices are built.  A block holds
+        its factor and its Gram matrices, 16 (dof d + d^2) bytes a draw,
+        within _KERNEL_BYTES."""
+        gen = stream.generator
+        re = gen.standard_normal((size, self.dof, self.dim))
+        re *= np.sqrt(0.5)
+
+        def block(s):
+            g = np.empty(re[s].shape, dtype=np.complex128)
+            g.real = re[s]
+            np.multiply(gen.standard_normal(g.shape), np.sqrt(0.5), out=g.imag)
+            return self.matrices((g,))
+
+        draw_bytes = 16 * (self.dof * self.dim + self.dim * self.dim)
+        return _build(size, self.dim, block, out, draw_bytes)
+
     def matrices(self, draws: tuple) -> np.ndarray:
         (g,) = draws
         gram = g.transpose(0, 2, 1) @ g.conj()
@@ -498,8 +523,15 @@ class SumDraws:
         if self._sum is not None:
             top = np.diagonal(self._sum, axis1=1, axis2=2).real.max(axis=1)
             keep = np.flatnonzero(~(top > limit))
-            if len(keep) < self.shape[0]:  # hold the open rows alone
-                self._sum = self._sum[keep]
+            if len(keep) < self.shape[0]:
+                # Move the open rows to the front, one block at a time and
+                # with no copy of the sum: keep is ascending, so keep[j] >= j
+                # and no block overwrites a row that a later block reads.
+                rows = max(1, _KERNEL_BYTES // (32 * self.shape[1] ** 2))
+                for i in range(0, len(keep), rows):
+                    rows_in = keep[i : i + rows]
+                    self._sum[i : i + len(rows_in)] = self._sum[rows_in]
+                self._sum = self._sum[: len(keep)]
             self.diagonal = np.diagonal(self._sum, axis1=1, axis2=2).real
             return keep
         size = self.shape[0]

@@ -418,6 +418,81 @@ class TestInPlaceBuild:
         np.testing.assert_array_equal(diag[~over], (xs[~over] * 1.0e308)[:, None] * [1.0, 1.0])
 
 
+class TestStreamedWishart:
+    """Wishart.sample_batch draws the real parts of its batch first and
+    each block's imaginary parts just before it builds that block's Gram
+    matrices: the bits of build(draw(...)), with a block budgeted by its
+    Gaussian factor and Gram matrices, 16 (dof d + d^2) bytes a draw."""
+
+    @pytest.mark.parametrize("into", [False, True], ids=["fresh", "out"])
+    @pytest.mark.parametrize("dof", [1, 5, 8])
+    def test_small_blocks_have_the_bits_of_draw_then_build(self, dof, into, monkeypatch):
+        src = Wishart(dim=_D, dof=dof)
+        want = src.build(src.draw(RngStream(40), 103))
+        assert_same_bits(want, reference_batch(src, RngStream(40), 103))
+        base = reference_batch(BIT_SOURCES["wishart-dof5"], RngStream(41), 103)
+        # Five draws per block: many blocks and a ragged last one.
+        monkeypatch.setattr(ensembles, "_KERNEL_BYTES", 16 * (dof * _D + _D * _D) * 5)
+        if into:
+            out = base.copy()
+            assert src.sample_batch(RngStream(40), 103, out=out) is out
+            assert_same_bits(out, base + want)
+        else:
+            assert_same_bits(src.sample_batch(RngStream(40), 103), want)
+
+    @pytest.mark.parametrize("dim, dof", [(8, 8), (2, 512)])
+    def test_blocks_are_budgeted_by_factor_and_gram(self, dim, dof, monkeypatch):
+        sizes = []
+        build = ensembles._build
+
+        def recording(size, dim_, block, out, draw_bytes=None):
+            def sized(s):
+                sizes.append(len(range(size)[s]))
+                return block(s)
+
+            return build(size, dim_, sized, out, draw_bytes)
+
+        monkeypatch.setattr(ensembles, "_build", recording)
+        Wishart(dim=dim, dof=dof).sample_batch(RngStream(42), 1000)
+        rows = ensembles._KERNEL_BYTES // (16 * (dof * dim + dim * dim))
+        assert sizes == [rows] * (1000 // rows) + [1000 % rows] * (1000 % rows > 0)
+
+    @pytest.mark.parametrize("dim, dof, size", [(8, 8, 4096), (2, 512, 256)])
+    def test_peak_holds_the_real_parts_and_one_block(self, dim, dof, size):
+        # Beyond the matrices and the real parts of the batch, the whole
+        # complex factor and its imaginary parts took 5 (d = 8) and 12
+        # (dof = 512) times _KERNEL_BYTES; one block, its conjugate and its
+        # Gram matrices take 1.5 and 1.9.
+        src = Wishart(dim=dim, dof=dof)
+        src.sample_batch(RngStream(0), 4)  # first-call set-up
+        tracemalloc.start()
+        try:
+            src.sample_batch(RngStream(0), size)
+            _current, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        held = 16 * size * dim * dim + 8 * size * dof * dim
+        assert peak < held + 3 * ensembles._KERNEL_BYTES
+
+    @pytest.mark.parametrize("name", ["wishart", "wishart-sum"])
+    def test_empirical_mgf_keeps_the_reference_bits(self, name):
+        # The bundled wishart_empirical_mgf source and snapshot size: two
+        # blocks of draws per position.
+        src = Wishart(dim=2, dof=4)
+        if name == "wishart-sum":
+            src = SumModel(sources=(src, src))
+        stream = RngStream(43).child(ensembles._MGF_PURPOSE).child(0)
+        snap = _Snapshot(reference_batch(src, stream, 4000))
+        model = MgfModel(mode="empirical", n_samples=4000, seed=43)
+        got = model.trace_many(src, TRACE_THETAS)
+        np.testing.assert_array_equal(
+            got.view(np.uint64), snap.trace_many(TRACE_THETAS).view(np.uint64)
+        )
+        assert_same_bits(
+            model.evaluate_many(src, TRACE_THETAS), snap.evaluate_many(TRACE_THETAS)
+        )
+
+
 # The sources whose diagonal the screen reads without building a matrix.
 DIAGONAL_SOURCES = {
     "bounded-rank-one": BIT_SOURCES["bounded-rank-one"],
@@ -515,6 +590,32 @@ class TestSumDraws:
             sums = draws.matrices()
             assert sums.shape == (len(keep), model.dim, model.dim)
             assert_same_bits(sums, full[keep])
+
+    @pytest.mark.parametrize("quantile", [0.1, 0.5, 0.9])
+    def test_open_rows_move_to_the_front_of_the_sum_in_blocks(self, quantile, monkeypatch):
+        # Five rows per block: many blocks and a ragged last one.
+        model = SCREEN_SUMS["sum-of-kinds"]
+        monkeypatch.setattr(ensembles, "_KERNEL_BYTES", 32 * _D * _D * 5)
+        full, diag = self.whole(model, 30, 1000)
+        limit = float(np.quantile(diag.max(axis=1), quantile))
+        draws = sample_sum_batch(model, RngStream(30), 1000)
+        keep = draws.screen(limit)
+        assert 0 < len(keep) < 1000
+        assert_same_bits(draws.matrices(), full[keep])
+
+    def test_screen_of_a_sum_built_whole_copies_no_sum(self):
+        # The wishart-mc chunk with 11 of its 4096 draws settled: copying
+        # the open rows took one more sum, 4 MB.
+        model = SumModel(sources=(Wishart(dim=8, dof=8),) * 4)
+        draws = sample_sum_batch(model, RngStream(0), 4096)
+        tracemalloc.start()
+        try:
+            keep = draws.screen(7.0)
+            _current, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert 0 < 4096 - len(keep) < 100
+        assert peak < ensembles._KERNEL_BYTES
 
     @pytest.mark.parametrize("name", ["bounded-rank-one", "sum-without-wishart"])
     def test_a_settled_draw_is_never_built(self, name, monkeypatch):
