@@ -7,9 +7,12 @@ caller-owned RngStream nodes.  Every source draws matrices that are psd
 numbers of a batch from the stream, in one fixed order, and build(draws,
 out=None) makes their (size, d, d) matrices one block of draws at a time
 (_build), either into a fresh array or added into `out`.
-sample_batch(stream, size, out=None) is the two in a row.  A sum adds each
-position's draws into one running sum, so it never holds a full-size array
-per position.
+sample_batch(stream, size, out=None) is the two in a row, with the same
+bits.  A wishart's sample_batch streams its Gaussians: it draws the real
+parts of the batch whole, as the stream order requires, and each block's
+imaginary parts just before it builds that block, so it holds half of its
+complex factor and one block.  A sum adds each position's draws into one running sum, so
+it never holds a full-size array per position.
 
 For Monte Carlo, sample_sum_batch returns a SumDraws, which builds only
 the draws that a screen on the diagonal of the sum leaves open.
@@ -17,7 +20,8 @@ bounded_rank_one and scaled_fixed give the diagonal of their draws without
 building a matrix, so a sum of them is drawn position by position, its
 diagonals added up as it goes, and only the random numbers of the draws
 still open are kept.  A wishart diagonal costs the Gram product that
-builds its matrix, so a sum with a wishart source is built whole first.
+builds its matrix, so a sum with a wishart source is built whole first,
+and the screen moves its open rows to its front in place.
 
 The matrix mgf here is the decreasing-direction one, E exp(-theta X) for
 theta > 0, whose eigenvalues lie in (0, 1] for psd X.
@@ -506,7 +510,8 @@ class SumDraws:
     draw is dropped at once.  Once no draw is open, the later positions
     are not drawn: nothing else reads their substreams.  Otherwise (a wishart source, whose diagonal
     costs the Gram product that builds its matrix) the constructor builds
-    the whole sum by model.sample_batch, and screen keeps its open rows."""
+    the whole sum by model.sample_batch, and screen moves its open rows to
+    its front, one block at a time, without a second copy of the sum."""
 
     def __init__(self, model: SumModel, stream: RngStream, size: int) -> None:
         self.shape = (size, model.dim, model.dim)

@@ -14,7 +14,10 @@ The draws it leaves open go to the batched np.linalg.eigvalsh.  The margin
 is far above the eigensolver's backward error (see _chunk_hits), so the
 hits equal those of scoring every draw by eigvalsh.  The screen reads the
 diagonal before any matrix is built where the sources allow it
-(ensembles.SumDraws), so a settled draw of such a sum is never built.
+(ensembles.SumDraws), so a settled draw of such a sum is never built.  A
+sum with a wishart source is built whole: a chunk then holds the sum, the
+real parts of one position's Gaussians and one block of draws, and the
+screen moves the open draws to the front of the sum in place.
 
 The Clopper-Pearson limits (Clopper & Pearson 1934) are Beta quantiles with
 integer parameters, computed here without scipy: Newton's method inside a
