@@ -407,8 +407,7 @@ class Wishart(_Drawn):
         re *= np.sqrt(0.5)
 
         def block(s):
-            g = np.empty(re[s].shape, dtype=np.complex128)
-            g.real = re[s]
+            g = re[s].astype(np.complex128)
             np.multiply(gen.standard_normal(g.shape), np.sqrt(0.5), out=g.imag)
             return self.matrices((g,))
 
