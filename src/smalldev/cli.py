@@ -561,13 +561,18 @@ def _prepare(args):
         raise ConfigError("simulation.seed must be non-negative")
     # A bad SMALLDEV_THREADS or report path exits 2 before any bound runs.
     mc.worker_count()
-    paths = [path for path in cfg["output"].values() if path is not None]
-    for path in paths:
+    named = {f"output.{key}": path for key, path in cfg["output"].items() if path is not None}
+    for path in named.values():
         if Path(path).is_dir() or not Path(path).parent.is_dir():
             raise ConfigError(f"cannot write {path!r}: not a file in an existing directory")
-    # realpath, unlike Path.resolve, does not raise on a symlink loop.
-    if len({os.path.realpath(path) for path in paths}) < len(paths):
-        raise ConfigError(f"output.csv and output.json name one file: {paths[0]!r}, {paths[1]!r}")
+    # A report written over the config or the other report would destroy
+    # it.  realpath, unlike Path.resolve, does not raise on a symlink loop.
+    named = {"config": args.config, **named}
+    first = {}
+    for key, path in named.items():
+        other = first.setdefault(os.path.realpath(path), key)
+        if other != key:
+            raise ConfigError(f"{other} and {key} name one file: {named[other]!r}, {path!r}")
     try:
         opt_cfg = OptimizerConfig(**cfg["optimizer"])
     except ValueError as exc:

@@ -14,14 +14,18 @@ imaginary parts just before it builds that block, so it holds half of its
 complex factor and one block.  A sum adds each position's draws into one running sum, so
 it never holds a full-size array per position.
 
-For Monte Carlo, sample_sum_batch returns a SumDraws, which builds only
-the draws that a screen on the diagonal of the sum leaves open.
-bounded_rank_one and scaled_fixed give the diagonal of their draws without
-building a matrix, so a sum of them is drawn position by position, its
-diagonals added up as it goes, and only the random numbers of the draws
-still open are kept.  A wishart diagonal costs the Gram product that
-builds its matrix, so a sum with a wishart source is built whole first,
-and the screen moves its open rows to its front in place.
+For Monte Carlo, sample_sum_batch draws a chunk, screens it on the
+diagonal of the sum and builds the sums of the draws the screen leaves
+open, all in one call.  bounded_rank_one and scaled_fixed give the
+diagonal of their draws without building a matrix, so a sum of them is
+drawn position by position, its diagonals added up as it goes, and only
+the random numbers of the draws still open are kept.  A wishart diagonal
+is cheap too, (1/dof) sum_j |g_ji|^2, but screening first keeps every
+position's random numbers until the last position is screened: for
+wishart that is the complex factor, 16 dof d bytes a draw, as large as
+the matrix at dof = d, so about K sums in all.  So a sum with a wishart
+source is built whole first, which holds about 1.7 sums, and the screen
+moves its open rows to its front in place.
 
 The matrix mgf here is the decreasing-direction one, E exp(-theta X) for
 theta > 0, whose eigenvalues lie in (0, 1] for psd X.
@@ -390,7 +394,9 @@ class Wishart(_Drawn):
     def uniform_bound(self) -> float | None:
         return None
 
-    # No diagonal: it costs the Gram product that builds the matrix.
+    # No diagonal: it would be cheap, (1/dof) sum_j |g_ji|^2, but screening
+    # a sum on it first would keep each position's complex factor, 16 dof d
+    # bytes a draw, until the last position is screened (sample_sum_batch).
 
     def draw(self, stream: RngStream, size: int) -> tuple:
         return (_complex_normal(stream.generator, (size, self.dof, self.dim)),)
@@ -491,87 +497,62 @@ def distinct_sources(sources) -> tuple[list, list[int]]:
 # ---------------------------------------------------------------------------
 
 
+@dataclass(frozen=True)
 class SumDraws:
-    """size draws of a sum, built only as far as they are read: what
-    sample_sum_batch returns.
+    """What sample_sum_batch returns: shape, the (size, d, d) shape of the
+    batch drawn, and sums, the (n_open, d, d) sums of its open draws."""
 
-    screen(limit) finds the draws whose sum has no real diagonal entry
-    above limit: the open draws, since a diagonal entry is a Rayleigh
-    quotient and so at most lambda_max.  matrices() then builds the sums
-    of the open draws alone (every draw's without a screen), each with the
-    bits it has in model.sample_batch.
-
-    When every source has a diagonal, nothing is built or drawn before
-    screen: it draws position k from substream k, all of its random
-    numbers in order, adds the position's diagonals to a running sum, and
-    keeps the random numbers of the draws still open.  The diagonal terms
-    are nonnegative, so a running sum above limit stays above it and its
-    draw is dropped at once.  Once no draw is open, the later positions
-    are not drawn: nothing else reads their substreams.  Otherwise (a wishart source, whose diagonal
-    costs the Gram product that builds its matrix) the constructor builds
-    the whole sum by model.sample_batch, and screen moves its open rows to
-    its front, one block at a time, without a second copy of the sum."""
-
-    def __init__(self, model: SumModel, stream: RngStream, size: int) -> None:
-        self.shape = (size, model.dim, model.dim)
-        self._sources, self._stream = model.sources, stream
-        self._draws = self.diagonal = None
-        lazy = all(getattr(src, "diagonal", None) is not None for src in model.sources)
-        self._sum = None if lazy else model.sample_batch(stream, size)
-
-    def screen(self, limit: float) -> np.ndarray:
-        """The ascending indices of the open draws; self.diagonal is then
-        their (n_open, d) real diagonals, the bits of
-        np.diagonal(matrices()).real.  A sum past the float range has an
-        inf diagonal, without a numpy warning.  Call it once, first."""
-        if self._sum is not None:
-            top = np.diagonal(self._sum, axis1=1, axis2=2).real.max(axis=1)
-            keep = np.flatnonzero(~(top > limit))
-            if len(keep) < self.shape[0]:
-                # Move the open rows to the front, one block at a time and
-                # with no copy of the sum: keep is ascending, so keep[j] >= j
-                # and no block overwrites a row that a later block reads.
-                rows = max(1, _KERNEL_BYTES // (32 * self.shape[1] ** 2))
-                for i in range(0, len(keep), rows):
-                    rows_in = keep[i : i + rows]
-                    self._sum[i : i + len(rows_in)] = self._sum[rows_in]
-                self._sum = self._sum[: len(keep)]
-            self.diagonal = np.diagonal(self._sum, axis1=1, axis2=2).real
-            return keep
-        size = self.shape[0]
-        keep, diag, self._draws = np.arange(size), None, []
-        for k, src in enumerate(self._sources):
-            draws = src.draw(self._stream.child(k), size)
-            self._draws.append(draws if len(keep) == size else tuple(a[keep] for a in draws))
-            with np.errstate(over="ignore"):
-                term = src.diagonal(self._draws[-1])
-                diag = term if diag is None else diag + term
-            still = ~(diag.max(axis=1) > limit)
-            if not still.all():
-                keep, diag = keep[still], diag[still]
-                self._draws = [tuple(a[still] for a in drawn) for drawn in self._draws]
-            if not len(keep):
-                break  # nothing reads the later positions' substreams
-        self.diagonal = diag
-        return keep
-
-    def matrices(self) -> np.ndarray:
-        """The (n_open, d, d) sums of the open draws, in order.  The whole
-        sum, when every draw is open, comes back as it is, not copied."""
-        if self._sum is not None:
-            return self._sum
-        if self._draws is None:
-            self.screen(math.inf)
-        out = None
-        for src, draws in zip(self._sources, self._draws):
-            out = src.build(draws, out)
-        return out
+    shape: tuple
+    sums: np.ndarray
 
 
-def sample_sum_batch(model: SumModel, stream: RngStream, size: int) -> SumDraws:
-    """size draws of the sum, not yet built; source k draws from substream
-    k."""
-    return SumDraws(model, stream, size)
+def sample_sum_batch(model: SumModel, stream: RngStream, size: int, limit: float) -> SumDraws:
+    """size draws of the sum, position k from substream k, screened at
+    limit: the open draws are those whose sum has no real diagonal entry
+    above limit, since a diagonal entry is a Rayleigh quotient and so at
+    most lambda_max.  Only the sums of the open draws are built, in order,
+    each with the bits it has in model.sample_batch; when every draw is
+    open, sums is the built sum itself, not a copy.  A sum past the float
+    range has an inf diagonal, without a numpy warning.
+
+    When every source has a diagonal, the sum is screened before it is
+    built: position k draws all of its random numbers in order, adds its
+    diagonals to a running sum, and keeps the random numbers of the draws
+    still open.  The diagonal terms are nonnegative, so a running sum above
+    limit stays above it and its draw is dropped at once.  Once no draw is
+    open, the later positions are not drawn: nothing else reads their
+    substreams.  Otherwise (a wishart source) the whole sum is built by
+    model.sample_batch, and its open rows are moved to its front, one block
+    at a time, without a second copy of the sum."""
+    shape = (size, model.dim, model.dim)
+    if not all(getattr(src, "diagonal", None) is not None for src in model.sources):
+        sums = model.sample_batch(stream, size)
+        keep = np.flatnonzero(~(np.diagonal(sums, axis1=1, axis2=2).real.max(axis=1) > limit))
+        if len(keep) < size:
+            # keep is ascending, so keep[j] >= j and no block overwrites a
+            # row that a later block reads.
+            rows = max(1, _KERNEL_BYTES // (32 * model.dim**2))
+            for i in range(0, len(keep), rows):
+                rows_in = keep[i : i + rows]
+                sums[i : i + len(rows_in)] = sums[rows_in]
+            sums = sums[: len(keep)]
+        return SumDraws(shape, sums)
+    keep, diag, kept = np.arange(size), 0.0, []
+    for k, src in enumerate(model.sources):
+        draws = src.draw(stream.child(k), size)
+        kept.append(draws if len(keep) == size else tuple(a[keep] for a in draws))
+        with np.errstate(over="ignore"):
+            diag = diag + src.diagonal(kept[-1])
+        still = ~(diag.max(axis=1) > limit)
+        if not still.all():
+            keep, diag = keep[still], diag[still]
+            kept = [tuple(a[still] for a in drawn) for drawn in kept]
+        if not len(keep):
+            break  # nothing reads the later positions' substreams
+    sums = None
+    for src, draws in zip(model.sources, kept):
+        sums = src.build(draws, sums)
+    return SumDraws(shape, sums)
 
 
 # ---------------------------------------------------------------------------
@@ -713,7 +694,9 @@ class MgfModel:
         the retained snapshots, one per distinct source, keeps a complex
         (n*d, d) eigenvector array of 16 n d^2 bytes, and the draw in
         progress also holds its (n, d, d) complex draws and their
-        eigenvectors, another 32 n d^2 bytes."""
+        eigenvectors, another 32 n d^2 bytes.  A wishart draw, alone or at
+        a position of a sum, also holds the real parts of its Gaussians
+        whole while it runs, 8 n dof d bytes; the largest of these counts."""
         unique, index = distinct_sources(sources)
         if self.mode == "analytic":
             for j, src in enumerate(unique):
@@ -728,7 +711,9 @@ class MgfModel:
         except (AttributeError, ValueError, OSError):  # not a POSIX system
             return
         dim = sources[0].dim
-        need = 16 * self.n_samples * dim * dim * (len(unique) + 2)
+        parts = [s for src in unique for s in getattr(src, "sources", (src,))]
+        dof = max((s.dof for s in parts if isinstance(s, Wishart)), default=0)
+        need = 16 * self.n_samples * dim * dim * (len(unique) + 2) + 8 * self.n_samples * dof * dim
         if need > have:
             raise MgfUnavailableError(
                 f"mgf.n_samples = {self.n_samples} at dim {dim} needs about "

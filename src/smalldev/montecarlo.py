@@ -12,12 +12,14 @@ lambda_max(S) >= Re S_ii, a draw whose largest diagonal entry exceeds the
 largest eps by the relative margin _SCREEN_MARGIN is a miss at every eps.
 The draws it leaves open go to the batched np.linalg.eigvalsh.  The margin
 is far above the eigensolver's backward error (see _chunk_hits), so the
-hits equal those of scoring every draw by eigvalsh.  The screen reads the
-diagonal before any matrix is built where the sources allow it
-(ensembles.SumDraws), so a settled draw of such a sum is never built.  A
-sum with a wishart source is built whole: a chunk then holds the sum, the
-real parts of one position's Gaussians and one block of draws, and the
-screen moves the open draws to the front of the sum in place.
+hits equal those of scoring every draw by eigvalsh.  One
+ensembles.sample_sum_batch call per chunk draws it, screens it and builds
+the sums of its open draws.  The screen reads the diagonal before any
+matrix is built where the sources allow it, so a settled draw of such a
+sum is never built.  A sum with a wishart source is built whole: a chunk
+then holds the sum, the real parts of one position's Gaussians and one
+block of draws, and the screen moves the open draws to the front of the
+sum in place.
 
 The Clopper-Pearson limits (Clopper & Pearson 1934) are Beta quantiles with
 integer parameters, computed here without scipy: Newton's method inside a
@@ -235,7 +237,6 @@ def clopper_pearson(hits: int, n: int, confidence: float) -> tuple[float, float]
 
 
 def _chunk_hits(model: SumModel, stream: RngStream, size: int, eps: np.ndarray) -> np.ndarray:
-    draws = sample_sum_batch(model, stream, size)
     # Screen: eigvalsh reads the Hermitian matrix H whose diagonal is
     # Re S_ii, so lambda_max(H) >= e_i* H e_i = Re S_ii (Rayleigh quotient),
     # and a draw with Re S_ii > eps_max (1 + _SCREEN_MARGIN) is a miss at
@@ -251,8 +252,8 @@ def _chunk_hits(model: SumModel, stream: RngStream, size: int, eps: np.ndarray) 
     # open draws are built; when every draw is open, eigvalsh gets the batch
     # itself, not a copy.  float(): past the float range a Python product is
     # inf, with no numpy overflow warning.
-    draws.screen(float(eps[-1]) * (1.0 + _SCREEN_MARGIN))
-    lam = np.linalg.eigvalsh(draws.matrices())[:, -1]
+    draws = sample_sum_batch(model, stream, size, float(eps[-1]) * (1.0 + _SCREEN_MARGIN))
+    lam = np.linalg.eigvalsh(draws.sums)[:, -1]
     return (lam[:, None] <= eps[None, :]).sum(axis=0)
 
 

@@ -1134,10 +1134,21 @@ def test_unwritable_json_leaves_no_csv(tmp_path, capsys, command):
     assert not csv_path.exists()
 
 
+# The same file, spelled the same way or not: the two reports, or the JSON
+# report and the config, which the report would overwrite.  Per clash: the
+# config's output section, the --csv flag, the --json path, and the name of
+# the first of the two in the error.
+_CLASHES = {
+    "csv-json": ({"csv": "r.out", "json": "./r.out"}, ["--csv", "r.out"], "r.out", "output.csv"),
+    "config-json": ({"json": "./config.yaml"}, [], "config.yaml", "config"),
+}
+
+
+@pytest.mark.parametrize("clash", list(_CLASHES))
 @pytest.mark.parametrize("where", ["flag", "config"])
 @pytest.mark.parametrize("command", ["bound", "simulate", "compare"])
 def test_csv_and_json_naming_one_file_exit_2_before_any_work(
-    tmp_path, capsys, monkeypatch, command, where
+    tmp_path, capsys, monkeypatch, command, where, clash
 ):
     def work(*args, **kwargs):
         raise AssertionError("work ran before the report paths were compared")
@@ -1146,16 +1157,17 @@ def test_csv_and_json_naming_one_file_exit_2_before_any_work(
         monkeypatch.setattr(cli, name, work)
     monkeypatch.setattr(cli.mc, "estimate", work)
     monkeypatch.chdir(tmp_path)
-    # The same file, spelled the same way or not.
-    output = {"csv": "r.out", "json": "./r.out"}
+    output, csv_flag, json_path, first = _CLASHES[clash]
     cfg = dict(FAST_EXP_CONFIG, output=output if where == "config" else {})
     argv = [command, "--config", write_config(tmp_path, cfg), "--samples", "64"]
-    flags = ["--csv", "r.out", "--json", "r.out"] if where == "flag" else []
+    before = (tmp_path / "config.yaml").read_bytes()
+    flags = [*csv_flag, "--json", json_path] if where == "flag" else []
     assert main(argv + flags) == 2
     err = capsys.readouterr().err
-    assert err.startswith("config error: output.csv and output.json name one file: ")
+    assert err.startswith(f"config error: {first} and output.json name one file: ")
     assert err.count("\n") == 1
     assert not (tmp_path / "r.out").exists()
+    assert (tmp_path / "config.yaml").read_bytes() == before
 
 
 def _scaled_fixed(matrix: dict) -> dict:

@@ -266,7 +266,7 @@ class TestSamplingKernels:
     def test_sum_accumulates_each_source_from_its_own_substream(self):
         sources = (Wishart(dim=3, dof=4), BoundedRankOne(dim=3, bound=1.0))
         model = SumModel(sources=sources * 2)
-        got = sample_sum_batch(model, RngStream(13), 50).matrices()
+        got = sample_sum_batch(model, RngStream(13), 50, math.inf).sums
         want = sum(
             src.sample_batch(RngStream(13).child(k), 50)
             for k, src in enumerate(model.sources)
@@ -344,8 +344,8 @@ BIT_SOURCES["sum-of-kinds"] = SumModel(
         BIT_SOURCES["bernoulli-diagonal"],
     )
 )
-# Without a wishart source every position has a diagonal, so its draws are
-# built only when asked for (SumDraws); with one, the sum is built whole.
+# Without a wishart source every position has a diagonal, so sample_sum_batch
+# screens its draws before it builds them; with one, the sum is built whole.
 BIT_SOURCES["sum-without-wishart"] = SumModel(
     sources=(
         BIT_SOURCES["scaled-fixed-exponential"],
@@ -383,7 +383,7 @@ class TestInPlaceBuild:
     @pytest.mark.parametrize("name", _SUMS)
     def test_sum_batch_has_the_reference_bits(self, name, size):
         model = BIT_SOURCES[name]
-        got = sample_sum_batch(model, RngStream(23), size).matrices()
+        got = sample_sum_batch(model, RngStream(23), size, math.inf).sums
         assert_same_bits(got, reference_batch(model, RngStream(23), size))
 
     @pytest.mark.parametrize("name", _SUMS)
@@ -391,7 +391,7 @@ class TestInPlaceBuild:
         # Five draws per block: many blocks and a ragged last one.
         monkeypatch.setattr(ensembles, "_KERNEL_BYTES", 32 * _D * _D * 5)
         model = BIT_SOURCES[name]
-        got = sample_sum_batch(model, RngStream(24), 103).matrices()
+        got = sample_sum_batch(model, RngStream(24), 103, math.inf).sums
         assert_same_bits(got, reference_batch(model, RngStream(24), 103))
 
     @pytest.mark.parametrize("size", _SIZES)
@@ -551,9 +551,10 @@ class TestDrawAndBuild:
 
 
 class TestSumDraws:
-    """sample_sum_batch's SumDraws: the screen keeps exactly the draws whose
+    """sample_sum_batch(model, stream, size, limit) draws, screens and
+    builds in one call: its sums are exactly those of the draws whose
     summed diagonal is not above the limit, with the bits of the whole sum,
-    and builds nothing else."""
+    and nothing else is built."""
 
     @staticmethod
     def whole(model, seed, size):
@@ -564,9 +565,9 @@ class TestSumDraws:
     def test_unscreened_draws_are_the_whole_sum(self, name):
         model = SCREEN_SUMS[name]
         full, _diag = self.whole(model, 27, 1000)
-        draws = sample_sum_batch(model, RngStream(27), 1000)
+        draws = sample_sum_batch(model, RngStream(27), 1000, math.inf)
         assert draws.shape == (1000, model.dim, model.dim)
-        assert_same_bits(draws.matrices(), full)
+        assert_same_bits(draws.sums, full)
 
     @pytest.mark.parametrize("quantile", [None, 0.5, 0.0], ids=["none-settled", "half", "all"])
     @pytest.mark.parametrize("name", list(SCREEN_SUMS))
@@ -581,15 +582,11 @@ class TestSumDraws:
                 math.inf if quantile is None
                 else float(np.quantile(top, quantile)) if quantile else -1.0
             )
-            draws = sample_sum_batch(model, RngStream(seed), 4096)
-            keep = draws.screen(limit)
-            np.testing.assert_array_equal(keep, np.flatnonzero(~(top > limit)))
-            np.testing.assert_array_equal(
-                draws.diagonal.view(np.uint64), diag[keep].copy().view(np.uint64)
-            )
-            sums = draws.matrices()
-            assert sums.shape == (len(keep), model.dim, model.dim)
-            assert_same_bits(sums, full[keep])
+            draws = sample_sum_batch(model, RngStream(seed), 4096, limit)
+            keep = np.flatnonzero(~(top > limit))
+            assert draws.shape == (4096, model.dim, model.dim)
+            assert draws.sums.shape == (len(keep), model.dim, model.dim)
+            assert_same_bits(draws.sums, full[keep])
 
     @pytest.mark.parametrize("quantile", [0.1, 0.5, 0.9])
     def test_open_rows_move_to_the_front_of_the_sum_in_blocks(self, quantile, monkeypatch):
@@ -597,25 +594,37 @@ class TestSumDraws:
         model = SCREEN_SUMS["sum-of-kinds"]
         monkeypatch.setattr(ensembles, "_KERNEL_BYTES", 32 * _D * _D * 5)
         full, diag = self.whole(model, 30, 1000)
-        limit = float(np.quantile(diag.max(axis=1), quantile))
-        draws = sample_sum_batch(model, RngStream(30), 1000)
-        keep = draws.screen(limit)
+        top = diag.max(axis=1)
+        limit = float(np.quantile(top, quantile))
+        keep = np.flatnonzero(~(top > limit))
         assert 0 < len(keep) < 1000
-        assert_same_bits(draws.matrices(), full[keep])
+        assert_same_bits(sample_sum_batch(model, RngStream(30), 1000, limit).sums, full[keep])
 
-    def test_screen_of_a_sum_built_whole_copies_no_sum(self):
-        # The wishart-mc chunk with 11 of its 4096 draws settled: copying
-        # the open rows took one more sum, 4 MB.
+    def test_screen_of_a_sum_built_whole_copies_no_sum(self, monkeypatch):
+        # The wishart-mc chunk with 11 of its 4096 draws settled.  Building
+        # and screening it peaks at 1.69 sums (6.8 MiB of 4 MiB sums);
+        # copying the open rows would take one more sum.
         model = SumModel(sources=(Wishart(dim=8, dof=8),) * 4)
-        draws = sample_sum_batch(model, RngStream(0), 4096)
+        whole = []
+        sample_batch = SumModel.sample_batch
+
+        def recording(self, stream, size, out=None):
+            whole.append(sample_batch(self, stream, size, out))
+            return whole[-1]
+
+        monkeypatch.setattr(SumModel, "sample_batch", recording)
+        sample_sum_batch(model, RngStream(0), 4, 7.0)  # first-call set-up
+        whole.clear()
         tracemalloc.start()
         try:
-            keep = draws.screen(7.0)
+            sums = sample_sum_batch(model, RngStream(0), 4096, 7.0).sums
             _current, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert 0 < 4096 - len(keep) < 100
-        assert peak < ensembles._KERNEL_BYTES
+        assert 0 < 4096 - len(sums) < 100
+        assert len(whole) == 1 and sums.base is whole[0]
+        held = 16 * 4096 * 8 * 8 + 8 * 4096 * 8 * 8
+        assert peak < held + 3 * ensembles._KERNEL_BYTES
 
     @pytest.mark.parametrize("name", ["bounded-rank-one", "sum-without-wishart"])
     def test_a_settled_draw_is_never_built(self, name, monkeypatch):
@@ -628,12 +637,10 @@ class TestSumDraws:
 
         monkeypatch.setattr(ensembles, "_build", recording)
         model = SCREEN_SUMS[name]
-        draws = sample_sum_batch(model, RngStream(28), 4096)
-        assert built == []  # nothing is built before the screen
-        keep = draws.screen(float(np.quantile(self.whole(model, 28, 4096)[1].max(axis=1), 0.1)))
-        assert 0 < len(keep) < 4096 and built == []
-        draws.matrices()
-        assert built == [len(keep)] * model.size
+        limit = float(np.quantile(self.whole(model, 28, 4096)[1].max(axis=1), 0.1))
+        sums = sample_sum_batch(model, RngStream(28), 4096, limit).sums
+        assert 0 < len(sums) < 4096
+        assert built == [len(sums)] * model.size
 
     def test_no_position_is_drawn_once_every_draw_is_settled(self, monkeypatch):
         drawn = []
@@ -645,20 +652,19 @@ class TestSumDraws:
 
         monkeypatch.setattr(BoundedRankOne, "draw", recording)
         model = SCREEN_SUMS["bounded-rank-one"]
-        draws = sample_sum_batch(model, RngStream(29), 4096)
-        assert len(draws.screen(-1.0)) == 0
+        draws = sample_sum_batch(model, RngStream(29), 4096, -1.0)
         assert drawn == [(0,)]  # position 0 settles every draw
-        assert draws.matrices().shape == (0, model.dim, model.dim)
+        assert draws.sums.shape == (0, model.dim, model.dim)
 
     def test_screened_chunk_holds_less_than_the_whole_sum(self):
         # The bundled bounded_rank_one chunk, every draw settled: building
         # its sum peaked at 2.7 MB, the screen at 1.4 MB.
         model = SumModel(sources=(BoundedRankOne(dim=4, bound=1.0),) * 8)
-        sample_sum_batch(model, RngStream(0), 16).screen(0.12)  # first-call set-up
+        sample_sum_batch(model, RngStream(0), 16, 0.12)  # first-call set-up
         tracemalloc.start()
         try:
-            draws = sample_sum_batch(model, RngStream(0), 4096)
-            assert len(draws.screen(0.12)) == 0
+            draws = sample_sum_batch(model, RngStream(0), 4096, 0.12)
+            assert len(draws.sums) == 0
             _current, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -668,11 +674,14 @@ class TestSumDraws:
     def test_diagonal_past_the_float_range_is_inf_without_warning(self):
         src = ScaledFixed(HermitianMatrix.diagonal([1.0e308, 1.0e308]), Uniform(high=1.9))
         model = SumModel(sources=(src, src))
-        draws = sample_sum_batch(model, RngStream(25), 200)
-        keep = draws.screen(math.inf)
         full = model.sample_batch(RngStream(25), 200)
-        assert len(keep) == 200 and (draws.diagonal == math.inf).any()
-        np.testing.assert_array_equal(draws.diagonal, np.diagonal(full, axis1=1, axis2=2).real)
+        top = np.diagonal(full, axis1=1, axis2=2).real.max(axis=1)
+        assert 0 < (top == math.inf).sum() < 200
+        # Every draw is open at an infinite limit; at the largest float the
+        # overflowed sums are settled.
+        for limit in (math.inf, np.finfo(float).max):
+            sums = sample_sum_batch(model, RngStream(25), 200, limit).sums
+            assert_same_bits(sums, full[~(top > limit)])
 
 
 class TestSumModel:
@@ -691,12 +700,12 @@ class TestSumModel:
             ),
             3,
         )
-        assert np.abs(sample_sum_batch(model, RngStream(1), 1).matrices()).max() == 0.0
+        assert np.abs(sample_sum_batch(model, RngStream(1), 1, math.inf).sums).max() == 0.0
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_sum_past_the_float_range_is_inf_without_warning(self):
         model = iid_model(lambda: bernoulli_diagonal(dim=1, p=0.5, scale=1e308), 2)
-        sums = sample_sum_batch(model, RngStream(1), 200).matrices().real.ravel()
+        sums = sample_sum_batch(model, RngStream(1), 200, math.inf).sums.real.ravel()
         assert set(sums.tolist()) == {0.0, 1e308, math.inf}
 
     def test_binomial_law_of_bernoulli_sum(self):
@@ -704,7 +713,8 @@ class TestSumModel:
         # successes, so it follows Binomial(10, 1/2) exactly.
         model = iid_model(lambda: bernoulli_diagonal(dim=1, p=0.5, scale=1.0), 10)
         n = 100_000
-        lam = np.linalg.eigvalsh(sample_sum_batch(model, RngStream(13), n).matrices())[:, -1]
+        sums = sample_sum_batch(model, RngStream(13), n, math.inf).sums
+        lam = np.linalg.eigvalsh(sums)[:, -1]
         counts = np.bincount(np.rint(lam).astype(int), minlength=11)
         expected = np.array([math.comb(10, k) * 0.5**10 * n for k in range(11)])
         chi2 = ((counts - expected) ** 2 / expected).sum()
@@ -720,8 +730,8 @@ class TestSumModel:
             2,
         )
         n = 100_000
-        draws = sample_sum_batch(model, RngStream(14), n)
-        lam = np.sort(np.linalg.eigvalsh(draws.matrices())[:, -1])
+        sums = sample_sum_batch(model, RngStream(14), n, math.inf).sums
+        lam = np.sort(np.linalg.eigvalsh(sums)[:, -1])
         cdf = 1.0 - np.exp(-lam) * (1.0 + lam)
         grid = np.arange(1, n + 1) / n
         ks = max(np.abs(cdf - grid).max(), np.abs(cdf - (grid - 1.0 / n)).max())
@@ -1058,6 +1068,15 @@ class TestMgfModel:
         model.check([src] * 8)
         with pytest.raises(MgfUnavailableError, match="8 empirical snapshot"):
             model.check([BoundedRankOne(dim=4, bound=1.0) for _ in range(8)])
+        # A wishart draw also holds its real parts, 8 n dof d bytes: 0.26 MB
+        # at the bundled dof = 4, but 262 MB at dof = 4096, where the
+        # matrices alone take 0.77 MB.  So does one at a position of a sum.
+        bundled, wide = Wishart(dim=2, dof=4), Wishart(dim=2, dof=4096)
+        model.check([bundled])
+        model.check([SumModel(sources=(bundled, bundled))])
+        for sources in ([wide], [bundled, wide], [SumModel(sources=(bundled, wide))]):
+            with pytest.raises(MgfUnavailableError, match="GiB for"):
+                model.check(sources)
         assert model._snapshots == {}
 
     def test_analytic_check_reads_the_attribute_without_calling_it(self):

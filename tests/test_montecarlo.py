@@ -275,7 +275,7 @@ _eigvalsh = np.linalg.eigvalsh
 
 
 def eigvalsh_only_hits(model, stream, size, eps):
-    lam = _eigvalsh(sample_sum_batch(model, stream, size).matrices())[:, -1]
+    lam = _eigvalsh(sample_sum_batch(model, stream, size, math.inf).sums)[:, -1]
     return (lam[:, None] <= eps[None, :]).sum(axis=0)
 
 
@@ -422,20 +422,28 @@ class TestDiagonalScreen:
     def test_all_open_chunk_goes_to_eigvalsh_without_a_copy(
         self, source, eps_max, monkeypatch, solver_draws
     ):
-        built = []
-        matrices = ensembles.SumDraws.matrices
+        returned, built = [], []
+        sample = montecarlo.sample_sum_batch
+        build = ensembles._build
 
-        def recording(self):
-            built.append(matrices(self))
+        def recording_sample(*args):
+            returned.append(sample(*args))
+            return returned[-1]
+
+        def recording_build(*args):
+            built.append(build(*args))
             return built[-1]
 
-        monkeypatch.setattr(ensembles.SumDraws, "matrices", recording)
+        monkeypatch.setattr(montecarlo, "sample_sum_batch", recording_sample)
+        monkeypatch.setattr(ensembles, "_build", recording_build)
         model = SumModel(sources=(source,))
         solver_draws.clear()  # the psd check of the source's matrix
         _chunk_hits(model, RngStream(0), 100, np.array([0.5, eps_max]))
-        assert len(built) == len(solver_draws) == 1
-        assert len(built[0]) == 100
-        assert solver_draws[0] is built[0]
+        assert len(returned) == len(solver_draws) == 1
+        assert len(returned[0].sums) == 100
+        # eigvalsh gets the sums that sample_sum_batch returns, and they are
+        # the array the sum was built in.
+        assert solver_draws[0] is returned[0].sums is built[-1]
 
     def test_overflowed_sum_scores_as_a_miss(self):
         # Two 1e308 draws sum to inf: such a draw is a miss at every eps.
@@ -444,6 +452,47 @@ class TestDiagonalScreen:
             warnings.simplefilter("error", RuntimeWarning)
             ests = estimate(SumModel(sources=(src, src)), [0.5, 1e308], n=5000, seed=1)
         assert [e.hits for e in ests] == [1242, 3764]
+
+
+@pytest.mark.parametrize("name", ["bounded-rank-one", "scaled-fixed-gamma", "wishart"])
+def test_every_draw_and_build_runs_inside_the_hooked_call(name, monkeypatch):
+    """A tracer that wraps montecarlo.sample_sum_batch, as the benchmark's
+    does, times all the sampling of a chunk: every draw, sample_batch and
+    build of a source or sum runs inside that one call."""
+    model, eps = source_kind_case(name)
+    inside, calls, seen = [False], [], []
+    sample = montecarlo.sample_sum_batch
+
+    def hooked(*args, **kwargs):
+        calls.append(args[2])
+        inside[0] = True
+        try:
+            return sample(*args, **kwargs)
+        finally:
+            inside[0] = False
+
+    def recording(label, method):
+        def wrapper(*args, **kwargs):
+            seen.append((label, inside[0]))
+            return method(*args, **kwargs)
+
+        return wrapper
+
+    monkeypatch.setattr(montecarlo, "sample_sum_batch", hooked)
+    for cls in (ScaledFixed, BoundedRankOne, Wishart, SumModel):
+        for method in ("draw", "sample_batch", "build"):
+            if hasattr(cls, method):
+                label = f"{cls.__name__}.{method}"
+                monkeypatch.setattr(cls, method, recording(label, getattr(cls, method)))
+    # Two full chunks and a partial one, half of each chunk open.
+    ests = estimate(model, eps, n=10_000, seed=3, threads=1)
+    assert 0 < ests[-1].hits < 10_000
+    assert calls == [4096, 4096, 10_000 - 2 * 4096]
+    assert seen and all(was_inside for _label, was_inside in seen), seen
+    kind = type(model.sources[0]).__name__
+    steps = ["draw", "build"] if kind != "Wishart" else ["sample_batch"]
+    want = {f"{kind}.{step}" for step in steps}
+    assert want <= {label for label, _inside in seen}
 
 
 class TestChunkMemory:
