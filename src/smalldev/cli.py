@@ -561,13 +561,13 @@ def _prepare(args):
         raise ConfigError("simulation.seed must be non-negative")
     # A bad SMALLDEV_THREADS or report path exits 2 before any bound runs.
     mc.worker_count()
-    named = {f"output.{key}": path for key, path in cfg["output"].items() if path is not None}
-    for path in named.values():
+    outputs = {f"output.{key}": path for key, path in cfg["output"].items() if path is not None}
+    for path in outputs.values():
         if Path(path).is_dir() or not Path(path).parent.is_dir():
             raise ConfigError(f"cannot write {path!r}: not a file in an existing directory")
     # A report written over the config or the other report would destroy
     # it.  realpath, unlike Path.resolve, does not raise on a symlink loop.
-    named = {"config": args.config, **named}
+    named = {"config": args.config, **outputs}
     first = {}
     for key, path in named.items():
         other = first.setdefault(os.path.realpath(path), key)
