@@ -480,9 +480,12 @@ def evaluate_bounds(
 ) -> dict:
     """Call the runs of validate_requests' prepared requests, in order, since
     an empirical snapshot takes its substream by order of first use; returns
-    a mapping name -> list of BoundResult aligned with eps_grid."""
-    # Each run already holds model, mgf, eps_grid and opt_cfg; they stay in
-    # the signature because wrappers of this function pass them through.
+    a mapping name -> list of BoundResult aligned with eps_grid.  requests
+    may also be a config's bound list as it stands: unless every entry is a
+    prepared request, the list goes through validate_requests first, so a
+    malformed or inapplicable entry raises ConfigError before any run."""
+    if not all(isinstance(req, dict) and "run" in req for req in requests):
+        requests = validate_requests(requests, model, mgf, eps_grid, opt_cfg)
     return {req["name"]: req["run"]() for req in requests}
 
 

@@ -3,16 +3,17 @@ evaluators.
 
 Sources and models are immutable descriptions; all sampling state lives in
 caller-owned RngStream nodes.  Every source draws matrices that are psd
-(up to roundoff) in two steps: draw(stream, size) takes all the random
-numbers of a batch from the stream, in one fixed order, and build(draws,
-out=None) makes their (size, d, d) matrices one block of draws at a time
-(_build), either into a fresh array or added into `out`.
-sample_batch(stream, size, out=None) is the two in a row, with the same
-bits.  A wishart's sample_batch streams its Gaussians: it draws the real
-parts of the batch whole, as the stream order requires, and each block's
-imaginary parts just before it builds that block, so it holds half of its
-complex factor and one block.  A sum adds each position's draws into one running sum, so
-it never holds a full-size array per position.
+(up to roundoff) with sample_batch(stream, size, out=None), built one
+block of draws at a time (_build), either into a fresh array or added
+into `out`.  bounded_rank_one and scaled_fixed take it in two steps:
+draw(stream, size) takes all the random numbers of a batch from the
+stream, in one fixed order, and build(draws, out=None) makes their
+(size, d, d) matrices.  A wishart has sample_batch alone, which streams
+its Gaussians: it draws the real parts of the batch whole, as the stream
+order requires, and each block's imaginary parts just before it builds
+that block, so it holds half of its complex factor and one block.  A sum
+adds each position's draws into one running sum, so it never holds a
+full-size array per position.
 
 For Monte Carlo, sample_sum_batch draws a chunk, screens it on the
 diagonal of the sum and builds the sums of the draws the screen leaves
@@ -24,7 +25,7 @@ is cheap too, (1/dof) sum_j |g_ji|^2, but screening first keeps every
 position's random numbers until the last position is screened: for
 wishart that is the complex factor, 16 dof d bytes a draw, as large as
 the matrix at dof = d, so about K sums in all.  So a sum with a wishart
-source is built whole first, which holds about 1.7 sums, and the screen
+source is built whole first, which holds about 1.6 sums, and the screen
 moves its open rows to its front in place.
 
 The matrix mgf here is the decreasing-direction one, E exp(-theta X) for
@@ -83,12 +84,12 @@ def _complex_normal(gen: np.random.Generator, shape) -> np.ndarray:
 
 # Work space of one block of draws, in bytes: _build builds the matrices of
 # a batch in blocks whose (rows, d, d) complex array stays within half of
-# it (a wishart block's Gaussian factor and Gram matrices within all of
-# it), and _Snapshot.evaluate_many keeps each of its two block arrays
-# within half of it, whatever n, d or the number of thetas.  Measured on 2
-# cores at d = 4 and 16: smaller snapshot blocks cost more per call at
-# d = 16, and at 1 MiB the 200-theta call at d = 4 ran up to 20x slower
-# with 2 BLAS threads than with 1.
+# it (a wishart block's Gaussian factor, its conjugate and its Gram
+# matrices within all of it), and _Snapshot.evaluate_many keeps each of
+# its two block arrays within half of it, whatever n, d or the number of
+# thetas.  Measured on 2 cores at d = 4 and 16: smaller snapshot blocks
+# cost more per call at d = 16, and at 1 MiB the 200-theta call at d = 4
+# ran up to 20x slower with 2 BLAS threads than with 1.
 _KERNEL_BYTES = 512 * 1024
 
 
@@ -229,14 +230,12 @@ ScalarLaw = Gamma | Bernoulli | Uniform
 
 
 class _Drawn:
-    """The sampling steps every source kind shares.  A source's
-    draw(stream, size) returns the random numbers of size draws as a tuple
-    of arrays indexed by draw, and matrices(draws) the matrices of such a
-    tuple.  Its diagonal(draws), where not None, is the real diagonal of
-    those matrices, bit for bit np.diagonal(...).real, built without them;
-    its entries are nonnegative."""
-
-    diagonal = None
+    """The sampling steps of the source kinds that draw, then build.  A
+    source's draw(stream, size) returns the random numbers of size draws as
+    a tuple of arrays indexed by draw, and matrices(draws) the matrices of
+    such a tuple.  Its diagonal(draws), where not None, is the real
+    diagonal of those matrices, bit for bit np.diagonal(...).real, built
+    without them; its entries are nonnegative."""
 
     def sample_batch(self, stream: RngStream, size: int, out=None) -> np.ndarray:
         return self.build(self.draw(stream, size), out)
@@ -373,7 +372,7 @@ class BoundedRankOne(_Drawn):
 
 
 @dataclass(frozen=True)
-class Wishart(_Drawn):
+class Wishart:
     """X = (1/dof) * sum_j g_j g_j* over dof standard complex Gaussian
     vectors, so that E X = I."""
 
@@ -398,16 +397,15 @@ class Wishart(_Drawn):
     # a sum on it first would keep each position's complex factor, 16 dof d
     # bytes a draw, until the last position is screened (sample_sum_batch).
 
-    def draw(self, stream: RngStream, size: int) -> tuple:
-        return (_complex_normal(stream.generator, (size, self.dof, self.dim)),)
-
     def sample_batch(self, stream: RngStream, size: int, out=None) -> np.ndarray:
-        """build(draw(stream, size), out), bit for bit, without the whole
-        complex factor: the real parts of the batch come first in the
-        stream, so they are drawn whole, and each block's imaginary parts
-        are drawn just before its Gram matrices are built.  A block holds
-        its factor and its Gram matrices, 16 (dof d + d^2) bytes a draw,
-        within _KERNEL_BYTES."""
+        """The (size, d, d) matrices (1/dof) sum_j g_j g_j* over the dof
+        rows g_j of each draw's complex factor, whose entries are those of
+        _complex_normal, built by _build into a fresh array or added into
+        out.  The real parts of the batch come first in the stream, so they
+        are drawn whole, and each block's imaginary parts are drawn just
+        before its Gram matrices are built.  A block holds its factor, the
+        conjugate copy that the Gram product reads and its Gram matrices,
+        16 (2 dof d + d^2) bytes a draw, within _KERNEL_BYTES."""
         gen = stream.generator
         re = gen.standard_normal((size, self.dof, self.dim))
         re *= np.sqrt(0.5)
@@ -415,19 +413,15 @@ class Wishart(_Drawn):
         def block(s):
             g = re[s].astype(np.complex128)
             np.multiply(gen.standard_normal(g.shape), np.sqrt(0.5), out=g.imag)
-            return self.matrices((g,))
+            gram = g.transpose(0, 2, 1) @ g.conj()
+            # numpy divides a complex number by a real one as a product with
+            # its reciprocal, so scaling the float view by 1/dof gives the
+            # bits of dividing by dof.
+            gram.view(np.float64)[...] *= 1.0 / self.dof
+            return gram
 
-        draw_bytes = 16 * (self.dof * self.dim + self.dim * self.dim)
+        draw_bytes = 16 * (2 * self.dof * self.dim + self.dim * self.dim)
         return _build(size, self.dim, block, out, draw_bytes)
-
-    def matrices(self, draws: tuple) -> np.ndarray:
-        (g,) = draws
-        gram = g.transpose(0, 2, 1) @ g.conj()
-        # numpy divides a complex number by a real one as a product with its
-        # reciprocal, so scaling the float view by 1/dof gives the bits of
-        # dividing by dof.
-        gram.view(np.float64)[...] *= 1.0 / self.dof
-        return gram
 
 
 # ---------------------------------------------------------------------------
@@ -694,9 +688,10 @@ class MgfModel:
         the retained snapshots, one per distinct source, keeps a complex
         (n*d, d) eigenvector array of 16 n d^2 bytes, and the draw in
         progress also holds its (n, d, d) complex draws and their
-        eigenvectors, another 32 n d^2 bytes.  A wishart draw, alone or at
-        a position of a sum, also holds the real parts of its Gaussians
-        whole while it runs, 8 n dof d bytes; the largest of these counts."""
+        eigenvectors, another 32 n d^2 bytes.  A wishart sample_batch, alone
+        or at a position of a sum, also holds the real parts of its
+        Gaussians whole while it runs, 8 n dof d bytes, besides one block
+        within _KERNEL_BYTES; the largest dof counts."""
         unique, index = distinct_sources(sources)
         if self.mode == "analytic":
             for j, src in enumerate(unique):

@@ -1283,6 +1283,50 @@ def test_every_request_is_prepared_once(tmp_path, monkeypatch, command):
     assert json.loads(out.read_text())["config_echo"]["bounds"] == _APPLICABLE_REQUESTS
 
 
+def _library_setup(name):
+    cfg = resolve_config(yaml.safe_load(Path(demo_config_path(name)).read_text()))
+    opt_cfg = OptimizerConfig(**cfg["optimizer"])
+
+    def fresh_mgf():
+        return ensembles.MgfModel(**cfg["mgf"], seed=cfg["simulation"]["seed"])
+
+    return cfg, build_model(cfg["ensemble"]), fresh_mgf, opt_cfg
+
+
+@pytest.mark.parametrize("name", demo_config_names())
+def test_evaluate_bounds_takes_a_config_bound_list(name):
+    """A config's bound list as it stands gives what validate_requests'
+    prepared requests give, with a fresh mgf model of the same seed."""
+    cfg, model, fresh_mgf, opt_cfg = _library_setup(name)
+    grid = cfg["eps_grid"]
+    got = cli.evaluate_bounds(cfg["bounds"], model, fresh_mgf(), grid, opt_cfg)
+    mgf = fresh_mgf()
+    prepared = cli.validate_requests(cfg["bounds"], model, mgf, grid, opt_cfg)
+    want = cli.evaluate_bounds(prepared, model, mgf, grid, opt_cfg)
+    assert list(got) == list(want)
+    for bound in want:
+        for field in ("raw_value", "theta_star"):
+            # theta_star is None for a bound without one.
+            values = [
+                np.array([getattr(r, field) for r in rows], dtype=float)
+                for rows in (got[bound], want[bound])
+            ]
+            np.testing.assert_array_equal(values[0].view(np.uint64), values[1].view(np.uint64))
+
+
+@pytest.mark.parametrize(
+    "bounds",
+    [[{"name": "no_such_bound"}], [{"name": "master", "p": 1.0}], ["master", "master"],
+     ["master", "series_sum"]],
+    ids=["unknown", "unknown-key", "twice", "inapplicable"],
+)
+def test_evaluate_bounds_refuses_a_malformed_bound_list(bounds):
+    # series_sum needs a power envelope, which a Bernoulli law has not.
+    cfg, model, fresh_mgf, opt_cfg = _library_setup("bernoulli_diagonal")
+    with pytest.raises(ConfigError):
+        cli.evaluate_bounds(bounds, model, fresh_mgf(), cfg["eps_grid"], opt_cfg)
+
+
 @pytest.mark.parametrize(
     "ensemble, bound, function, calls",
     [

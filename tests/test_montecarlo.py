@@ -501,8 +501,9 @@ class TestChunkMemory:
     per position: the traced peak of one _chunk_hits call, in units of one
     (size, d, d) complex array, was 5 (d = 8, K = 4) and 4 (d = 32, K = 2)
     when each position built its own batch, 2.5 for both while a position
-    held its whole complex Gaussian factor, and is 1.69 and 1.55 with the
-    imaginary parts drawn block by block."""
+    held its whole complex Gaussian factor, 1.69 and 1.55 with the
+    imaginary parts drawn block by block, and is 1.63 and 1.53 with the
+    block budget counting the factor's conjugate."""
 
     @pytest.mark.parametrize(
         "dim, repeat, size",
