@@ -564,26 +564,30 @@ class _Snapshot:
     """Frozen sample set for one source, stored eigendecomposed so that the
     mgf can be re-evaluated cheaply at many theta values.
 
-    The N = n*d eigenpairs (w_j, v_j) are kept flat: eigenvalues as an (N,)
-    vector and eigenvectors as the rows of one complex (N, d) array V, 16 n d^2
-    bytes.  The mgf at m thetas is (1/n) E P with E = exp(-theta w^T), an
-    (m, N) array, and P the (N, d(d+1)/2) complex array of the upper
-    triangles of the v_j v_j*; viewed as d(d+1) reals per row, P makes E P
-    one real GEMM.  P is about n d^3 / 2 complex numbers, so it is never
-    kept: evaluate_many builds it from V one block of rows at a time and
+    The N = n*d eigenvalues w_j are kept flat, as an (N,) vector: w_j of
+    pair j = s*d + k is eigenvalue k of sample s.  The eigenvectors are
+    kept only when asked for (vectors=True), in the (n, d, d) array that
+    eigh returns, 16 n d^2 bytes, whose column k of sample s is v_j;
+    trace_many reads the eigenvalues alone, tr(v_j v_j*) = 1, so a
+    snapshot that only it reads keeps 8 n d bytes.  eigh runs either way,
+    so the eigenvalues have the same bits.  The mgf at m thetas is (1/n) E
+    P with E = exp(-theta w^T), an (m, N) array, and P the
+    (N, d(d+1)/2) complex array of the upper triangles of the v_j v_j*;
+    viewed as d(d+1) reals per row, P makes E P one real GEMM.  P is about
+    n d^3 / 2 complex numbers, so it is never kept: evaluate_many builds it
+    one block of nv pairs at a time, from the samples that hold them, and
     multiplies each block by the matching block of E, both blocks within
-    _KERNEL_BYTES / 2.  trace_many needs neither V nor P: tr(v_j v_j*) = 1.
+    _KERNEL_BYTES / 2.
     """
 
     __slots__ = ("eigenvalues", "vectors", "n", "_memo")
 
-    def __init__(self, samples: np.ndarray) -> None:
+    def __init__(self, samples: np.ndarray, vectors: bool = True) -> None:
         w, v = np.linalg.eigh(samples)
         n, d = w.shape
         self.n = n
         self.eigenvalues = w.reshape(n * d)
-        # Row s*d + j of V is eigenvector j of sample s.
-        self.vectors = v.transpose(0, 2, 1).reshape(n * d, d)
+        self.vectors = v if vectors else None
         self._memo: dict[float, np.ndarray] = {}
 
     def evaluate_many(self, thetas) -> np.ndarray:
@@ -594,7 +598,7 @@ class _Snapshot:
             for t, m in zip(missing, self._mgf(np.asarray(missing, dtype=float))):
                 m.setflags(write=False)
                 self._memo[t] = m
-        d = self.vectors.shape[1]
+        d = self.vectors.shape[-1]
         return np.array([self._memo[t] for t in thetas]).reshape(-1, d, d)
 
     def trace_many(self, thetas) -> np.ndarray:
@@ -618,7 +622,7 @@ class _Snapshot:
 
     def _mgf(self, thetas: np.ndarray) -> np.ndarray:
         v, w = self.vectors, self.eigenvalues
-        d = v.shape[1]
+        d = v.shape[-1]
         diag = np.arange(d)
         iu, ju = np.triu_indices(d, 1)
         ir, jr = np.concatenate([diag, iu]), np.concatenate([diag, ju])
@@ -628,7 +632,11 @@ class _Snapshot:
         nt = max(1, _KERNEL_BYTES // (16 * nv))
         acc = np.zeros((len(thetas), 2 * len(ir)))
         for j in range(0, w.size, nv):
-            vb = v[j : j + nv]
+            # Pairs j .. j+nv-1 lie in samples j//d .. (j+nv-1)//d; the rows
+            # of vb are their eigenvectors, in pair order.
+            s0 = j // d
+            vb = v[s0 : -(-(j + nv) // d)].transpose(0, 2, 1).reshape(-1, d)
+            vb = vb[j - s0 * d : j - s0 * d + nv]
             p = np.take(vb, ir, axis=1)
             p *= np.take(vb.conj(), jr, axis=1)
             p = p.view(np.float64)
@@ -655,6 +663,12 @@ class MgfModel:
     objectives smooth in theta; resampling per probe would destabilize the
     infimum search.  A source object repeated in a SumModel stands for
     i.i.d. copies with one mgf, so all its positions share its snapshot.
+
+    A snapshot keeps its eigenvectors only once evaluate_many reads it:
+    trace_many reads the eigenvalues alone.  A snapshot first drawn for
+    trace_many is drawn again, from a fresh stream of the same key, when
+    evaluate_many first reads it, so its samples, its bits and its index
+    stay those of its first use.
     """
 
     def __init__(
@@ -669,13 +683,13 @@ class MgfModel:
             raise ValueError("n_samples must be at least 1")
         self.mode = mode
         self.n_samples = int(n_samples)
-        self._stream = RngStream(seed).child(_MGF_PURPOSE)
+        self._seed = int(seed)
         # Keyed by id(source), with the source held alongside its snapshot:
         # a freed source's id could otherwise be reused by a new source,
         # which would then read the stale snapshot.  Separately built equal
         # sources keep separate snapshots; one object has one, however
-        # often a model repeats it.
-        self._snapshots: dict[int, tuple[object, _Snapshot]] = {}
+        # often a model repeats it.  The index is the snapshot's substream.
+        self._snapshots: dict[int, tuple[object, _Snapshot, int]] = {}
 
     def check(self, sources) -> None:
         """Raise MgfUnavailableError unless this model can evaluate the mgf
@@ -684,12 +698,15 @@ class MgfModel:
         Each distinct source object is checked once, under the position of
         its first appearance.  Analytic mode needs a closed form per
         source.  Empirical mode draws nothing here; it refuses when the
-        snapshots would not fit in the machine's physical memory: each of
-        the retained snapshots, one per distinct source, keeps a complex
-        (n*d, d) eigenvector array of 16 n d^2 bytes, and the draw in
-        progress also holds its (n, d, d) complex draws and their
-        eigenvectors, another 32 n d^2 bytes.  A wishart sample_batch, alone
-        or at a position of a sum, also holds the real parts of its
+        snapshots would not fit in the machine's physical memory, counted
+        as 16 n d^2 bytes for each retained snapshot, one per distinct
+        source, and 32 n d^2 bytes more for the draw in progress.  That
+        overcounts, and stays so on purpose: a snapshot keeps eigh's (n, d,
+        d) eigenvectors, 16 n d^2 bytes, only once evaluate_many reads it,
+        and 8 n d bytes of eigenvalues when only trace_many does, while the
+        draw in progress holds its (n, d, d) complex draws and eigh's
+        outputs, which the snapshot then keeps.  A wishart sample_batch,
+        alone or at a position of a sum, also holds the real parts of its
         Gaussians whole while it runs, 8 n dof d bytes, besides one block
         within _KERNEL_BYTES; the largest dof counts."""
         unique, index = distinct_sources(sources)
@@ -730,7 +747,7 @@ class MgfModel:
         thetas = list(thetas)
         _check_thetas(thetas)
         if self.mode == "empirical":
-            return self._snapshot(source).evaluate_many(thetas)
+            return self._snapshot(source, vectors=True).evaluate_many(thetas)
         if source.analytic_mgf is None:
             raise MgfUnavailableError(
                 f"no closed-form mgf for source kind {source.kind!r}; "
@@ -747,12 +764,19 @@ class MgfModel:
             return np.trace(self.evaluate_many(source, thetas), axis1=1, axis2=2).real
         thetas = list(thetas)
         _check_thetas(thetas)
-        return self._snapshot(source).trace_many(thetas)
+        return self._snapshot(source, vectors=False).trace_many(thetas)
 
-    def _snapshot(self, source) -> _Snapshot:
+    def _snapshot(self, source, vectors: bool) -> _Snapshot:
+        """The snapshot of source, drawn from substream (seed, _MGF_PURPOSE,
+        index), index its order of first use, with its eigenvectors when
+        vectors is true.  Each draw takes a fresh, unmemoized stream of that
+        key, so a redraw has the first draw's samples and holds no stream
+        beyond it."""
         entry = self._snapshots.get(id(source))
-        if entry is None:
-            substream = self._stream.child(len(self._snapshots))
-            entry = (source, _Snapshot(source.sample_batch(substream, self.n_samples)))
-            self._snapshots[id(source)] = entry
-        return entry[1]
+        if entry is not None and (entry[1].vectors is not None or not vectors):
+            return entry[1]
+        index = len(self._snapshots) if entry is None else entry[2]
+        stream = RngStream(self._seed, (_MGF_PURPOSE, index))
+        snapshot = _Snapshot(source.sample_batch(stream, self.n_samples), vectors)
+        self._snapshots[id(source)] = (source, snapshot, index)
+        return snapshot

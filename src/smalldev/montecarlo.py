@@ -38,6 +38,7 @@ from __future__ import annotations
 
 import math
 import os
+from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Mapping, Sequence
@@ -65,6 +66,11 @@ _ESTIMATE_PURPOSE = 0
 # Samples per chunk.  Fixed so the chunk -> substream assignment, and hence
 # every drawn value, is independent of how chunks are spread over workers.
 _CHUNK = 4096
+
+# Chunks per worker that estimate keeps submitted ahead of the running sum
+# of hits: enough to keep every worker busy, few enough that the pending
+# futures stay a fixed, small amount of memory whatever n.
+_IN_FLIGHT = 4
 
 THREADS_ENV = "SMALLDEV_THREADS"
 
@@ -266,7 +272,14 @@ def estimate(
     threads: int | None = None,
 ) -> list[EmpiricalEstimate]:
     """Estimate P{lambda_max(sum) <= eps} at every point of a strictly
-    ascending eps grid from one shared pool of n draws."""
+    ascending eps grid from one shared pool of n draws.
+
+    The draws come in chunks of _CHUNK, chunk c from substream (seed,
+    _ESTIMATE_PURPOSE, c), run by worker_count(threads) threads.  Each
+    chunk makes its stream when it runs and drops it with its draws, and
+    the hits are summed as the chunks finish, with at most _IN_FLIGHT
+    chunks per worker submitted ahead: the memory of a call is that of its
+    running chunks, whatever n."""
     eps = np.asarray(list(eps_grid), dtype=float)
     if eps.size == 0:
         raise ValueError("eps_grid must be non-empty")
@@ -277,16 +290,28 @@ def estimate(
     if n < 1:
         raise ValueError("n must be at least 1")
 
-    base = RngStream(seed).child(_ESTIMATE_PURPOSE)
-    sizes = [min(_CHUNK, n - c * _CHUNK) for c in range((n + _CHUNK - 1) // _CHUNK)]
-    # Chunk c always draws from substream c, whatever thread runs it, so the
-    # per-chunk hit vectors (and their integer sum) never depend on workers.
-    streams = [base.child(c) for c in range(len(sizes))]
-    with ThreadPoolExecutor(max_workers=worker_count(threads)) as pool:
-        parts = list(
-            pool.map(lambda stream, size: _chunk_hits(model, stream, size, eps), streams, sizes)
-        )
-    hits = np.sum(np.stack(parts), axis=0)
+    chunks = (n + _CHUNK - 1) // _CHUNK
+
+    def chunk_hits(c: int) -> np.ndarray:
+        # Chunk c always draws from substream c, whatever thread runs it, so
+        # the per-chunk hit vectors (and their integer sum) never depend on
+        # the workers.  The stream is made here, unmemoized, and dropped
+        # with the chunk.
+        stream = RngStream(seed, (_ESTIMATE_PURPOSE, c))
+        return _chunk_hits(model, stream, min(_CHUNK, n - c * _CHUNK), eps)
+
+    workers = worker_count(threads)
+    hits = np.zeros(eps.size, dtype=np.int64)
+    # At most _IN_FLIGHT chunks per worker are submitted and not yet
+    # summed, so memory does not grow with the number of chunks.
+    pending: deque = deque()
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        for c in range(chunks):
+            pending.append(pool.submit(chunk_hits, c))
+            if len(pending) >= _IN_FLIGHT * workers:
+                hits += pending.popleft().result()
+        while pending:
+            hits += pending.popleft().result()
 
     out = []
     for e, h in zip(eps.tolist(), hits.tolist()):

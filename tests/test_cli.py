@@ -380,9 +380,9 @@ class TestConfigValidation:
         class Counting(ensembles._Snapshot):
             __slots__ = ()
 
-            def __init__(self, samples):
+            def __init__(self, samples, vectors=True):
                 drawn.append(samples.shape)
-                super().__init__(samples)
+                super().__init__(samples, vectors)
 
         monkeypatch.setattr(ensembles, "_Snapshot", Counting)
         config = demo_config_path("bounded_rank_one")

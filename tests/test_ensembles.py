@@ -861,9 +861,10 @@ class TestEmpiricalMgf:
 
 def fold_reference(snapshot, theta):
     """The mgf as (X e^(-theta w)) X^T over the real (2d, N) basis
-    X = [Re V; Im V], folded to G11 + G22 + i (G21 - G12)."""
-    v = snapshot.vectors.T
-    d = v.shape[0]
+    X = [Re V; Im V], folded to G11 + G22 + i (G21 - G12).  Column s*d + k
+    of the (d, N) array V is eigenvector k of sample s."""
+    n, d, _ = snapshot.vectors.shape
+    v = snapshot.vectors.transpose(1, 0, 2).reshape(d, n * d)
     x = np.vstack([v.real, v.imag])
     g = (x * np.exp(-theta * snapshot.eigenvalues)) @ x.T
     return (g[:d, :d] + g[d:, d:] + 1j * (g[d:, :d] - g[:d, d:])) / snapshot.n
@@ -909,6 +910,34 @@ class TestSnapshotKernel:
         finally:
             tracemalloc.stop()
         assert peak < 8 * 2**20
+
+    def test_kept_eigenvectors_are_eighs_and_nothing_more(self):
+        # The samples, then eigh's w (8 n d bytes) and v (16 n d^2): the
+        # snapshot adds at most one block on top, no flattened copy of v
+        # (another 1.02 MB here, twice the block budget).
+        n, d = 4000, 4
+        samples = BoundedRankOne(dim=d, bound=1.0).sample_batch(RngStream(40), n)
+        tracemalloc.start()
+        try:
+            snap = _Snapshot(samples)
+            _current, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        w, v = np.linalg.eigh(samples)
+        assert snap.vectors.shape == (n, d, d)
+        assert_same_bits(snap.vectors, v)
+        np.testing.assert_array_equal(snap.eigenvalues, w.ravel())
+        assert peak < 8 * n * d + 16 * n * d * d + ensembles._KERNEL_BYTES
+
+    def test_a_trace_snapshot_keeps_its_eigenvalues_alone(self):
+        n, d = 4000, 4
+        samples = BoundedRankOne(dim=d, bound=1.0).sample_batch(RngStream(41), n)
+        full, bare = _Snapshot(samples), _Snapshot(samples, vectors=False)
+        assert bare.vectors is None
+        np.testing.assert_array_equal(bare.eigenvalues, full.eigenvalues)
+        np.testing.assert_array_equal(
+            bare.trace_many(TRACE_THETAS), full.trace_many(TRACE_THETAS)
+        )
 
     def test_evaluate_is_the_one_theta_batch(self):
         src = BoundedRankOne(dim=3, bound=1.0)
@@ -1127,6 +1156,41 @@ class TestMgfModel:
         shared = [model.evaluate_many(s, [0.5, 2.0]) for s in (src, src)]
         assert np.array_equal(shared[0], shared[1])
         assert len(model._snapshots) == 1
+
+    def test_trace_many_keeps_eight_bytes_per_eigenvalue(self):
+        # 8 n d = 128 kB retained; the eigenvectors would add 1.02 MB.
+        n, d = 4000, 4
+        src = BoundedRankOne(dim=d, bound=1.0)
+        model = MgfModel(mode="empirical", n_samples=n, seed=42)
+        tracemalloc.start()
+        try:
+            model.trace_many(src, [1.0])
+            retained, _peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        snap = model._snapshots[id(src)][1]
+        assert snap.vectors is None
+        assert snap.eigenvalues.nbytes == 8 * n * d
+        assert retained < 8 * n * d + 16 * 1024
+
+    @pytest.mark.parametrize("n_samples", [300, 4000])
+    def test_a_trace_then_matrix_read_redraws_the_same_snapshot(self, n_samples):
+        # a is read as a trace first, b as a matrix, then a as a matrix: a's
+        # redraw keeps substream 0 and b keeps 1, as when a is read as a
+        # matrix first.
+        a, b = BoundedRankOne(dim=3, bound=1.0), Wishart(dim=3, dof=2)
+        thetas = [0.5, 4.0, 30.0]
+        model = MgfModel(mode="empirical", n_samples=n_samples, seed=44)
+        traced = model.trace_many(a, thetas)
+        b_later = model.evaluate_many(b, thetas)
+        a_later = model.evaluate_many(a, thetas)
+        fresh = MgfModel(mode="empirical", n_samples=n_samples, seed=44)
+        assert_same_bits(a_later, fresh.evaluate_many(a, thetas))
+        assert_same_bits(b_later, fresh.evaluate_many(b, thetas))
+        np.testing.assert_array_equal(model.trace_many(a, thetas), traced)
+        np.testing.assert_array_equal(fresh.trace_many(a, thetas), traced)
+        assert model._snapshots[id(a)][1].vectors is not None
+        assert [entry[2] for entry in model._snapshots.values()] == [0, 1]
 
     def test_mode_validation(self):
         with pytest.raises(ValueError):

@@ -543,6 +543,33 @@ class TestChunkMemory:
         assert hits.tolist() == eigvalsh_only_hits(model, RngStream(0), 4096, eps).tolist()
 
 
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_estimate_memory_does_not_grow_with_the_chunk_count(self, threads, monkeypatch):
+        # A K = 10 bernoulli_diagonal repeat in chunks of 64 draws.  When
+        # every chunk stream was made up front and memoized, each held its
+        # K position generators until estimate returned, about 11 kB a
+        # chunk: 3.8 MB more at 400 chunks than at 50.
+        monkeypatch.setattr(montecarlo, "_CHUNK", 64)
+        model = SumModel(sources=(bernoulli_diagonal(dim=1, p=0.5, scale=1.0),) * 10)
+        eps = [2.5, 5.0]
+
+        def run(chunks):
+            tracemalloc.start()
+            try:
+                ests = estimate(model, eps, n=64 * chunks, seed=11, threads=threads)
+                _current, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            return [e.hits for e in ests], peak
+
+        estimate(model, eps, n=64, seed=11, threads=threads)  # first-call set-up
+        (_, small), (hits, large) = run(50), run(400)
+        assert large < small + 256 * 1024
+        base = RngStream(11).child(0)
+        parts = [_chunk_hits(model, base.child(c), 64, np.asarray(eps)) for c in range(400)]
+        assert hits == np.sum(parts, axis=0).tolist()
+
+
 class TestWorkerCount:
     @pytest.mark.parametrize("cpus, workers", [({0}, 1), ({0, 1, 2}, 3), (set(range(16)), 4)])
     def test_default_follows_cpu_affinity(self, monkeypatch, cpus, workers):
