@@ -8,8 +8,14 @@ import os
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 import numpy as np  # noqa: E402
+from hypothesis import settings  # noqa: E402
 
 from smalldev.linalg import HermitianMatrix  # noqa: E402
+
+# The CI step that runs the domination property test selects this profile
+# with --hypothesis-profile=ci: derandomized, with ten times the examples of
+# hypothesis's default profile, which tier-1 runs.
+settings.register_profile("ci", derandomize=True, max_examples=1000)
 
 
 def random_hermitian(d: int, rng: np.random.Generator, scale: float = 1.0) -> HermitianMatrix:

@@ -897,6 +897,34 @@ class TestSnapshotKernel:
             ref = fold_reference(snap, theta)
             assert np.linalg.norm(got - ref) <= 1e-13 * np.linalg.norm(ref)
 
+    @pytest.mark.parametrize("kernel_bytes", [1024, 4096, None])
+    def test_bits_equal_the_flattened_layout(self, kernel_bytes, monkeypatch):
+        # The kernel as it read a flattened (n*d, d) copy of the
+        # eigenvectors, row s*d + k being eigenvector k of sample s.  With
+        # 1024 and 4096 bytes, blocks of 5 and 21 pairs at d = 3 split
+        # samples between blocks.
+        if kernel_bytes:
+            monkeypatch.setattr(ensembles, "_KERNEL_BYTES", kernel_bytes)
+        snap = _Snapshot(Wishart(dim=3, dof=2).sample_batch(RngStream(39), 101))
+        thetas = np.geomspace(0.01, 10.0, 9)
+        n, d, _ = snap.vectors.shape
+        v, w = snap.vectors.transpose(0, 2, 1).reshape(n * d, d), snap.eigenvalues
+        iu, ju = np.triu_indices(d, 1)
+        ir, jr = np.concatenate([np.arange(d), iu]), np.concatenate([np.arange(d), ju])
+        nv = max(1, ensembles._KERNEL_BYTES // (32 * len(ir)))
+        nt = max(1, ensembles._KERNEL_BYTES // (16 * nv))
+        acc = np.zeros((len(thetas), 2 * len(ir)))
+        for j in range(0, w.size, nv):
+            p = np.take(v[j : j + nv], ir, axis=1)
+            p *= np.take(v[j : j + nv].conj(), jr, axis=1)
+            for i in range(0, len(thetas), nt):
+                e = np.exp(np.multiply.outer(-thetas[i : i + nt], w[j : j + nv]))
+                acc[i : i + nt] += e @ p.view(np.float64)
+        upper = (acc / n).view(np.complex128)
+        got = snap.evaluate_many(thetas.tolist())
+        assert_same_bits(np.ascontiguousarray(got[:, iu, ju]), np.ascontiguousarray(upper[:, d:]))
+        np.testing.assert_array_equal(got[:, np.arange(d), np.arange(d)].real, upper[:, :d].real)
+
     def test_memory_stays_within_the_block_budget(self):
         # The unblocked (200, n*d) exponential alone would be 25.6 MB.
         snap = _Snapshot(BoundedRankOne(dim=4, bound=1.0).sample_batch(RngStream(33), 4000))
@@ -912,8 +940,8 @@ class TestSnapshotKernel:
         assert peak < 8 * 2**20
 
     def test_kept_eigenvectors_are_eighs_and_nothing_more(self):
-        # The samples, then eigh's w (8 n d bytes) and v (16 n d^2): the
-        # snapshot adds at most one block on top, no flattened copy of v
+        # Beyond the samples, drawn before tracing, eigh's w (8 n d bytes)
+        # and v (16 n d^2) and at most one block: no flattened copy of v
         # (another 1.02 MB here, twice the block budget).
         n, d = 4000, 4
         samples = BoundedRankOne(dim=d, bound=1.0).sample_batch(RngStream(40), n)
