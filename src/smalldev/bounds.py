@@ -63,7 +63,6 @@ __all__ = [
     "single_matrix_bound",
     "master_bound",
     "g_theta_bound",
-    "g_theta_eta",
     "log_mean_bound",
     "product_bound",
     "source_means",
@@ -311,15 +310,19 @@ def power_envelope(c: float, alpha: float) -> Callable[[float], float]:
     return lambda th: math.log(c) - alpha * math.log(th)
 
 
-def g_theta_eta(
+def g_theta_bound(
     g: Callable[[float], float],
     dominators: Sequence[HermitianMatrix],
+    eps_grid: Sequence[float],
     cfg: OptimizerConfig = OptimizerConfig(),
-) -> tuple[float, float, dict]:
-    """Check that there is a dominator and that g is finite on the coarse
-    grid of cfg.  Returns eta1 = lambda_max and eta2 = lambda_min of the
-    summed dominators, and the details of the bound: eta1 if g > 0
-    somewhere on the grid, eta2 if g < 0 somewhere."""
+) -> list[BoundResult]:
+    """Dominating-matrix bound for E exp(-theta X_k) <= exp(g(theta) A_k)
+    in the Loewner order: inf_theta exp(theta eps + h(theta)) at every eps,
+    with h(theta) = g(theta) * (eta1 if g(theta) > 0 else eta2), where
+    eta1 = lambda_max and eta2 = lambda_min of the summed dominators.  Each
+    theta bounds on its own, so g may change sign.  There must be a
+    dominator, and g must be finite on the coarse grid of cfg; the details
+    carry eta1 if g > 0 somewhere on that grid and eta2 if g < 0 somewhere."""
     if len(dominators) < 1:
         raise ValueError("need at least one dominating matrix")
     gvals = np.array([g(t) for t in cfg.coarse_grid()], dtype=float)
@@ -333,20 +336,6 @@ def g_theta_eta(
         details["eta1"] = eta1
     if (gvals < 0).any():
         details["eta2"] = eta2
-    return eta1, eta2, details
-
-
-def g_theta_bound(
-    g: Callable[[float], float],
-    dominators: Sequence[HermitianMatrix],
-    eps_grid: Sequence[float],
-    cfg: OptimizerConfig = OptimizerConfig(),
-) -> list[BoundResult]:
-    """Dominating-matrix bound for E exp(-theta X_k) <= exp(g(theta) A_k)
-    in the Loewner order: inf_theta exp(theta eps + h(theta)) at every eps,
-    with h(theta) = g(theta) * (eta1 if g(theta) > 0 else eta2) and the eta
-    of g_theta_eta.  Each theta bounds on its own, so g may change sign."""
-    eta1, eta2, details = g_theta_eta(g, dominators, cfg)
 
     def h_many(thetas: list) -> list:
         return [x * (eta1 if x > 0 else eta2) for x in map(g, thetas)]

@@ -82,7 +82,7 @@ def _complex_normal(gen: np.random.Generator, shape) -> np.ndarray:
     return z
 
 
-# Work space of one block of draws, in bytes: _build builds the matrices of
+# Work space of one block of rows, in bytes: _build builds the matrices of
 # a batch in blocks whose (rows, d, d) complex array stays within half of
 # it (a wishart block's Gaussian factor, its conjugate and its Gram
 # matrices within all of it), and _Snapshot.evaluate_many keeps each of
@@ -91,6 +91,22 @@ def _complex_normal(gen: np.random.Generator, shape) -> np.ndarray:
 # cost more per call at d = 16, and at 1 MiB the 200-theta call at d = 4
 # ran up to 20x slower with 2 BLAS threads than with 1.
 _KERNEL_BYTES = 512 * 1024
+
+
+def _blocks(n: int, row_bytes: int):
+    """The slices that cover rows 0 .. n-1 in order, each as many rows as
+    fit _KERNEL_BYTES at row_bytes a row, and at least one.  The last
+    slice is not clipped to n."""
+    rows = max(1, _KERNEL_BYTES // row_bytes)
+    return (slice(i, i + rows) for i in range(0, n, rows))
+
+
+def _weights(thetas: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """The (m, N) array exp(-theta w) of m thetas and N eigenvalues; a
+    theta * w past the float range has weight 0, without a numpy warning."""
+    with np.errstate(over="ignore"):
+        e = np.multiply.outer(-thetas, w)
+    return np.exp(e, out=e)
 
 
 def _build(
@@ -103,13 +119,11 @@ def _build(
     array when out is None, else added into out[s]; returns the array
     written.  A draw or a sum past the float range is inf, without a numpy
     warning, and a miss at every eps."""
-    rows = max(1, _KERNEL_BYTES // (draw_bytes or 32 * dim * dim))
     fresh = out is None
     if fresh:
         out = np.empty((size, dim, dim), dtype=np.complex128)
     with np.errstate(over="ignore"):
-        for i in range(0, size, rows):
-            s = slice(i, i + rows)
+        for s in _blocks(size, draw_bytes or 32 * dim * dim):
             if fresh:
                 out[s] = block(s)
             else:
@@ -414,10 +428,7 @@ class Wishart:
             g = re[s].astype(np.complex128)
             np.multiply(gen.standard_normal(g.shape), np.sqrt(0.5), out=g.imag)
             gram = g.transpose(0, 2, 1) @ g.conj()
-            # numpy divides a complex number by a real one as a product with
-            # its reciprocal, so scaling the float view by 1/dof gives the
-            # bits of dividing by dof.
-            gram.view(np.float64)[...] *= 1.0 / self.dof
+            gram /= self.dof
             return gram
 
         draw_bytes = 16 * (2 * self.dof * self.dim + self.dim * self.dim)
@@ -525,11 +536,9 @@ def sample_sum_batch(model: SumModel, stream: RngStream, size: int, limit: float
         if len(keep) < size:
             # keep is ascending, so keep[j] >= j and no block overwrites a
             # row that a later block reads.
-            rows = max(1, _KERNEL_BYTES // (32 * model.dim**2))
-            for i in range(0, len(keep), rows):
-                rows_in = keep[i : i + rows]
-                sums[i : i + len(rows_in)] = sums[rows_in]
-            sums = sums[: len(keep)]
+            whole, sums = sums, sums[: len(keep)]
+            for s in _blocks(len(keep), 32 * model.dim**2):
+                sums[s] = whole[keep[s]]
         return SumDraws(shape, sums)
     keep, diag, kept = np.arange(size), 0.0, []
     for k, src in enumerate(model.sources):
@@ -575,7 +584,7 @@ class _Snapshot:
     (N, d(d+1)/2) complex array of the upper triangles of the v_j v_j*;
     viewed as d(d+1) reals per row, P makes E P one real GEMM.  P is about
     n d^3 / 2 complex numbers, so it is never kept: evaluate_many builds it
-    one block of nv pairs at a time, from the samples that hold them, and
+    one block of pairs at a time, from the samples that hold them, and
     multiplies each block by the matching block of E, both blocks within
     _KERNEL_BYTES / 2.
     """
@@ -610,14 +619,10 @@ class _Snapshot:
         w = self.eigenvalues
         thetas = np.asarray(thetas, dtype=float)
         nv = min(w.size, _KERNEL_BYTES // 16)
-        nt = max(1, _KERNEL_BYTES // (16 * nv))
         acc = np.zeros(len(thetas))
-        for j in range(0, w.size, nv):
-            for i in range(0, len(thetas), nt):
-                with np.errstate(over="ignore"):  # theta * w = inf has weight 0
-                    e = np.multiply.outer(-thetas[i : i + nt], w[j : j + nv])
-                np.exp(e, out=e)
-                acc[i : i + nt] += e.sum(axis=1)
+        for s in _blocks(w.size, 16):
+            for t in _blocks(len(thetas), 16 * nv):
+                acc[t] += _weights(thetas[t], w[s]).sum(axis=1)
         return acc / self.n
 
     def _mgf(self, thetas: np.ndarray) -> np.ndarray:
@@ -626,25 +631,20 @@ class _Snapshot:
         diag = np.arange(d)
         iu, ju = np.triu_indices(d, 1)
         ir, jr = np.concatenate([diag, iu]), np.concatenate([diag, ju])
-        # Blocks of nv eigenpairs and nt thetas: P is (nv, d(d+1)/2) complex
-        # and E (nt, nv) real.
-        nv = max(1, _KERNEL_BYTES // (32 * len(ir)))
-        nt = max(1, _KERNEL_BYTES // (16 * nv))
+        # Blocks s of eigenpairs and t of thetas: P is (len s, d(d+1)/2)
+        # complex and E (len t, len s) real.
         acc = np.zeros((len(thetas), 2 * len(ir)))
-        for j in range(0, w.size, nv):
-            # Pairs j .. j+nv-1 lie in samples j//d .. (j+nv-1)//d; the rows
+        for s in _blocks(w.size, 32 * len(ir)):
+            # Pairs s lie in samples s.start//d .. (s.stop-1)//d; the rows
             # of vb are their eigenvectors, in pair order.
-            s0 = j // d
-            vb = v[s0 : -(-(j + nv) // d)].transpose(0, 2, 1).reshape(-1, d)
-            vb = vb[j - s0 * d : j - s0 * d + nv]
+            s0 = s.start // d
+            vb = v[s0 : -(-s.stop // d)].transpose(0, 2, 1).reshape(-1, d)
+            vb = vb[s.start - s0 * d : s.stop - s0 * d]
             p = np.take(vb, ir, axis=1)
             p *= np.take(vb.conj(), jr, axis=1)
             p = p.view(np.float64)
-            for i in range(0, len(thetas), nt):
-                with np.errstate(over="ignore"):  # theta * w = inf has weight 0
-                    e = np.multiply.outer(-thetas[i : i + nt], w[j : j + nv])
-                np.exp(e, out=e)
-                acc[i : i + nt] += e @ p
+            for t in _blocks(len(thetas), 16 * (s.stop - s.start)):
+                acc[t] += _weights(thetas[t], w[s]) @ p
         acc /= self.n
         upper = acc.view(np.complex128)
         out = np.empty((len(thetas), d, d), dtype=np.complex128)
@@ -769,9 +769,8 @@ class MgfModel:
     def _snapshot(self, source, vectors: bool) -> _Snapshot:
         """The snapshot of source, drawn from substream (seed, _MGF_PURPOSE,
         index), index its order of first use, with its eigenvectors when
-        vectors is true.  Each draw takes a fresh, unmemoized stream of that
-        key, so a redraw has the first draw's samples and holds no stream
-        beyond it."""
+        vectors is true.  Each draw takes a fresh stream of that key, so a
+        redraw has the first draw's samples and holds no stream beyond it."""
         entry = self._snapshots.get(id(source))
         if entry is not None and (entry[1].vectors is not None or not vectors):
             return entry[1]

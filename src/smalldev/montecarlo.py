@@ -111,9 +111,10 @@ class DominationReport:
 
 def worker_count(threads: int | None = None) -> int:
     """Resolve the worker count: explicit argument, else the SMALLDEV_THREADS
-    environment cap, else the CPUs this process may run on (its affinity
-    mask where the platform has one), at most 4.  A SMALLDEV_THREADS that
-    is not an integer is a ConfigError naming the variable."""
+    environment variable, whatever the CPU count, else the CPUs this process
+    may run on (its affinity mask where the platform has one), at most 4.
+    A SMALLDEV_THREADS that is not an integer, or is below 1, is a
+    ConfigError naming the variable."""
     if threads is not None:
         return max(1, int(threads))
     env = os.environ.get(THREADS_ENV)
@@ -124,9 +125,12 @@ def worker_count(threads: int | None = None) -> int:
             cpus = os.cpu_count() or 1
         return min(4, cpus)
     try:
-        return max(1, int(env))
+        count = int(env)
     except ValueError:
         raise ConfigError(f"{THREADS_ENV} must be an integer, got {env!r}") from None
+    if count < 1:
+        raise ConfigError(f"{THREADS_ENV} must be at least 1, got {env!r}")
+    return count
 
 
 _HALF_LOG_2PI = 0.5 * math.log(2.0 * math.pi)
@@ -252,9 +256,9 @@ def _chunk_hits(model: SumModel, stream: RngStream, size: int, eps: np.ndarray) 
     # dimension), and ||H|| = lambda_max(H) because the draws are psd up to
     # rounding.  So its lambda_max is at least Re S_ii (1 - c u) > eps_max
     # whenever c u < _SCREEN_MARGIN / (1 + _SCREEN_MARGIN), i.e. for c up
-    # to about 9e5.  An infinite diagonal (an overflowed sum) is settled,
-    # as eigvalsh's NaN was a miss; a NaN diagonal fails the comparison and
-    # stays open.  The diagonal has the bits of the built sum's, and only the
+    # to about 9e5.  An infinite diagonal (an overflowed sum) is settled as
+    # a miss at every eps; a NaN diagonal fails the comparison and stays
+    # open.  The diagonal has the bits of the built sum's, and only the
     # open draws are built; when every draw is open, eigvalsh gets the batch
     # itself, not a copy.  float(): past the float range a Python product is
     # inf, with no numpy overflow warning.
@@ -295,8 +299,7 @@ def estimate(
     def chunk_hits(c: int) -> np.ndarray:
         # Chunk c always draws from substream c, whatever thread runs it, so
         # the per-chunk hit vectors (and their integer sum) never depend on
-        # the workers.  The stream is made here, unmemoized, and dropped
-        # with the chunk.
+        # the workers.  The stream is made here and dropped with the chunk.
         stream = RngStream(seed, (_ESTIMATE_PURPOSE, c))
         return _chunk_hits(model, stream, min(_CHUNK, n - c * _CHUNK), eps)
 

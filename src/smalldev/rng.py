@@ -3,9 +3,10 @@
 Streams are counter-based (Philox) and keyed by (seed, path), where the
 path is a tuple of child indices.  Two streams with different paths are
 statistically independent, and a stream's output depends only on its key
-and draw index, never on thread scheduling.  ``child`` is memoized so that
-repeated lookups of the same substream share state and therefore yield
-successive, non-repeating draws.
+and draw index, never on thread scheduling.  A stream is its key:
+``child`` makes a new node of the child's key on every call and keeps
+none, so a caller that wants successive draws of one substream holds on
+to the node it was given.
 """
 
 from __future__ import annotations
@@ -18,13 +19,12 @@ __all__ = ["RngStream"]
 class RngStream:
     """One node in a tree of reproducible random streams."""
 
-    __slots__ = ("seed", "path", "_generator", "_children")
+    __slots__ = ("seed", "path", "_generator")
 
     def __init__(self, seed: int, path: tuple[int, ...] = ()) -> None:
         self.seed = int(seed)
         self.path = tuple(int(i) for i in path)
         self._generator = None
-        self._children: dict[int, "RngStream"] = {}
 
     @property
     def generator(self) -> np.random.Generator:
@@ -35,13 +35,8 @@ class RngStream:
         return self._generator
 
     def child(self, index: int) -> "RngStream":
-        """Memoized substream; same index always returns the same node."""
-        index = int(index)
-        node = self._children.get(index)
-        if node is None:
-            node = RngStream(self.seed, self.path + (index,))
-            self._children[index] = node
-        return node
+        """A fresh node keyed (seed, path + (index,)), at its first draw."""
+        return RngStream(self.seed, self.path + (index,))
 
     def __repr__(self) -> str:
         return f"RngStream(seed={self.seed}, path={self.path})"

@@ -16,7 +16,6 @@ from smalldev.bounds import (
     chernoff_sum_bound,
     exp_envelope,
     g_theta_bound,
-    g_theta_eta,
     log_mean_bound,
     log_rate,
     master_bound,
@@ -337,21 +336,22 @@ class TestGThetaBound:
             assert_result_invariants(res)
 
     def test_eta_checks_the_grid_without_a_theta_scan(self, monkeypatch):
+        # eta1 = 4 and eta2 = 2 are the extreme eigenvalues of diag(2, 4);
+        # the details name eta1 only where g > 0 somewhere on the grid.
+        dominators = (HermitianMatrix.diagonal([1.0, 3.0]), HermitianMatrix.identity(2))
+        (res,) = g_theta_bound(log_rate(1.0), dominators, [0.5])
+        assert res.details == {"eta2": 2.0, "at_boundary": res.details["at_boundary"]}
+        (res,) = g_theta_bound(power_envelope(1.0, 1.0), dominators, [0.5])
+        assert res.details == {"eta1": 4.0, "eta2": 2.0, "at_boundary": False}
+
         def search(*args, **kwargs):
-            raise AssertionError("g_theta_eta ran a theta-scan")
+            raise AssertionError("g_theta_bound ran a theta-scan before its checks")
 
         monkeypatch.setattr(bounds_mod, "search", search)
-        dominators = (HermitianMatrix.diagonal([1.0, 3.0]), HermitianMatrix.identity(2))
-        assert g_theta_eta(log_rate(1.0), dominators) == (4.0, 2.0, {"eta2": 2.0})
-        assert g_theta_eta(power_envelope(1.0, 1.0), dominators) == (
-            4.0,
-            2.0,
-            {"eta1": 4.0, "eta2": 2.0},
-        )
         with pytest.raises(InvalidDominatorsError, match="non-finite"):
-            g_theta_eta(lambda t: math.inf if t > 1.0 else -t, dominators)
+            g_theta_bound(lambda t: math.inf if t > 1.0 else -t, dominators, [0.5])
         with pytest.raises(ValueError, match="at least one dominating matrix"):
-            g_theta_eta(log_rate(1.0), ())
+            g_theta_bound(log_rate(1.0), (), [0.5])
 
     def test_positive_sign_uses_eta1(self):
         cfg = OptimizerConfig(theta_min=1e-6, theta_max=1.0)
@@ -485,7 +485,9 @@ class TestGridScan:
         for model in (exp_series_model(3), mixed):
             k, d = model.size, model.dim
             g = log_rate(1.0)
-            eta1, eta2, _ = g_theta_eta(g, source_means(model), cfg)
+            means = [a.entries for a in source_means(model)]
+            w = np.linalg.eigvalsh(sum(means[1:], means[0]))
+            eta1, eta2 = float(w[-1]), float(w[0])
 
             def g_theta(th):
                 gth = g(th)

@@ -435,6 +435,24 @@ class TestConfigValidation:
         err = capsys.readouterr().err
         assert err == f"config error: SMALLDEV_THREADS must be an integer, got {value!r}\n"
 
+    @pytest.mark.parametrize("value", ["0", "-2"])
+    @pytest.mark.parametrize("command", ["bound", "simulate", "compare"])
+    def test_threads_variable_below_one_exits_2_before_any_work(
+        self, tmp_path, capsys, monkeypatch, command, value
+    ):
+        monkeypatch.setenv("SMALLDEV_THREADS", value)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("work started")
+
+        monkeypatch.setattr(cli, "evaluate_bounds", refuse)
+        monkeypatch.setattr(cli.mc, "estimate", refuse)
+        path = write_config(tmp_path, FAST_EXP_CONFIG)
+        assert main([command, "--config", path, "--samples", "64"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"config error: SMALLDEV_THREADS must be at least 1, got {value!r}\n"
+
     def test_duplicate_bound_exits_2(self, tmp_path, capsys):
         cfg = dict(FAST_EXP_CONFIG, bounds=["master", "series_sum", "master"])
         path = write_config(tmp_path, cfg)
@@ -1413,17 +1431,29 @@ def test_validation_builds_per_distinct_source(capsys, monkeypatch, name, hermit
 
 
 def test_g_theta_eta_is_computed_once(capsys, monkeypatch):
-    etas = []
-    real = cli.bd.g_theta_eta
+    """g_theta sums its dominators and takes the eigenvalues of the sum
+    once for the whole eps grid."""
+    dominator_sums, etas = [], []
+    real_sum, real_eigvalsh = cli.bd._position_sum, np.linalg.eigvalsh
 
-    def counting(*args):
-        etas.append(real(*args))
-        return etas[-1]
+    def position_sum(terms, what=""):
+        total = real_sum(terms, what)
+        if what == "the sum of the dominators":
+            dominator_sums.append(total)
+        return total
 
-    monkeypatch.setattr(cli.bd, "g_theta_eta", counting)
+    def eigvalsh(a, *args, **kwargs):
+        w = real_eigvalsh(a, *args, **kwargs)
+        if any(a is total for total in dominator_sums):
+            etas.append(w.tolist())
+        return w
+
+    monkeypatch.setattr(cli.bd, "_position_sum", position_sum)
+    monkeypatch.setattr(np.linalg, "eigvalsh", eigvalsh)
     assert main(["bound", "--config", demo_config_path("bernoulli_diagonal")]) == 0
     assert capsys.readouterr().out.count(",g_theta,") == 10
-    assert etas == [(5.0, 5.0, {"eta2": 5.0})]
+    assert len(dominator_sums) == 1
+    assert etas == [[5.0]]
 
 
 def test_bound_decomposes_each_scaled_fixed_matrix_once(capsys, monkeypatch):

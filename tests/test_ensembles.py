@@ -1242,12 +1242,29 @@ class TestReproducibility:
         b = src.sample_batch(RngStream(42).child(5), 100)
         assert np.array_equal(a, b)
 
-    def test_child_streams_are_memoized(self):
+    def test_each_child_lookup_draws_the_bits_of_its_key(self):
+        root = RngStream(1, (3,))
+        want = RngStream(1, (3, 2)).generator.random(6)
+        for _ in range(2):
+            node = root.child(2)
+            assert node.path == (3, 2)
+            # A node is stateful: its successive draws continue its stream.
+            got = np.concatenate([node.generator.random(3), node.generator.random(3)])
+            assert np.array_equal(got, want)
+
+    def test_a_root_keeps_none_of_its_children(self):
         root = RngStream(1)
-        assert root.child(2) is root.child(2)
-        first = root.child(2).generator.random(3)
-        second = root.child(2).generator.random(3)
-        assert not np.array_equal(first, second)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            for k in range(100_000):
+                root.child(k)
+            held = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        # Under one byte a child: a root that kept its children would hold
+        # each node, its path and its index, some megabytes in all.
+        assert held < 100_000
 
     def test_substream_rank_correlation_negligible(self):
         root = RngStream(2024)

@@ -20,6 +20,7 @@ from smalldev.ensembles import (
     bernoulli_diagonal,
     sample_sum_batch,
 )
+from smalldev.errors import ConfigError
 from smalldev.linalg import HermitianMatrix
 from smalldev.montecarlo import (
     _SCREEN_MARGIN,
@@ -589,3 +590,10 @@ class TestWorkerCount:
         monkeypatch.setenv(montecarlo.THREADS_ENV, "3")
         assert worker_count() == 3
         assert worker_count(2) == 2
+
+    @pytest.mark.parametrize("value", ["0", "-2"])
+    def test_environment_below_one_is_refused(self, monkeypatch, value):
+        monkeypatch.setenv(montecarlo.THREADS_ENV, value)
+        with pytest.raises(ConfigError) as info:
+            worker_count()
+        assert str(info.value) == f"SMALLDEV_THREADS must be at least 1, got {value!r}"
