@@ -588,6 +588,14 @@ def _prepare(args):
     return cfg, model, requests, mgf, opt_cfg
 
 
+def _bounds(args) -> tuple:
+    """(cfg, model, bound map) of _prepare and evaluate_bounds.  The
+    MgfModel, its snapshots and the prepared requests die on return, so
+    that compare frees them before its simulation."""
+    cfg, model, requests, mgf, opt_cfg = _prepare(args)
+    return cfg, model, evaluate_bounds(requests, model, mgf, cfg["eps_grid"], opt_cfg)
+
+
 def _estimate(cfg: dict, model: SumModel) -> list:
     sim = cfg["simulation"]
     return mc.estimate(
@@ -596,8 +604,7 @@ def _estimate(cfg: dict, model: SumModel) -> list:
 
 
 def cmd_bound(args) -> int:
-    cfg, model, requests, mgf, opt_cfg = _prepare(args)
-    bound_map = evaluate_bounds(requests, model, mgf, cfg["eps_grid"], opt_cfg)
+    cfg, _model, bound_map = _bounds(args)
     rows = [
         (eps, name, results[i])
         for i, eps in enumerate(cfg["eps_grid"])
@@ -631,8 +638,7 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_compare(args) -> int:
-    cfg, model, requests, mgf, opt_cfg = _prepare(args)
-    bound_map = evaluate_bounds(requests, model, mgf, cfg["eps_grid"], opt_cfg)
+    cfg, model, bound_map = _bounds(args)
     # Values lie in [0, 1] and the scale is non-negative, so at the default
     # scale of 1 every value stays as it is.
     scale = cfg["scale_bounds"]

@@ -5,7 +5,10 @@ One shared pool of n draws of lambda_max is scored against every point of
 the eps grid, so empirical probabilities are monotone along the grid and
 every bound is checked against the same underlying measure.  Sampling is
 chunked; each fixed-size chunk owns a dedicated substream, so totals are
-bit-identical for any worker count.
+bit-identical for any worker count.  The calling thread is one of the
+workers: it and workers - 1 pool threads take chunk indices from one
+shared iterator, each sums its own integer hits, and the totals are added
+at the end.  A chunk that raises stops every thread from taking another.
 
 A draw S is scored in two steps.  First a diagonal certificate: since
 lambda_max(S) >= Re S_ii, a draw whose largest diagonal entry exceeds the
@@ -38,7 +41,7 @@ from __future__ import annotations
 
 import math
 import os
-from collections import deque
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Mapping, Sequence
@@ -66,11 +69,6 @@ _ESTIMATE_PURPOSE = 0
 # Samples per chunk.  Fixed so the chunk -> substream assignment, and hence
 # every drawn value, is independent of how chunks are spread over workers.
 _CHUNK = 4096
-
-# Chunks per worker that estimate keeps submitted ahead of the running sum
-# of hits: enough to keep every worker busy, few enough that the pending
-# futures stay a fixed, small amount of memory whatever n.
-_IN_FLIGHT = 4
 
 THREADS_ENV = "SMALLDEV_THREADS"
 
@@ -113,10 +111,12 @@ def worker_count(threads: int | None = None) -> int:
     """Resolve the worker count: explicit argument, else the SMALLDEV_THREADS
     environment variable, whatever the CPU count, else the CPUs this process
     may run on (its affinity mask where the platform has one), at most 4.
-    A SMALLDEV_THREADS that is not an integer, or is below 1, is a
-    ConfigError naming the variable."""
+    An explicit threads below 1 is a ValueError; a SMALLDEV_THREADS that is
+    not an integer, or is below 1, is a ConfigError naming the variable."""
     if threads is not None:
-        return max(1, int(threads))
+        if threads < 1:
+            raise ValueError(f"threads must be at least 1, got {threads!r}")
+        return int(threads)
     env = os.environ.get(THREADS_ENV)
     if env is None:
         try:
@@ -279,11 +279,15 @@ def estimate(
     ascending eps grid from one shared pool of n draws.
 
     The draws come in chunks of _CHUNK, chunk c from substream (seed,
-    _ESTIMATE_PURPOSE, c), run by worker_count(threads) threads.  Each
-    chunk makes its stream when it runs and drops it with its draws, and
-    the hits are summed as the chunks finish, with at most _IN_FLIGHT
-    chunks per worker submitted ahead: the memory of a call is that of its
-    running chunks, whatever n."""
+    _ESTIMATE_PURPOSE, c).  They run on worker_count(threads) threads: the
+    calling thread and workers - 1 pool threads, none when workers is 1.
+    Each thread takes the next chunk index from one shared iterator, makes
+    the chunk's stream, scores it and drops it with its draws, and adds the
+    hits to its own int64 total; the totals are summed at the end.  So the
+    memory of a call is that of its running chunks, whatever n, and the
+    hits, an integer sum over the same chunks, are the same at any worker
+    count.  A chunk that raises, on any thread, stops every thread from
+    taking another chunk, and the error propagates from here."""
     eps = np.asarray(list(eps_grid), dtype=float)
     if eps.size == 0:
         raise ValueError("eps_grid must be non-empty")
@@ -296,25 +300,34 @@ def estimate(
 
     chunks = (n + _CHUNK - 1) // _CHUNK
 
-    def chunk_hits(c: int) -> np.ndarray:
-        # Chunk c always draws from substream c, whatever thread runs it, so
-        # the per-chunk hit vectors (and their integer sum) never depend on
-        # the workers.  The stream is made here and dropped with the chunk.
-        stream = RngStream(seed, (_ESTIMATE_PURPOSE, c))
-        return _chunk_hits(model, stream, min(_CHUNK, n - c * _CHUNK), eps)
-
     workers = worker_count(threads)
-    hits = np.zeros(eps.size, dtype=np.int64)
-    # At most _IN_FLIGHT chunks per worker are submitted and not yet
-    # summed, so memory does not grow with the number of chunks.
-    pending: deque = deque()
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        for c in range(chunks):
-            pending.append(pool.submit(chunk_hits, c))
-            if len(pending) >= _IN_FLIGHT * workers:
-                hits += pending.popleft().result()
-        while pending:
-            hits += pending.popleft().result()
+    # The lock hands every chunk index to exactly one thread.
+    order, lock, stop = iter(range(chunks)), threading.Lock(), threading.Event()
+
+    def run() -> np.ndarray:
+        hits = np.zeros(eps.size, dtype=np.int64)
+        try:
+            while not stop.is_set():
+                with lock:
+                    c = next(order, None)
+                if c is None:
+                    break
+                # Chunk c always draws from substream c, whatever thread
+                # runs it; the stream is made here and dropped with the chunk.
+                stream = RngStream(seed, (_ESTIMATE_PURPOSE, c))
+                hits += _chunk_hits(model, stream, min(_CHUNK, n - c * _CHUNK), eps)
+        finally:
+            # Set on a raise, and harmless after a normal exit: every index
+            # is taken by then.
+            stop.set()
+        return hits
+
+    # Threads start on submit, so workers == 1 starts none.  When the
+    # calling thread's run raises, leaving the pool waits only for the
+    # chunks that the pool threads are running.
+    with ThreadPoolExecutor(max_workers=max(1, workers - 1)) as pool:
+        others = [pool.submit(run) for _ in range(workers - 1)]
+        hits = run() + sum(other.result() for other in others)
 
     out = []
     for e, h in zip(eps.tolist(), hits.tolist()):

@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -1083,6 +1084,38 @@ class TestCompareCommand:
         header = csv_path.read_text().split("\n", 1)[0]
         assert header == "epsilon,bound,bound_value,p_hat,ci_low,ci_high,dominated"
         assert json.loads(json_path.read_text())["violations"] == 0
+
+    def test_simulation_holds_no_mgf_model(self, tmp_path, monkeypatch):
+        # A small copy of the bundled bounded_rank_one: empirical snapshots
+        # are drawn for the bounds, and all of them are garbage by the time
+        # the simulation starts.
+        cfg = yaml.safe_load(Path(demo_config_path("bounded_rank_one")).read_text())
+        cfg["mgf"]["n_samples"] = 200
+        cfg["simulation"]["n"] = 2000
+        cfg["eps_grid"]["count"] = 3
+        models, entered = [], []
+        make, evaluate, simulate = cli.MgfModel, cli.evaluate_bounds, cli.mc.estimate
+
+        def recording_model(*args, **kwargs):
+            mgf = make(*args, **kwargs)
+            models.append(weakref.ref(mgf))
+            return mgf
+
+        def recording_evaluate(requests, model, mgf, *args):
+            bound_map = evaluate(requests, model, mgf, *args)
+            assert mgf._snapshots
+            return bound_map
+
+        def recording_estimate(*args, **kwargs):
+            entered.append([ref() for ref in models])
+            return simulate(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "MgfModel", recording_model)
+        monkeypatch.setattr(cli, "evaluate_bounds", recording_evaluate)
+        monkeypatch.setattr(cli.mc, "estimate", recording_estimate)
+        path = write_config(tmp_path, cfg)
+        assert main(["compare", "--config", path, "--json", str(tmp_path / "r.json")]) == 0
+        assert entered == [[None]]
 
     def test_runs_with_scipy_unimportable(self, tmp_path):
         # A None entry in sys.modules makes every scipy import raise

@@ -1,4 +1,7 @@
 import math
+import sys
+import threading
+import time
 import tracemalloc
 import warnings
 
@@ -213,6 +216,100 @@ class TestEstimate:
     def test_rejects_nan_eps(self):
         with pytest.raises(ValueError, match="eps_grid values must be positive"):
             estimate(bernoulli_model(2), [0.5, math.nan], n=10)
+
+
+class TestWorkers:
+    """The calling thread and workers - 1 pool threads take chunks from one
+    shared iterator; each sums its own hits."""
+
+    # A wishart repeat, every draw open.  The hits are those of a pool that
+    # ran every chunk itself: how chunks are spread over threads must not
+    # move them.
+    MODEL = SumModel(sources=(Wishart(dim=4, dof=4),) * 3)
+    EPS = [3.0, 4.0, 5.0, 6.0]
+
+    @pytest.mark.parametrize("threads", [1, 2, 3, 4])
+    @pytest.mark.parametrize(
+        "n, want",
+        [(3 * 4096 + 17, [8, 676, 4500, 9242]), (4096 + 5, [2, 254, 1547, 3103])],
+        ids=["partial-last-chunk", "fewer-chunks-than-workers"],
+    )
+    def test_hits_equal_at_every_worker_count(self, n, want, threads):
+        ests = estimate(self.MODEL, self.EPS, n=n, seed=5, threads=threads)
+        assert [e.hits for e in ests] == want
+        eps = np.asarray(self.EPS)
+        chunks = [
+            _chunk_hits(self.MODEL, RngStream(5, (0, c)), min(4096, n - 4096 * c), eps)
+            for c in range(-(-n // 4096))
+        ]
+        assert np.sum(chunks, axis=0).tolist() == want
+
+    @pytest.mark.parametrize("threads, started", [(1, 0), (3, 2)])
+    def test_starts_workers_minus_one_threads(self, threads, started, monkeypatch):
+        # Each thread's first chunk waits until every thread has one, so no
+        # thread can run all the chunks alone.
+        starts, runners = [], set()
+        start, chunk = threading.Thread.start, montecarlo._chunk_hits
+        barrier = threading.Barrier(threads, timeout=30)
+
+        def recording_start(thread):
+            starts.append(thread)
+            start(thread)
+
+        def recording_chunk(*args):
+            if threading.get_ident() not in runners:
+                runners.add(threading.get_ident())
+                barrier.wait()
+            return chunk(*args)
+
+        monkeypatch.setattr(threading.Thread, "start", recording_start)
+        monkeypatch.setattr(montecarlo, "_chunk_hits", recording_chunk)
+        estimate(bernoulli_model(), [0.5], n=30_000, seed=9, threads=threads)
+        assert len(starts) == started
+        assert threading.get_ident() in runners and len(runners) == threads
+
+    def test_every_chunk_runs_once_under_thread_switching(self, monkeypatch):
+        # 8 workers on 400 chunks of 5 draws, with a thread switch forced
+        # every microsecond: an index taken twice or lost changes the hits.
+        monkeypatch.setattr(montecarlo, "_CHUNK", 5)
+        taken, chunk = [], montecarlo._chunk_hits
+
+        def recording_chunk(model, stream, size, eps):
+            taken.append(stream.path[-1])
+            return chunk(model, stream, size, eps)
+
+        model, eps = bernoulli_model(), [2.5, 5.0]
+        want = [e.hits for e in estimate(model, eps, n=2000, seed=4, threads=1)]
+        monkeypatch.setattr(montecarlo, "_chunk_hits", recording_chunk)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            ests = estimate(model, eps, n=2000, seed=4, threads=8)
+        finally:
+            sys.setswitchinterval(interval)
+        assert sorted(taken) == list(range(400))
+        assert [e.hits for e in ests] == want
+
+    @pytest.mark.parametrize("where", ["calling", "pool"])
+    def test_a_failing_chunk_stops_every_thread(self, where, monkeypatch):
+        # 200 one-draw chunks on 3 workers.  After the failure each pool
+        # thread may start at most the chunk it has already taken.
+        monkeypatch.setattr(montecarlo, "_CHUNK", 1)
+        caller, events = threading.get_ident(), []
+
+        def chunk(model, stream, size, eps):
+            on_caller = threading.get_ident() == caller
+            events.append("start")
+            time.sleep(0.001)
+            if "fail" not in events and on_caller == (where == "calling"):
+                events.append("fail")
+                raise RuntimeError("chunk failed")
+            return np.zeros(eps.size, dtype=np.int64)
+
+        monkeypatch.setattr(montecarlo, "_chunk_hits", chunk)
+        with pytest.raises(RuntimeError, match="chunk failed"):
+            estimate(bernoulli_model(), [0.5], n=200, seed=1, threads=3)
+        assert events[events.index("fail") + 1 :].count("start") <= 2
 
 
 class TestCompare:
@@ -590,6 +687,13 @@ class TestWorkerCount:
         monkeypatch.setenv(montecarlo.THREADS_ENV, "3")
         assert worker_count() == 3
         assert worker_count(2) == 2
+
+    @pytest.mark.parametrize("threads", [0, -2])
+    def test_argument_below_one_is_refused(self, threads):
+        with pytest.raises(ValueError, match=f"threads must be at least 1, got {threads}"):
+            worker_count(threads)
+        with pytest.raises(ValueError, match="threads must be at least 1"):
+            estimate(bernoulli_model(2), [0.5], n=10, threads=threads)
 
     @pytest.mark.parametrize("value", ["0", "-2"])
     def test_environment_below_one_is_refused(self, monkeypatch, value):
