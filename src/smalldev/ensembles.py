@@ -5,28 +5,30 @@ Sources and models are immutable descriptions; all sampling state lives in
 caller-owned RngStream nodes.  Every source draws matrices that are psd
 (up to roundoff) with sample_batch(stream, size, out=None), built one
 block of draws at a time (_build), either into a fresh array or added
-into `out`.  bounded_rank_one and scaled_fixed take it in two steps:
-draw(stream, size) takes all the random numbers of a batch from the
-stream, in one fixed order, and build(draws, out=None) makes their
-(size, d, d) matrices.  A wishart has sample_batch alone, which streams
-its Gaussians: it draws the real parts of the batch whole, as the stream
-order requires, and each block's imaginary parts just before it builds
-that block, so it holds half of its complex factor and one block.  A sum
-adds each position's draws into one running sum, so it never holds a
-full-size array per position.
+into `out`.  scaled_fixed draws the scalars x of a batch, then builds
+x A.  bounded_rank_one takes it in two steps: draw(stream, size) takes
+all the random numbers of a batch from the stream, in one fixed order,
+and build(draws, out=None) makes their (size, d, d) matrices.  A wishart
+streams its Gaussians: it draws the real parts of the batch whole, as
+the stream order requires, and each block's imaginary parts just before
+it builds that block, so it holds half of its complex factor and one
+block.  A sum adds each position's draws into one running sum, so it
+never holds a full-size array per position.
 
 For Monte Carlo, sample_sum_batch draws a chunk, screens it on the
 diagonal of the sum and builds the sums of the draws the screen leaves
-open, all in one call.  bounded_rank_one and scaled_fixed give the
-diagonal of their draws without building a matrix, so a sum of them is
+open, all in one call.  bounded_rank_one gives the diagonal of its draws
+without building a matrix, so a sum of bounded_rank_one sources alone is
 drawn position by position, its diagonals added up as it goes, and only
-the random numbers of the draws still open are kept.  A wishart diagonal
-is cheap too, (1/dof) sum_j |g_ji|^2, but screening first keeps every
-position's random numbers until the last position is screened: for
+the random numbers of the draws still open are kept.  Every other sum is
+built whole first, which holds about 1.6 sums, and the screen moves its
+open rows to its front in place.  A scaled_fixed draw is one scalar and
+its matrix one product by A, so screening it first does not pay: on the
+bundled configs, building whole cost about the same or less.  A wishart
+diagonal is cheap too, (1/dof) sum_j |g_ji|^2, but screening first keeps
+every position's random numbers until the last position is screened: for
 wishart that is the complex factor, 16 dof d bytes a draw, as large as
-the matrix at dof = d, so about K sums in all.  So a sum with a wishart
-source is built whole first, which holds about 1.6 sums, and the screen
-moves its open rows to its front in place.
+the matrix at dof = d, so about K sums in all.
 
 The matrix mgf here is the decreasing-direction one, E exp(-theta X) for
 theta > 0, whose eigenvalues lie in (0, 1] for psd X.
@@ -169,7 +171,8 @@ class Gamma:
         return (c, self.shape)
 
     def mgf(self, t):
-        return (self.rate / (self.rate + np.asarray(t, dtype=float))) ** self.shape
+        with np.errstate(over="ignore"):  # rate + t = inf has mgf 0
+            return (self.rate / (self.rate + np.asarray(t, dtype=float))) ** self.shape
 
     def sample(self, gen: np.random.Generator, size: int) -> np.ndarray:
         return gen.gamma(self.shape, scale=1.0 / self.rate, size=size)
@@ -225,7 +228,8 @@ class Uniform:
         return (1.0 / self.high, 1.0)
 
     def mgf(self, t):
-        tb = np.asarray(t, dtype=float) * self.high
+        with np.errstate(over="ignore"):  # t * high = inf has mgf 0
+            tb = np.asarray(t, dtype=float) * self.high
         small = tb < 1e-8
         safe = np.where(small, 1.0, tb)
         out = np.where(small, 1.0 - tb / 2.0, -np.expm1(-safe) / safe)
@@ -243,27 +247,8 @@ ScalarLaw = Gamma | Bernoulli | Uniform
 # ---------------------------------------------------------------------------
 
 
-class _Drawn:
-    """The sampling steps of the source kinds that draw, then build.  A
-    source's draw(stream, size) returns the random numbers of size draws as
-    a tuple of arrays indexed by draw, and matrices(draws) the matrices of
-    such a tuple.  Its diagonal(draws), where not None, is the real
-    diagonal of those matrices, bit for bit np.diagonal(...).real, built
-    without them; its entries are nonnegative."""
-
-    def sample_batch(self, stream: RngStream, size: int, out=None) -> np.ndarray:
-        return self.build(self.draw(stream, size), out)
-
-    def build(self, draws: tuple, out=None) -> np.ndarray:
-        """The matrices of draws, built by _build into a fresh array or
-        added into out."""
-        return _build(
-            len(draws[0]), self.dim, lambda s: self.matrices(tuple(a[s] for a in draws)), out
-        )
-
-
 @dataclass(frozen=True)
-class ScaledFixed(_Drawn):
+class ScaledFixed:
     """X = x * A for a fixed psd matrix A and a nonnegative scalar law."""
 
     matrix: HermitianMatrix
@@ -300,29 +285,11 @@ class ScaledFixed(_Drawn):
             return None
         return b * lambda_max(self.matrix)
 
-    def draw(self, stream: RngStream, size: int) -> tuple:
-        return (self.law.sample(stream.generator, size),)
-
-    def matrices(self, draws: tuple) -> np.ndarray:
-        (xs,) = draws
-        return xs[:, None, None] * self.matrix.entries
-
-    @cached_property
-    def diagonal(self):
-        """x * a_ii per draw: the diagonal of A is real, so this is the real
-        part of the complex product x A.  None when A has a negative
-        diagonal entry (the roundoff of a psd matrix), which would make it
-        negative."""
-        a_ii = np.diagonal(self.matrix.entries).real
-        if (a_ii < 0).any():
-            return None
-
-        def diagonal(draws: tuple) -> np.ndarray:
-            (xs,) = draws
-            with np.errstate(over="ignore"):
-                return xs[:, None] * a_ii
-
-        return diagonal
+    def sample_batch(self, stream: RngStream, size: int, out=None) -> np.ndarray:
+        """The (size, d, d) matrices x A of size draws x of law, built by
+        _build into a fresh array or added into out."""
+        xs = self.law.sample(stream.generator, size)
+        return _build(size, self.dim, lambda s: xs[s, None, None] * self.matrix.entries, out)
 
     def analytic_mgf(self, thetas) -> np.ndarray:
         """The (m, d, d) stack U diag(law.mgf(theta lambda)) U* at the m
@@ -344,7 +311,7 @@ def bernoulli_diagonal(dim: int, p: float, scale: float) -> ScaledFixed:
 
 
 @dataclass(frozen=True)
-class BoundedRankOne(_Drawn):
+class BoundedRankOne:
     """X = bound * u * w w* with w uniform on the complex unit sphere and
     u ~ Uniform[0, 1], so that E X = (bound / 2 dim) * I and
     lambda_max(X) <= bound almost surely."""
@@ -375,14 +342,26 @@ class BoundedRankOne(_Drawn):
         w = g / np.linalg.norm(g, axis=1, keepdims=True)
         return self.bound * gen.random(size), w
 
-    def matrices(self, draws: tuple) -> np.ndarray:
-        scale, w = draws
-        v = scale[:, None] * w
-        return v[:, :, None] * w.conj()[:, None, :]
-
     def diagonal(self, draws: tuple) -> np.ndarray:
+        """The real diagonal of the matrices of draws, bit for bit
+        np.diagonal(build(draws)).real, built without them; its entries
+        are nonnegative."""
         scale, w = draws
         return (scale[:, None] * w * w.conj()).real
+
+    def build(self, draws: tuple, out=None) -> np.ndarray:
+        """The matrices of draws, built by _build into a fresh array or
+        added into out."""
+        scale, w = draws
+
+        def block(s):
+            v = scale[s, None] * w[s]
+            return v[:, :, None] * w[s].conj()[:, None, :]
+
+        return _build(len(scale), self.dim, block, out)
+
+    def sample_batch(self, stream: RngStream, size: int, out=None) -> np.ndarray:
+        return self.build(self.draw(stream, size), out)
 
 
 @dataclass(frozen=True)
@@ -522,15 +501,15 @@ def sample_sum_batch(model: SumModel, stream: RngStream, size: int, limit: float
     open, sums is the built sum itself, not a copy.  A sum past the float
     range has an inf diagonal, without a numpy warning.
 
-    When every source has a diagonal, the sum is screened before it is
-    built: position k draws all of its random numbers in order, adds its
-    diagonals to a running sum, and keeps the random numbers of the draws
-    still open.  The diagonal terms are nonnegative, so a running sum above
-    limit stays above it and its draw is dropped at once.  Once no draw is
-    open, the later positions are not drawn: nothing else reads their
-    substreams.  Otherwise (a wishart source) the whole sum is built by
-    model.sample_batch, and its open rows are moved to its front, one block
-    at a time, without a second copy of the sum."""
+    When every source has a diagonal (bounded_rank_one alone), the sum is
+    screened before it is built: position k draws all of its random
+    numbers in order, adds its diagonals to a running sum, and keeps the
+    random numbers of the draws still open.  The diagonal terms are
+    nonnegative, so a running sum above limit stays above it and its draw
+    is dropped at once.  Once no draw is open, the later positions are not
+    drawn: nothing else reads their substreams.  Otherwise the whole sum
+    is built by model.sample_batch, and its open rows are moved to its
+    front, one block at a time, without a second copy of the sum."""
     shape = (size, model.dim, model.dim)
     if not all(getattr(src, "diagonal", None) is not None for src in model.sources):
         sums = model.sample_batch(stream, size)

@@ -5,10 +5,11 @@ One shared pool of n draws of lambda_max is scored against every point of
 the eps grid, so empirical probabilities are monotone along the grid and
 every bound is checked against the same underlying measure.  Sampling is
 chunked; each fixed-size chunk owns a dedicated substream, so totals are
-bit-identical for any worker count.  The calling thread is one of the
-workers: it and workers - 1 pool threads take chunk indices from one
-shared iterator, each sums its own integer hits, and the totals are added
-at the end.  A chunk that raises stops every thread from taking another.
+bit-identical for any worker count.  There is at most one worker per
+chunk, and the calling thread is one of them: it and workers - 1 pool
+threads take chunk indices from one shared iterator, each sums its own
+integer hits, and the totals are added at the end.  A chunk that raises
+stops every thread from taking another.
 
 A draw S is scored in two steps.  First a diagonal certificate: since
 lambda_max(S) >= Re S_ii, a draw whose largest diagonal entry exceeds the
@@ -17,12 +18,12 @@ The draws it leaves open go to the batched np.linalg.eigvalsh.  The margin
 is far above the eigensolver's backward error (see _chunk_hits), so the
 hits equal those of scoring every draw by eigvalsh.  One
 ensembles.sample_sum_batch call per chunk draws it, screens it and builds
-the sums of its open draws.  The screen reads the diagonal before any
-matrix is built where the sources allow it, so a settled draw of such a
-sum is never built.  A sum with a wishart source is built whole: a chunk
-then holds the sum, the real parts of one position's Gaussians and one
-block of draws, and the screen moves the open draws to the front of the
-sum in place.
+the sums of its open draws.  A sum of bounded_rank_one sources alone is
+screened on its diagonal before any matrix is built, so a settled draw of
+it is never built.  Every other sum is built whole: a chunk then holds the
+sum, one block of draws and, for a wishart source, the real parts of one
+position's Gaussians, and the screen moves the open draws to the front of
+the sum in place.
 
 The Clopper-Pearson limits (Clopper & Pearson 1934) are Beta quantiles with
 integer parameters, computed here without scipy: Newton's method inside a
@@ -279,14 +280,14 @@ def estimate(
     ascending eps grid from one shared pool of n draws.
 
     The draws come in chunks of _CHUNK, chunk c from substream (seed,
-    _ESTIMATE_PURPOSE, c).  They run on worker_count(threads) threads: the
-    calling thread and workers - 1 pool threads, none when workers is 1.
-    Each thread takes the next chunk index from one shared iterator, makes
-    the chunk's stream, scores it and drops it with its draws, and adds the
-    hits to its own int64 total; the totals are summed at the end.  So the
-    memory of a call is that of its running chunks, whatever n, and the
-    hits, an integer sum over the same chunks, are the same at any worker
-    count.  A chunk that raises, on any thread, stops every thread from
+    _ESTIMATE_PURPOSE, c).  They run on min(worker_count(threads), chunks)
+    workers: the calling thread and workers - 1 pool threads, none when
+    workers is 1.  Each thread takes the next chunk index from one shared
+    iterator, makes the chunk's stream, scores it and drops it with its
+    draws, and adds the hits to its own int64 total; the totals are summed
+    at the end.  So the memory of a call is that of its running chunks,
+    whatever n, and the hits, an integer sum over the same chunks, are the
+    same at any worker count.  A chunk that raises, on any thread, stops every thread from
     taking another chunk, and the error propagates from here."""
     eps = np.asarray(list(eps_grid), dtype=float)
     if eps.size == 0:
@@ -299,8 +300,8 @@ def estimate(
         raise ValueError("n must be at least 1")
 
     chunks = (n + _CHUNK - 1) // _CHUNK
-
-    workers = worker_count(threads)
+    # A worker past the number of chunks would take none.
+    workers = min(worker_count(threads), chunks)
     # The lock hands every chunk index to exactly one thread.
     order, lock, stop = iter(range(chunks)), threading.Lock(), threading.Event()
 

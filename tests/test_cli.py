@@ -819,6 +819,18 @@ def test_compare_at_eps_near_the_float_limit_exits_0(tmp_path, capsys):
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_compare_with_a_uniform_law_near_the_float_limit_exits_0(tmp_path, capsys):
+    # theta * high leaves the float range in the analytic mgf of the scans,
+    # where the mgf is 0; a warning there would end compare with exit 1.
+    source = {"kind": "scaled_fixed", "matrix": {"dense": [[1, 1], [1, 1]]},
+              "law": {"kind": "uniform", "high": 1.0e308}}
+    cfg = dict(FAST_EXP_CONFIG, ensemble={"repeat": 3, "source": source},
+               bounds=["master", "log_mean", "product"])
+    assert main(["compare", "--config", write_config(tmp_path, cfg), "--samples", "200"]) == 0
+    assert capsys.readouterr().err == ""
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_negative_moment_below_the_float_range_of_eps_power(tmp_path, capsys):
     # Cp = 1e300 * (1 + 1e-6) and eps^2 = 1e-400 or 1e-320: the power alone
     # underflows to 0 or to a subnormal with few digits, Cp * eps^2 does not.

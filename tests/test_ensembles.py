@@ -61,6 +61,18 @@ class TestScalarLaws:
         thetas = np.geomspace(1e-3, 1e3, 50)
         assert (law.mgf(thetas) <= c * thetas**-alpha * (1 + 1e-12)).all()
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize(
+        "law, t",
+        [(Uniform(high=1.0e308), 10.0), (Gamma(shape=2.0, rate=1.0e308), 1.0e308)],
+        ids=["uniform", "gamma"],
+    )
+    def test_mgf_past_the_float_range_is_zero_without_warning(self, law, t):
+        # t * high and rate + t overflow to inf, where the mgf is exactly 0.
+        assert law.mgf(t) == 0.0
+        got = law.mgf(np.array([t, 1.0]))
+        assert got[0] == 0.0 and 0.0 < got[1] <= 1.0
+
     def test_bernoulli_has_no_envelope(self):
         assert Bernoulli(p=0.5).envelope is None
 
@@ -344,8 +356,8 @@ BIT_SOURCES["sum-of-kinds"] = SumModel(
         BIT_SOURCES["bernoulli-diagonal"],
     )
 )
-# Without a wishart source every position has a diagonal, so sample_sum_batch
-# screens its draws before it builds them; with one, the sum is built whole.
+# A scaled_fixed source, like a wishart one, has sample_batch alone, so
+# sample_sum_batch builds this sum whole before it screens it.
 BIT_SOURCES["sum-without-wishart"] = SumModel(
     sources=(
         BIT_SOURCES["scaled-fixed-exponential"],
@@ -355,7 +367,17 @@ BIT_SOURCES["sum-without-wishart"] = SumModel(
         BIT_SOURCES["bernoulli-diagonal"],
     )
 )
-_SUMS = ["sum-of-kinds", "sum-without-wishart"]
+# Every position has a diagonal, so sample_sum_batch screens its draws
+# before it builds them.
+BIT_SOURCES["sum-of-bounded-rank-one"] = SumModel(
+    sources=(
+        BoundedRankOne(dim=_D, bound=1.0),
+        BIT_SOURCES["bounded-rank-one"],
+        BoundedRankOne(dim=_D, bound=4.0),
+        BIT_SOURCES["bounded-rank-one"],
+    )
+)
+_SUMS = ["sum-of-kinds", "sum-without-wishart", "sum-of-bounded-rank-one"]
 
 
 class TestInPlaceBuild:
@@ -498,41 +520,41 @@ class TestStreamedWishart:
 DIAGONAL_SOURCES = {
     "bounded-rank-one": BIT_SOURCES["bounded-rank-one"],
     "bounded-rank-one-d16": BoundedRankOne(dim=16, bound=2.5),
-    "scaled-fixed-exponential": BIT_SOURCES["scaled-fixed-exponential"],
-    "scaled-fixed-gamma": ScaledFixed(
-        HermitianMatrix.diagonal([1.0, 2.0, 0.5]), Gamma(shape=2.0, rate=1.0)
-    ),
-    "scaled-fixed-uniform": BIT_SOURCES["scaled-fixed-uniform"],
-    "bernoulli-diagonal": BIT_SOURCES["bernoulli-diagonal"],
 }
 
-# Sums for the screen: built on request (every source has a diagonal) and
-# built whole (a wishart source, or a matrix with a negative diagonal entry).
+# Sums for the screen: built on request (bounded_rank_one alone) and built
+# whole (any other source, a matrix with a negative diagonal entry too).
 _NEGATIVE_DIAGONAL = ScaledFixed(
     HermitianMatrix(np.array([[-1e-12, 0.0], [0.0, 1.0]])), Gamma(1.0, 1.0)
 )
 SCREEN_SUMS = {
     "bounded-rank-one": SumModel(sources=(BIT_SOURCES["bounded-rank-one"],) * 8),
+    "sum-of-bounded-rank-one": BIT_SOURCES["sum-of-bounded-rank-one"],
     "bernoulli-diagonal": SumModel(sources=(BIT_SOURCES["bernoulli-diagonal"],) * 10),
-    "scaled-fixed-gamma": SumModel(sources=(DIAGONAL_SOURCES["scaled-fixed-gamma"],) * 3),
+    "scaled-fixed-gamma": SumModel(
+        sources=(ScaledFixed(HermitianMatrix.diagonal([1.0, 2.0, 0.5]), Gamma(2.0, 1.0)),) * 3
+    ),
     "sum-without-wishart": BIT_SOURCES["sum-without-wishart"],
     "sum-of-kinds": BIT_SOURCES["sum-of-kinds"],
     "negative-diagonal": SumModel(
         sources=(_NEGATIVE_DIAGONAL, ScaledFixed(HermitianMatrix.identity(2), Uniform(1.0)))
     ),
+    # The diagonal of a scaled_fixed config, [1, -1e-17]: roundoff of a
+    # psd matrix, so its draws have a negative diagonal entry.
+    "config-negative-diagonal": SumModel(
+        sources=(ScaledFixed(HermitianMatrix.diagonal([1.0, -1.0e-17]), Uniform(2.0)),) * 3
+    ),
 }
 
 
 class TestDrawAndBuild:
-    """For bounded_rank_one and scaled_fixed, draw takes a batch's random
-    numbers, build makes its matrices, and diagonal gives their diagonal
-    without building them."""
+    """For bounded_rank_one, draw takes a batch's random numbers, build
+    makes its matrices, and diagonal gives their diagonal without building
+    them."""
 
-    @pytest.mark.parametrize(
-        "name", [n for n in BIT_SOURCES if n not in _SUMS and not n.startswith("wishart")]
-    )
+    @pytest.mark.parametrize("name", list(DIAGONAL_SOURCES))
     def test_sample_batch_is_draw_then_build(self, name):
-        src = BIT_SOURCES[name]
+        src = DIAGONAL_SOURCES[name]
         got = src.build(src.draw(RngStream(26), 500))
         assert_same_bits(got, src.sample_batch(RngStream(26), 500))
 
@@ -543,18 +565,18 @@ class TestDrawAndBuild:
         for seed in range(5):
             draws = src.draw(RngStream(seed), size)
             diag = src.diagonal(draws)
-            built = np.diagonal(src.matrices(draws), axis1=1, axis2=2).real
+            built = np.diagonal(src.build(draws), axis1=1, axis2=2).real
             assert diag.shape == (size, src.dim)
             np.testing.assert_array_equal(diag.view(np.uint64), built.copy().view(np.uint64))
             assert (diag >= 0).all()
 
-    def test_wishart_and_a_negative_diagonal_entry_have_no_diagonal(self):
-        # A wishart samples in one step, sample_batch, and has no diagonal.
-        assert not isinstance(Wishart(dim=3, dof=2), ensembles._Drawn)
-        for step in ("draw", "build", "matrices", "diagonal"):
-            assert not hasattr(Wishart(dim=3, dof=2), step)
-        assert _NEGATIVE_DIAGONAL.diagonal is None
-        assert DIAGONAL_SOURCES["scaled-fixed-gamma"].diagonal is not None
+    def test_only_bounded_rank_one_has_draw_diagonal_and_build(self):
+        # scaled_fixed and wishart sample in one step, sample_batch.
+        for src in (BIT_SOURCES["scaled-fixed-exponential"], Wishart(dim=3, dof=2)):
+            for step in ("draw", "build", "matrices", "diagonal"):
+                assert not hasattr(src, step)
+        assert all(hasattr(BoundedRankOne, step) for step in ("draw", "build", "diagonal"))
+        assert not hasattr(BoundedRankOne, "matrices")
 
 
 class TestSumDraws:
@@ -633,7 +655,33 @@ class TestSumDraws:
         held = 16 * 4096 * 8 * 8 + 8 * 4096 * 8 * 8
         assert peak < held + 3 * ensembles._KERNEL_BYTES
 
-    @pytest.mark.parametrize("name", ["bounded-rank-one", "sum-without-wishart"])
+    @pytest.mark.parametrize(
+        "name",
+        ["bernoulli-diagonal", "scaled-fixed-gamma", "sum-without-wishart",
+         "config-negative-diagonal"],
+    )
+    def test_a_sum_with_scaled_fixed_is_built_whole_and_screened_in_place(
+        self, name, monkeypatch
+    ):
+        whole = []
+        sample_batch = SumModel.sample_batch
+
+        def recording(self, stream, size, out=None):
+            whole.append(sample_batch(self, stream, size, out))
+            return whole[-1]
+
+        monkeypatch.setattr(SumModel, "sample_batch", recording)
+        model = SCREEN_SUMS[name]
+        full, diag = self.whole(model, 31, 4096)
+        top = diag.max(axis=1)
+        limit = float(np.quantile(top, 0.5))
+        sums = sample_sum_batch(model, RngStream(31), 4096, limit).sums
+        keep = np.flatnonzero(~(top > limit))
+        assert 0 < len(keep) < 4096
+        assert len(whole) == 1 and sums.base is whole[0]
+        assert_same_bits(sums, full[keep])
+
+    @pytest.mark.parametrize("name", ["bounded-rank-one", "sum-of-bounded-rank-one"])
     def test_a_settled_draw_is_never_built(self, name, monkeypatch):
         built = []
         build = ensembles._build

@@ -12,6 +12,12 @@ every row of the two analytic configs, and the rows that need no mgf
 (g_theta, negative_moment, chernoff_*) of the two empirical ones.  The
 details must keep their keys, their flags exactly and their numbers
 within 1e-12 relative.
+
+tests/golden/simulate_<config>.csv holds the output of
+`smalldev simulate --config <bundled config> --samples 20000` for the
+four bundled configs.  The Monte Carlo draws are fixed by the seed, so a
+change to how a sum is sampled, screened or scored must keep every row
+exactly: the same hits and the same bits of ci_low and ci_high.
 """
 
 import csv
@@ -79,3 +85,20 @@ def test_bound_details_match_golden(tmp_path, name, analytic):
                 assert math.isclose(g["details"][key], value, rel_tol=REL_TOL, abs_tol=0.0), (
                     f"{where} {key}: {g['details'][key]} != {value}"
                 )
+
+
+@pytest.mark.parametrize(
+    "name", ["bernoulli_diagonal", "bounded_rank_one", "exponential_series", "wishart_empirical_mgf"]
+)
+def test_simulate_csv_matches_golden(tmp_path, name):
+    out = tmp_path / "simulate.csv"
+    argv = ["simulate", "--config", demo_config_path(name), "--samples", "20000"]
+    assert main([*argv, "--csv", str(out)]) == 0
+    got, want = _rows(out), _rows(GOLDEN / f"simulate_{name}.csv")
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        where = f"eps={w['epsilon']}"
+        assert (g["epsilon"], g["n"], g["hits"]) == (w["epsilon"], w["n"], w["hits"]), where
+        for key in ("ci_low", "ci_high"):
+            # Written with 17 significant digits, which read back to the bits.
+            assert float(g[key]).hex() == float(w[key]).hex(), f"{where} {key}"

@@ -219,8 +219,9 @@ class TestEstimate:
 
 
 class TestWorkers:
-    """The calling thread and workers - 1 pool threads take chunks from one
-    shared iterator; each sums its own hits."""
+    """The calling thread and workers - 1 pool threads, at most one worker
+    per chunk, take chunks from one shared iterator; each sums its own
+    hits."""
 
     # A wishart repeat, every draw open.  The hits are those of a pool that
     # ran every chunk itself: how chunks are spread over threads must not
@@ -243,6 +244,19 @@ class TestWorkers:
             for c in range(-(-n // 4096))
         ]
         assert np.sum(chunks, axis=0).tolist() == want
+
+    def test_starts_no_thread_beyond_one_worker_per_chunk(self, monkeypatch):
+        # Two chunks on four workers: the calling thread and one pool thread.
+        starts, start = [], threading.Thread.start
+
+        def recording_start(thread):
+            starts.append(thread)
+            start(thread)
+
+        monkeypatch.setattr(threading.Thread, "start", recording_start)
+        ests = estimate(self.MODEL, self.EPS, n=4096 + 5, seed=5, threads=4)
+        assert len(starts) == 1
+        assert [e.hits for e in ests] == [2, 254, 1547, 3103]
 
     @pytest.mark.parametrize("threads, started", [(1, 0), (3, 2)])
     def test_starts_workers_minus_one_threads(self, threads, started, monkeypatch):
@@ -418,7 +432,8 @@ def source_kind_case(name):
         )
         eps_max = 3.0
     elif name == "distinct-kinds-with-diagonals":
-        # No wishart: every position is screened before it is built.
+        # No wishart, and built whole all the same: a scaled_fixed source,
+        # like a wishart one, has no diagonal to screen before the build.
         sources = (
             ScaledFixed(_DENSE, Gamma(1.0, 1.0)),
             BoundedRankOne(dim=3, bound=1.0),
@@ -510,8 +525,8 @@ class TestDiagonalScreen:
     @pytest.mark.parametrize(
         "source, eps_max",
         [
-            # lambda_max <= 1 = eps_max: no draw can be settled.
-            (ScaledFixed(HermitianMatrix.identity(2), Uniform(high=1.0)), 1.0),
+            # lambda_max <= bound = eps_max: no draw can be settled.
+            (BoundedRankOne(dim=2, bound=1.0), 1.0),
             # Built whole, as a wishart sum is; far above every draw.
             (Wishart(dim=2, dof=3), 1.0e6),
         ],
@@ -588,7 +603,7 @@ def test_every_draw_and_build_runs_inside_the_hooked_call(name, monkeypatch):
     assert calls == [4096, 4096, 10_000 - 2 * 4096]
     assert seen and all(was_inside for _label, was_inside in seen), seen
     kind = type(model.sources[0]).__name__
-    steps = ["draw", "build"] if kind != "Wishart" else ["sample_batch"]
+    steps = ["draw", "build"] if kind == "BoundedRankOne" else ["sample_batch"]
     want = {f"{kind}.{step}" for step in steps}
     assert want <= {label for label, _inside in seen}
 
