@@ -18,7 +18,11 @@ Two families live here:
   chernoff_sum_bound, chernoff_product_bound, series_sum_bound,
   series_product_bound).  Each computes its eps-independent constants
   once per call and hands _closed the log of its expression, the eps
-  below which it is valid and its optimal theta there.
+  cutoff below which it holds and its optimal theta there.  One rule
+  applies past the cutoff: the row is the trivial bound 1, marked not
+  valid, and the expression is not evaluated.  negative_moment and the
+  two series bounds are one power law, exp(log_c + power * log eps); a
+  series bound's cutoff is the eps where that power law equals 1.
 
 All evaluators are pure given (model, mgf snapshot, eps grid).  A source object
 repeated in a SumModel stands for i.i.d. copies (see
@@ -87,8 +91,8 @@ class BoundResult:
     """Outcome of a bound at one eps of the grid.
 
     value is min(raw_value, 1); outside a bound's stated eps domain
-    (valid=False) the trivial bound 1 is reported instead of an
-    extrapolated expression.
+    (valid=False) raw_value and value are the trivial bound 1 instead of
+    an extrapolated expression.
     """
 
     raw_value: float
@@ -106,11 +110,7 @@ def _finish(
     details: Mapping[str, float],
 ) -> BoundResult:
     raw = max(float(raw), 0.0)
-    if not valid:
-        raw = max(raw, 1.0)
-        value = 1.0
-    else:
-        value = min(raw, 1.0)
+    value = min(raw, 1.0)
     return BoundResult(
         raw_value=raw,
         value=value,
@@ -182,16 +182,38 @@ def _closed(
     eps_grid: Sequence[float], log_raw: Callable, details: Mapping, cutoff=math.inf, theta=None
 ) -> list[BoundResult]:
     """The closed-form counterpart of _scan: exp(log_raw(eps)), capped at
-    e^_EXP_CAP, at every eps of the grid, valid for eps < cutoff and with
-    the optimal theta(eps) there.  Summing logs keeps a tiny constant times
-    a huge power of eps (or the reverse) from leaving the float range before
-    their product does."""
+    e^_EXP_CAP, at every eps of the grid below cutoff, with the optimal
+    theta(eps) there.  At or above cutoff the row is the trivial bound
+    (raw 1, value 1, not valid, no theta), and log_raw is not evaluated.
+    Summing logs keeps a tiny constant times a huge power of eps (or the
+    reverse) from leaving the float range before their product does."""
     results = []
     for eps in _check_grid(eps_grid):
-        valid = eps < cutoff
-        theta_star = theta(eps) if valid and theta is not None else None
-        results.append(_finish(math.exp(min(log_raw(eps), _EXP_CAP)), theta_star, valid, details))
+        if eps >= cutoff:
+            results.append(_finish(1.0, None, False, details))
+        else:
+            theta_star = None if theta is None else theta(eps)
+            results.append(_finish(math.exp(min(log_raw(eps), _EXP_CAP)), theta_star, True, details))
     return results
+
+
+def _power_law(
+    eps_grid: Sequence[float], log_c: float, power: float, details: Mapping, theta_eps=None
+) -> list[BoundResult]:
+    """_closed of the power law exp(log_c + power * log eps).  Without
+    theta_eps it holds at every eps.  A series bound passes theta_eps, its
+    optimal theta times eps: it then holds below the eps where the power
+    law equals 1, exp(-log_c / power), with theta* = theta_eps / eps."""
+    cutoff, theta = math.inf, None
+    if theta_eps is not None:
+        try:
+            cutoff = math.exp(-log_c / power)
+        except OverflowError:
+            raise FloatRangeError(
+                f"the validity cutoff exp({-log_c / power!r}) is outside the float range"
+            ) from None
+        theta = lambda eps: theta_eps / eps  # noqa: E731
+    return _closed(eps_grid, lambda eps: log_c + power * math.log(eps), details, cutoff, theta)
 
 
 def _log_mgf_sum(mats: np.ndarray, index: list, thetas: Sequence[float]) -> np.ndarray:
@@ -446,8 +468,7 @@ def negative_moment_bound(cp: float, p: float, eps_grid: Sequence[float]) -> lis
     it reaches 1)."""
     if not (0 < cp < math.inf and 0 < p < math.inf):
         raise ValueError("Cp and p must be positive and finite")
-    log_cp = math.log(cp)
-    return _closed(eps_grid, lambda eps: log_cp + p * math.log(eps), {"Cp": cp, "p": p})
+    return _power_law(eps_grid, math.log(cp), p, {"Cp": cp, "p": p})
 
 
 # ---------------------------------------------------------------------------
@@ -456,12 +477,20 @@ def negative_moment_bound(cp: float, p: float, eps_grid: Sequence[float]) -> lis
 
 
 def _uniform_bound(model: SumModel) -> float:
+    """L, the largest almost-sure eigenvalue bound of the sources; raises
+    FloatRangeError naming the first source whose bound is not finite."""
+
     def bound(src, k: int) -> float:
         b = src.uniform_bound()
         if b is None:
             raise UnsupportedEnsembleError(
                 f"chernoff bounds need an almost-sure eigenvalue bound; "
                 f"source {k} (kind {src.kind!r}) has none"
+            )
+        if b == math.inf:
+            raise FloatRangeError(
+                f"L, the almost-sure eigenvalue bound of source {k} (kind {src.kind!r}), "
+                "is outside the float range"
             )
         return float(b)
 
@@ -484,10 +513,6 @@ def _chernoff(
     cutoff = min(positive, default=0.0)
 
     def log_raw(eps: float) -> float:
-        # Every factor is at most 1, so an invalid row's raw value is exactly
-        # 1 without evaluating them; there mu / eps may underflow to 0.
-        if eps >= cutoff:
-            return 0.0
         return sum((eps / big_l) * _log_ratio(mu, eps) + (eps - mu) / big_l for mu in positive)
 
     return _closed(eps_grid, log_raw, details, cutoff, theta)
@@ -522,7 +547,8 @@ def chernoff_product_bound(model: SumModel, eps_grid: Sequence[float]) -> list[B
 
 def _series_params(model: SumModel) -> tuple[float, float]:
     """(C, alpha) of the power envelope C theta^(-alpha) that every
-    source's scalar law declares."""
+    source's scalar law declares; raises FloatRangeError when C is outside
+    the float range."""
 
     def envelope(src, k: int) -> tuple[float, float]:
         if not isinstance(src, ScaledFixed):
@@ -536,7 +562,12 @@ def _series_params(model: SumModel) -> tuple[float, float]:
                 f"series bounds need a power envelope on every scalar law; "
                 f"source {k} law {src.law.kind!r} declares none"
             )
-        # Position 0 is visited first, so by now it has passed both checks.
+        if not 0 < env[0] < math.inf:
+            raise FloatRangeError(
+                f"the envelope constant C = {env[0]!r} of source {k} "
+                f"(law {src.law.kind!r}) is outside the float range"
+            )
+        # Position 0 is visited first, so by now it has passed every check.
         expected = model.sources[0].law.envelope
         if env != expected:
             raise UnsupportedEnsembleError(
@@ -569,55 +600,30 @@ def _inverse_power(src: ScaledFixed, k: int, alpha: float) -> HermitianMatrix:
     return HermitianMatrix(entries)
 
 
-def _cutoff(log_cutoff: float) -> float:
-    """exp(log_cutoff), the eps below which a series bound is valid."""
-    try:
-        return math.exp(log_cutoff)
-    except OverflowError:
-        raise FloatRangeError(
-            f"the validity cutoff exp({log_cutoff!r}) is outside the float range"
-        ) from None
-
-
 def series_sum_bound(model: SumModel, eps_grid: Sequence[float]) -> list[BoundResult]:
     """Bound (e eps / (K alpha))^(alpha K) * (C nu / K)^K with
-    nu = lambda_max(sum_k A_k^(-alpha)) at every eps, valid for
-    eps < (K alpha / e) * (K / (C nu))^(1/alpha); the optimal theta is
-    alpha K / eps."""
+    nu = lambda_max(sum_k A_k^(-alpha)) at every eps, valid below the eps
+    where it equals 1; the optimal theta is alpha K / eps."""
     c, alpha = _series_params(model)
     k = model.size
     powers = _per_source(model, lambda src, k: _inverse_power(src, k, alpha).entries)
     nu = float(np.linalg.eigvalsh(_position_sum(powers, "the sum of the A_k^(-alpha)"))[-1])
     if not 0 < c * nu < math.inf:
         raise FloatRangeError(f"C * nu = {c!r} * {nu!r} is outside the float range")
-    log_k_alpha = math.log(k * alpha)
-    log_c_nu_term = k * (math.log(c * nu) - math.log(k))
-    cutoff = _cutoff(log_k_alpha - 1.0 + (math.log(k) - math.log(c * nu)) / alpha)
-    return _closed(
-        eps_grid,
-        lambda eps: alpha * k * (1.0 + math.log(eps) - log_k_alpha) + log_c_nu_term,
-        {"C": c, "alpha": alpha, "nu": nu, "K": float(k)},
-        cutoff,
-        lambda eps: alpha * k / eps,
-    )
+    power = alpha * k
+    log_c = power * (1.0 - math.log(power)) + k * (math.log(c * nu) - math.log(k))
+    details = {"C": c, "alpha": alpha, "nu": nu, "K": float(k)}
+    return _power_law(eps_grid, log_c, power, details, power)
 
 
 def series_product_bound(model: SumModel, eps_grid: Sequence[float]) -> list[BoundResult]:
     """Product form (prod_k nu_k) * C^K * (e eps / alpha)^(K alpha) with
-    nu_k = lambda_max(A_k^(-alpha)) at every eps, valid for
-    eps < (alpha/e) * C^(-1/alpha) * (prod_k nu_k)^(-1/(alpha K)); every
-    factor shares the optimal theta = alpha / eps."""
+    nu_k = lambda_max(A_k^(-alpha)) at every eps, valid below the eps
+    where it equals 1; every factor shares the optimal theta = alpha / eps."""
     c, alpha = _series_params(model)
     k = model.size
     nus = _per_source(model, lambda src, k: lambda_max(_inverse_power(src, k, alpha)))
-    log_nu_sum = sum(math.log(nu) for nu in nus)
-    log_nu_c_term = log_nu_sum + k * math.log(c)
-    log_alpha = math.log(alpha)
-    cutoff = _cutoff(log_alpha - 1.0 - math.log(c) / alpha - log_nu_sum / (alpha * k))
-    return _closed(
-        eps_grid,
-        lambda eps: log_nu_c_term + k * alpha * (1.0 + math.log(eps) - log_alpha),
-        {"C": c, "alpha": alpha, **{f"nu_{i + 1}": nu for i, nu in enumerate(nus)}},
-        cutoff,
-        lambda eps: alpha / eps,
-    )
+    power = k * alpha
+    log_c = sum(math.log(nu) for nu in nus) + k * math.log(c) + power * (1.0 - math.log(alpha))
+    details = {"C": c, "alpha": alpha, **{f"nu_{i + 1}": nu for i, nu in enumerate(nus)}}
+    return _power_law(eps_grid, log_c, power, details, alpha)

@@ -320,7 +320,7 @@ def _build(table: dict, spec, where: str, tag: str = "kind"):
 
 def build_model(ensemble_spec) -> SumModel:
     _mapping(ensemble_spec, ("source", "repeat", "sources"), "ensemble")
-    if "sources" in ensemble_spec and "source" in ensemble_spec:
+    if "sources" in ensemble_spec and ("source" in ensemble_spec or "repeat" in ensemble_spec):
         raise ConfigError("ensemble takes either 'source' (+ repeat) or 'sources'")
     if "sources" in ensemble_spec:
         specs = ensemble_spec["sources"]

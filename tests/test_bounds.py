@@ -7,6 +7,8 @@ import numpy as np
 import pytest
 import scipy.linalg
 import scipy.special
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from smalldev import bounds as bounds_mod
 from smalldev.bounds import (
@@ -754,6 +756,15 @@ _HUGE_MEAN_SOURCE = SumModel(
     sources=(ScaledFixed(matrix=HermitianMatrix.diagonal([1e308]), law=Gamma(1.0, 0.5)),)
 )
 
+# The almost-sure bound 2 * 1e308 of the one source is not finite.
+_HUGE_UNIFORM_BOUND = SumModel(
+    sources=(ScaledFixed(matrix=HermitianMatrix.diagonal([2.0, 1.0]), law=Uniform(1e308)),)
+)
+# The uniform law's envelope constant 1 / 1e-320 is not finite.
+_TINY_UNIFORM = SumModel(
+    sources=(ScaledFixed(matrix=HermitianMatrix.identity(1), law=Uniform(1e-320)),) * 2
+)
+
 _HUGE_SCALED_FIXED = SumModel(
     sources=(ScaledFixed(matrix=HermitianMatrix.diagonal([1e300]), law=Gamma(1.0, 1e-300)),)
     * 2
@@ -771,9 +782,15 @@ _HUGE_SCALED_FIXED = SumModel(
          "the mean of the sum"),
         (lambda: source_means(_HUGE_MEAN_SOURCE),
          r"mean E X_k of source 0 \(kind 'scaled_fixed'\)"),
+        (lambda: chernoff_product_bound(_HUGE_UNIFORM_BOUND, [0.5]),
+         r"L, the almost-sure eigenvalue bound of source 0 \(kind 'scaled_fixed'\),"),
+        (lambda: series_sum_bound(_TINY_UNIFORM, [0.5]),
+         r"the envelope constant C = inf of source 0 \(law 'uniform'\)"),
+        (lambda: series_product_bound(_TINY_UNIFORM, [0.5]),
+         r"the envelope constant C = inf of source 0 \(law 'uniform'\)"),
     ],
     ids=["admissible-cp", "series-sum", "series-product", "mean-of-sum", "chernoff-sum",
-         "source-mean"],
+         "source-mean", "chernoff-L", "series-sum-uniform-C", "series-product-uniform-C"],
 )
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_quantity_outside_the_float_range_is_named(call, quantity):
@@ -1027,6 +1044,87 @@ class TestSeriesProductBound:
         assert abs(below.raw_value - 1.0) <= 1e-9
         at = series_product_bound(model, [cutoff])[0]
         assert not at.valid
+
+
+def derived_cutoff(bound, model) -> tuple[float, dict]:
+    """The validity cutoff that bound hands _closed for model, and the
+    details of its rows."""
+    seen = []
+    real = bounds_mod._closed
+
+    def recording(eps_grid, log_raw, details, cutoff=math.inf, theta=None):
+        seen.append(cutoff)
+        return real(eps_grid, log_raw, details, cutoff, theta)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(bounds_mod, "_closed", recording)
+        details = bound(model, [1.0])[0].details
+    return seen[0], details
+
+
+# The paper's validity cutoffs of the series bounds, in log form.
+def paper_series_sum_cutoff(c, alpha, k, nu):
+    # eps < (K alpha / e) * (K / (C nu))^(1/alpha)
+    return math.exp(math.log(k * alpha) - 1.0 + (math.log(k) - math.log(c * nu)) / alpha)
+
+
+def paper_series_product_cutoff(c, alpha, nus):
+    # eps < (alpha / e) * C^(-1/alpha) * (prod_k nu_k)^(-1/(alpha K))
+    log_nu_sum = sum(math.log(nu) for nu in nus)
+    return math.exp(math.log(alpha) - 1.0 - math.log(c) / alpha - log_nu_sum / (alpha * len(nus)))
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    alpha=st.floats(0.1, 5.0),
+    rate=st.floats(0.1, 10.0),
+    diagonals=st.lists(st.tuples(st.floats(0.05, 20.0), st.floats(0.05, 20.0)), min_size=1,
+                       max_size=6),
+)
+def test_derived_series_cutoffs_are_the_paper_formulas(alpha, rate, diagonals):
+    # C = rate^alpha, alpha, K = len(diagonals) and nu (or the nu_k) from the
+    # matrices A_k = diag(a, b): each bound's cutoff, the eps at which its
+    # power law equals 1, is the paper's closed formula.
+    law = Gamma(alpha, rate)
+    model = SumModel(
+        sources=tuple(ScaledFixed(HermitianMatrix.diagonal(list(d)), law) for d in diagonals)
+    )
+    k = model.size
+    cutoff, details = derived_cutoff(series_sum_bound, model)
+    expected = paper_series_sum_cutoff(details["C"], alpha, k, details["nu"])
+    assert math.isclose(cutoff, expected, rel_tol=1e-12)
+    cutoff, details = derived_cutoff(series_product_bound, model)
+    nus = [details[f"nu_{i + 1}"] for i in range(k)]
+    assert math.isclose(cutoff, paper_series_product_cutoff(details["C"], alpha, nus),
+                        rel_tol=1e-12)
+
+
+# Each closed form with the eps at and above which it holds no longer;
+# negative_moment holds at every eps.
+_CLOSED_FORMS = {
+    "negative-moment": (lambda grid: negative_moment_bound(0.2, 1.0, grid), math.inf),
+    "chernoff-sum": (lambda grid: chernoff_sum_bound(bernoulli_model(), grid), 5.0),
+    "chernoff-product": (lambda grid: chernoff_product_bound(bernoulli_model(), grid), 0.5),
+    "series-sum": (lambda grid: series_sum_bound(exp_series_model(1), grid), 1.0 / math.e),
+    "series-product": (
+        lambda grid: series_product_bound(exp_series_model(2), grid),
+        1.0 / math.e,
+    ),
+}
+
+
+@pytest.mark.parametrize("form", list(_CLOSED_FORMS))
+def test_every_row_at_or_above_the_cutoff_is_the_trivial_row(form):
+    bound, cutoff = _CLOSED_FORMS[form]
+    grid = [0.01, 0.1, 1.0, 10.0, 1.0e300]
+    if cutoff < math.inf:
+        grid = sorted(grid + [cutoff, cutoff * (1.0 + 1e-12), 2.0 * cutoff])
+    for eps, res in zip(grid, bound(grid), strict=True):
+        if eps >= cutoff:
+            assert (res.raw_value, res.value, res.valid, res.theta_star) == (1.0, 1.0, False, None)
+            assert res.trivial
+        else:
+            assert res.valid
 
 
 class TestInfimumConsistency:

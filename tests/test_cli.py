@@ -140,6 +140,8 @@ class TestConfigValidation:
                                      "law": {"kind": "exponential", "rate": True}}}},
             {"simulation": {"n": True}},
             {"optimizer": {"theta_min": True}},
+            # repeat goes only with source, never beside sources.
+            {"ensemble": {"repeat": 3, "sources": [FAST_EXP_CONFIG["ensemble"]["source"]]}},
         ],
         ids=[
             "simulation-list",
@@ -171,6 +173,7 @@ class TestConfigValidation:
             "bool-rate",
             "bool-n",
             "bool-theta-min",
+            "repeat-beside-sources",
         ],
     )
     @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -805,6 +808,43 @@ def test_mean_of_the_sum_past_the_float_range_exits_2_naming_it(tmp_path, capsys
         "config error: bound 'negative_moment' inapplicable: "
         "the mean of the sum, sum_k E X_k, is outside the float range\n"
     )
+
+
+# Closed-form constants past the float range, each named in one config
+# error line: Chernoff's L = 2 * 1.0e308 and the uniform law's envelope
+# constant C = 1 / 1.0e-320.  Unchecked, the first gives valid rows with
+# theta* 0 and the second an invalid series row of 1e304, and a JSON report
+# of either holds an inf.
+_OUT_OF_RANGE_CONSTANTS = {
+    "chernoff-L": (
+        {"repeat": 1, "source": {"kind": "scaled_fixed", "matrix": {"diagonal": [2.0, 1.0]},
+                                 "law": {"kind": "uniform", "high": 1.0e308}}},
+        ["chernoff_sum", "chernoff_product"],
+        "bound 'chernoff_sum' inapplicable: L, the almost-sure eigenvalue bound of "
+        "source 0 (kind 'scaled_fixed'), is outside the float range",
+    ),
+    "uniform-C": (
+        {"repeat": 2, "source": {"kind": "scaled_fixed", "matrix": {"identity": 1},
+                                 "law": {"kind": "uniform", "high": 1.0e-320}}},
+        ["series_product", "series_sum"],
+        "bound 'series_product' inapplicable: the envelope constant C = inf of "
+        "source 0 (law 'uniform') is outside the float range",
+    ),
+}
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("case", list(_OUT_OF_RANGE_CONSTANTS))
+@pytest.mark.parametrize("report", ["--csv", "--json"])
+def test_closed_form_constant_past_the_float_range_exits_2_naming_it(
+    tmp_path, capsys, case, report
+):
+    ensemble, bounds, message = _OUT_OF_RANGE_CONSTANTS[case]
+    cfg = dict(FAST_EXP_CONFIG, ensemble=ensemble, bounds=bounds, eps_grid=[0.5])
+    out = tmp_path / "report"
+    assert main(["bound", "--config", write_config(tmp_path, cfg), report, str(out)]) == 2
+    assert capsys.readouterr().err == f"config error: {message}\n"
+    assert not out.exists()
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
